@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
 from scipy import integrate as sci
 
 from . import piecewise as pw

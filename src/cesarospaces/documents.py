@@ -142,6 +142,9 @@ def _pieces_from_doc(doc: Any, domain: DomainSpec, what: str) -> PPL:
             raise ParseError(f"{what} piece {i}: interval must be [lo, hi]")
         lo = _num(iv[0], "interval lo", allow_inf=False)
         hi = _num(iv[1], "interval hi")
+        if not lo < hi:
+            raise ParseError(f"{what} piece {i}: interval [{lo}, {hi}] "
+                             "is empty or inverted")
         raw_terms = _require(entry, "terms")
         if not isinstance(raw_terms, list) or not raw_terms:
             raise ParseError(f"{what} piece {i}: needs at least one term")

@@ -20,7 +20,8 @@ from scipy import integrate as sci
 from . import cesaro as cz
 from . import piecewise as pw
 from . import rearrange as rr
-from .errors import MethodInapplicableError, TransformUndefinedError
+from .errors import (MethodInapplicableError, RepresentationError,
+                     TransformUndefinedError)
 from .piecewise import INF, PPL, DomainSpec, TermMap
 from .spaces import OrliczFunctionSpec, SpaceDescriptor
 
@@ -254,6 +255,23 @@ def _orlicz_exact_ready(f: PPL, spec: OrliczFunctionSpec) -> bool:
 # individual norms on exact piecewise inputs
 
 
+def _antiderivative_magnitude(tm: TermMap, lo: float, hi: float) -> float:
+    """Sum of the absolute monomials of the antiderivative of tm at lo and hi.
+
+    The exact integral over [lo, hi) is the difference of the two monomial
+    sums, so its rounding error is a few ulps of this magnitude.
+    """
+    F = pw.antiderivative_map(tm)
+    total = 0.0
+    for t, at in ((lo, "zero"), (hi, "inf")):
+        if t == 0.0 or math.isinf(t):
+            total += abs(pw.limit_term_map(F, at))
+        else:
+            total += sum(abs(pw.eval_term_map({key: c}, t))
+                         for key, c in F.items())
+    return total
+
+
 def _lp_ppl(f: PPL, p: float) -> NormResult:
     g = pw.absolute(f)
     if g.is_zero:
@@ -261,11 +279,13 @@ def _lp_ppl(f: PPL, p: float) -> NormResult:
     total = 0.0
     err = 0.0
     exact = True
+    exact_parts = []
     for piece in g.pieces:
         tm = piece.term_map()
         pm = _abs_power_map(tm, p)
         if pm is not None:
             val = pw._piece_integral(pm, piece.lo, piece.hi)
+            exact_parts.append((pm, piece.lo, piece.hi))
         else:
             exact = False
             if piece.lo == 0.0 and _power_diverges(tm, p, "zero"):
@@ -279,6 +299,17 @@ def _lp_ppl(f: PPL, p: float) -> NormResult:
         if math.isinf(val):
             return NormResult(INF, "exact" if pm is not None else "quadrature", 0.0)
         total += val
+    if total < 0.0:
+        # an exact piece integral is a difference of antiderivative values
+        # and can cancel to a few ulps below zero
+        slack = 64.0 * math.ulp(1.0) * sum(
+            _antiderivative_magnitude(pm, lo, hi) for pm, lo, hi in exact_parts)
+        if -total > slack:
+            raise RepresentationError(
+                f"integral of |f|**{p:g} came out negative ({total:g}), "
+                f"beyond its rounding bound {slack:g}")
+        return NormResult(0.0, "exact" if exact else "quadrature",
+                          (slack + err) ** (1.0 / p))
     value = total ** (1.0 / p)
     if not exact and total > 0.0:
         err = err * value / (p * total)
@@ -304,46 +335,64 @@ def _sum_space_ppl(f: PPL) -> NormResult:
     return NormResult(value, "exact", 1e-10 * (1.0 + abs(lam1)))
 
 
-def _orlicz_modular_ppl(f: PPL, spec: OrliczFunctionSpec,
-                        lam: float) -> tuple[float, float]:
-    """Integral of Phi(|f|/lam); (value, error)."""
+def _orlicz_modular(f: PPL, spec: OrliczFunctionSpec
+                    ) -> Callable[[float], tuple[float, float]]:
+    """lam -> (integral of Phi(|f|/lam), error).
+
+    Everything that does not depend on lam is worked out once here.  The
+    tail limit of |f| is taken only when some lam gets past the sup test,
+    so a modular that is +inf by the sup test never needs the tail.
+    """
     if f.is_step:
-        total = 0.0
-        for piece in f.pieces:
-            u = abs(piece.terms[0].coeff) / lam
-            v = spec.value(u)
-            length = piece.hi - piece.lo
-            if math.isinf(length):
-                if v > 0.0:
+        steps = [(abs(piece.terms[0].coeff), piece.hi - piece.lo)
+                 for piece in f.pieces]
+
+        def step_modular(lam: float) -> tuple[float, float]:
+            total = 0.0
+            for height, length in steps:
+                v = spec.value(height / lam)
+                if math.isinf(length):
+                    if v > 0.0:
+                        return INF, 0.0
+                    continue
+                if math.isinf(v):
                     return INF, 0.0
-                continue
-            if math.isinf(v):
-                return INF, 0.0
-            total += v * length
-        return total, 0.0
+                total += v * length
+            return total, 0.0
+
+        return step_modular
     g = pw.absolute(f)
     sup = pw.essential_sup_abs(g)
-    if sup > spec.finite_bound * lam:
-        return INF, 0.0
-    if not f.domain.is_unit:
-        tail = rr._tail_limit(g)
-        if tail / lam > spec.zero_bound:
-            return INF, 0.0
     # improper-endpoint convergence, decided from dominant exponents
+    endpoint_diverges = False
     if g.pieces and g.pieces[0].lo == 0.0 and math.isinf(sup) \
-            and math.isinf(spec.finite_bound):
+            and math.isinf(spec.finite_bound) and spec.phi.pieces:
         a_f, _ = _dominant_at(g.pieces[0].term_map(), "zero")
-        if spec.phi.pieces:
-            a_phi, _ = _dominant_at(spec.phi.pieces[-1].term_map(), "inf")
-            if a_f * a_phi <= -1.0:
-                return INF, 0.0
-    exact = _orlicz_modular_exact(g, spec, lam)
-    if exact is not None:
-        return exact, 0.0
-    fn = lambda t: spec.value(abs(pw.evaluate(g, t)) / lam)
+        a_phi, _ = _dominant_at(spec.phi.pieces[-1].term_map(), "inf")
+        endpoint_diverges = a_f * a_phi <= -1.0
+    tail: float | None = None
     lo = g.pieces[0].lo
     hi = g.support_bound()
-    return _quad(fn, lo, hi, breaks=g.breakpoints())
+    breaks = g.breakpoints()
+
+    def modular(lam: float) -> tuple[float, float]:
+        nonlocal tail
+        if sup > spec.finite_bound * lam:
+            return INF, 0.0
+        if not f.domain.is_unit:
+            if tail is None:
+                tail = rr._tail_limit(g)
+            if tail / lam > spec.zero_bound:
+                return INF, 0.0
+        if endpoint_diverges:
+            return INF, 0.0
+        exact = _orlicz_modular_exact(g, spec, lam)
+        if exact is not None:
+            return exact, 0.0
+        fn = lambda t: spec.value(abs(pw.evaluate(g, t)) / lam)
+        return _quad(fn, lo, hi, breaks=breaks)
+
+    return modular
 
 
 def _luxemburg(modular: Callable[[float], tuple[float, float]],
@@ -408,9 +457,10 @@ def _lorentz_ppl(f: PPL, X: SpaceDescriptor) -> NormResult:
     # jump of the parameter at zero is already inside phi(d), so the atom
     # term must not be added again here
     end_val = spec.value_at_end
+    segs = rr._abs_segments(f)
 
     def level(lam: float) -> float:
-        d = rr.distribution(f, lam)
+        d = rr._measure_above(segs, lam)
         if math.isinf(d):
             return end_val
         return spec.value(d) if d > 0.0 else 0.0
@@ -454,9 +504,10 @@ def _marcinkiewicz_ppl(f: PPL, X: SpaceDescriptor) -> NormResult:
             return NormResult(INF, "exact", 0.0)
         w = pw.product(spec.phi, second)
         return NormResult(_marcinkiewicz_sup_exact(w), "exact", 0.0)
-    if math.isinf(r.sup_value) and rr.second_maximal(r, 1.0) == INF:
+    src = pw.absolute(f)
+    if math.isinf(r.sup_value) and rr._layer_cake_average(r, src, 1.0) == INF:
         return NormResult(INF, "exact", 0.0)
-    fn = lambda t: spec.value(t) * rr.second_maximal(r, t)
+    fn = lambda t: spec.value(t) * rr._layer_cake_average(r, src, t)
     end = f.domain.end
     grid = [t for t in (2.0 ** k for k in range(-24, 25))
             if t <= end] + [b for b in spec.phi.breakpoints() if 0 < b <= end]
@@ -603,9 +654,8 @@ def norm(f, X: SpaceDescriptor) -> NormResult:
         return _sum_space_ppl(f)
     if X.tag == "orlicz":
         spec = X.orlicz
-        modular = lambda lam: _orlicz_modular_ppl(f, spec, lam)
         exact_modular = f.is_step or _orlicz_exact_ready(f, spec)
-        return _luxemburg(modular, f.is_zero, exact_modular)
+        return _luxemburg(_orlicz_modular(f, spec), f.is_zero, exact_modular)
     if X.tag == "lorentz":
         return _lorentz_ppl(f, X)
     if X.tag == "marcinkiewicz":

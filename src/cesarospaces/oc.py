@@ -475,8 +475,9 @@ def oc_point_closed_form(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
         scales = [2.0 ** k for k in range(21)]
         if not math.isfinite(spec.finite_bound):
             first_bad = None
+            modular = nm._orlicz_modular(g, spec)
             for lam in scales:
-                val, _ = nm._orlicz_modular_ppl(g, spec, 1.0 / lam)
+                val, _ = modular(1.0 / lam)
                 if not math.isfinite(val):
                     first_bad = lam
                     break
@@ -494,7 +495,7 @@ def oc_point_closed_form(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
                         found = True
                         break
                     crm = cz.cesaro_transform(rem)
-                    val, _ = nm._orlicz_modular_ppl(crm, spec, 1.0 / lam)
+                    val, _ = nm._orlicz_modular(crm, spec)(1.0 / lam)
                     if math.isfinite(val):
                         found = True
                         break
@@ -551,7 +552,9 @@ def oc_point_closed_form(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
                     ev = {"peak_limits_exact": True}
                 else:
                     ev = {"peak_limits_exact": False}
-                    peak = lambda t: spec.value(t) * rr.second_maximal(r_g, t)
+                    abs_g = pw.absolute(g)
+                    peak = lambda t: spec.value(t) * \
+                        rr._layer_cake_average(r_g, abs_g, t)
                     sup_g = pw.essential_sup_abs(g)
                     if math.isfinite(sup_g):
                         # peak is squeezed under sup * phi(t) and the weight

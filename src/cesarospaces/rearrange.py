@@ -30,16 +30,13 @@ BISECT_TOL = 1e-12
 BISECT_MAX_ITER = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Segment:
     lo: float
     hi: float
-    terms: tuple  # canonical term tuple, hashable
+    tm: TermMap  # sorted by key, zero coefficients dropped; never mutated
     vlo: float
     vhi: float
-
-    def term_map(self) -> TermMap:
-        return {(t.alpha, t.logpow): t.coeff for t in self.terms}
 
 
 @lru_cache(maxsize=512)
@@ -48,7 +45,8 @@ def _abs_segments(f: PPL) -> tuple[_Segment, ...]:
     segs = []
     for lo, hi, tm in pw.monotone_segments(g):
         vlo, vhi = pw.segment_end_values(tm, lo, hi)
-        segs.append(_Segment(lo, hi, pw._terms_from_map(tm), vlo, vhi))
+        canon = dict(sorted((k, c) for k, c in tm.items() if c != 0.0))
+        segs.append(_Segment(lo, hi, canon, vlo, vhi))
     return tuple(segs)
 
 
@@ -90,8 +88,13 @@ def distribution(f, lam: float) -> float:
         return distribution(f.source, lam)
     if lam < 0.0:
         raise ValueError("lam must be >= 0")
+    return _measure_above(_abs_segments(f), lam)
+
+
+def _measure_above(segs: tuple[_Segment, ...], lam: float) -> float:
+    """m({|f| > lam}) from the segments of |f|, for lam >= 0."""
     total = 0.0
-    for seg in _abs_segments(f):
+    for seg in segs:
         if lam == 0.0:
             total += seg.hi - seg.lo
             continue
@@ -100,7 +103,7 @@ def distribution(f, lam: float) -> float:
         if above_lo and above_hi:
             total += seg.hi - seg.lo
         elif above_lo or above_hi:
-            x = _crossing(seg.term_map(), seg.lo, seg.hi, lam)
+            x = _crossing(seg.tm, seg.lo, seg.hi, lam)
             total += (x - seg.lo) if above_lo else (seg.hi - x)
         if math.isinf(total):
             return INF
@@ -149,20 +152,21 @@ class RearrangedFunction:
             return self.sup_value
         if self.exact is not None:
             return pw.evaluate(self.exact, min(s, self.exact.domain.end))
-        support = distribution(self.source, 0.0)
+        segs = _abs_segments(self.source)
+        support = _measure_above(segs, 0.0)
         if s >= support:
             return 0.0
         lo = self.value_at_infinity
-        if lo > 0.0 and distribution(self.source, lo) <= s:
+        if lo > 0.0 and _measure_above(segs, lo) <= s:
             return lo
         hi = self.sup_value if math.isfinite(self.sup_value) else 1.0
-        while distribution(self.source, hi) > s:
+        while _measure_above(segs, hi) > s:
             hi *= 2.0
         for _ in range(BISECT_MAX_ITER):
             if hi - lo <= BISECT_TOL * max(1.0, hi):
                 break
             mid = 0.5 * (lo + hi)
-            if distribution(self.source, mid) <= s:
+            if _measure_above(segs, mid) <= s:
                 hi = mid
             else:
                 lo = mid
@@ -177,10 +181,11 @@ class RearrangedFunction:
         """s-points where f* can kink (images of critical values)."""
         if self.exact is not None:
             return self.exact.breakpoints()
+        segs = _abs_segments(self.source)
         pts = {0.0}
         for v in critical_values(self.source):
             if v > 0.0:
-                d = distribution(self.source, v)
+                d = _measure_above(segs, v)
                 if math.isfinite(d):
                     pts.add(d)
         return sorted(pts)
@@ -327,7 +332,7 @@ def superlevel_set(f, lam: float) -> pw.MeasurableSet:
         if above_lo and above_hi:
             ivs.append((seg.lo, seg.hi))
         elif above_lo or above_hi:
-            cut = _crossing(seg.term_map(), seg.lo, seg.hi, lam)
+            cut = _crossing(seg.tm, seg.lo, seg.hi, lam)
             if above_lo:
                 ivs.append((seg.lo, cut))
             else:
@@ -348,10 +353,17 @@ def second_maximal(f, t: float) -> float:
     r = f if isinstance(f, RearrangedFunction) else decreasing_rearrangement(f)
     if r.exact is not None:
         return pw.integrate(r.exact, 0.0, min(t, r.domain.end)) / t
+    return _layer_cake_average(r, pw.absolute(r.source), t)
+
+
+def _layer_cake_average(r: RearrangedFunction, src: PPL, t: float) -> float:
+    """second_maximal(r, t) for t > 0 and r without an exact form.
+
+    src must be |r.source|; a caller that sweeps t computes it once.
+    """
     lam = r.evaluate(t)
     if not math.isfinite(lam):
         return INF
-    src = pw.absolute(r.source)
     E = superlevel_set(src, lam)
     mass = pw.integrate(pw.restrict(src, E))
     if not math.isfinite(mass):

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from cesarospaces import cli
 from cesarospaces import documents as dc
+from cesarospaces import oc
 from cesarospaces import piecewise as pw
 from cesarospaces import spaces as sp
 from cesarospaces.piecewise import INF
@@ -68,6 +72,34 @@ def test_parse_failure_exits_2(docs, capsys):
                      "--space", docs["l2"]])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("interval", [[2, 1], [1, 1]])
+def test_empty_or_inverted_interval_exits_2(docs, tmp_path, capsys, interval):
+    path = tmp_path / "inverted.json"
+    path.write_text(dc.dumps({
+        "schema": dc.FUNCTION_SCHEMA, "domain": "halfline",
+        "pieces": [{"interval": interval,
+                    "terms": [{"c": 1, "alpha": 0, "logpow": 0}]}]}),
+        encoding="utf-8")
+    code = cli.main(["norm", "--function", str(path), "--space", docs["l2"],
+                     "--out", docs["out"]])
+    assert code == 2
+    assert "empty or inverted" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_the_cli(docs):
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cesarospaces", "norm", "--function",
+         docs["chi01"], "--space", docs["ces2"]],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert dc.loads(proc.stdout)["value"] == pytest.approx(math.sqrt(2.0),
+                                                           abs=1e-9)
 
 
 def test_bad_grid_exits_2(docs, capsys):
@@ -160,6 +192,20 @@ def test_oc_point_reports_verdict_and_search(docs):
     doc = dc.loads(read_out(docs))
     assert doc["verdict"] == "not-OC"
     assert doc["adversarial"]["found"] is True
+
+
+def test_route_conflict_is_a_verdict_and_exits_1(docs, monkeypatch):
+    # the closed form says OC for the head indicator in averaged L2; a
+    # contradicting characterization route must not raise
+    monkeypatch.setattr(oc, "oc_point_via_characterization",
+                        lambda f, CX: oc.OCVerdict("point", oc.VERDICT_NOT,
+                                                   "forced-contradiction"))
+    code = cli.main(["oc-point", "--function", docs["chi01"],
+                     "--space", docs["ces2"], "--method", "all",
+                     "--out", docs["out"]])
+    assert code == 1
+    doc = dc.loads(read_out(docs))
+    assert (doc["verdict"], doc["rule"]) == ("inconclusive", "method-conflict")
 
 
 def test_oc_point_stdout_default(docs, capsys):

@@ -101,3 +101,41 @@ def test_unit_averaged_l1_of_constant():
     X = sp.cesaro_space(sp.lebesgue(1.0, U))
     one = pw.step_function(U, [(0.0, 1.0, 1.0)])
     assert nm.norm(one, X).value == pytest.approx(1.0, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Regression pins for the numeric fallbacks.  Unlike the values above these
+# are not hand-derived: they are what the library returned, repr for repr,
+# so a change to the Luxemburg bisection, the Marcinkiewicz sup search or
+# the rearrangement bisection that moves a single bit shows here.
+
+_QUARTER_THEN_STEP = pw.make_ppl(H, [(0.0, 1.0, {(-0.25, 0): 1.0}),
+                                     (1.0, 2.0, {(0.0, 0): -2.0})])
+
+
+def test_frozen_orlicz_norm_by_quadrature():
+    # Phi(u) = u**1.5 has no integer-power composition, so the modular is
+    # integrated numerically; the norm is the L1.5 norm (1.6 + 2**1.5)**(2/3)
+    phi = pw.make_ppl(H, [(0.0, INF, {(1.5, 0): 1.0})])
+    X = sp.orlicz_space(sp.OrliczFunctionSpec(phi), H)
+    res = nm.norm(_QUARTER_THEN_STEP, X)
+    assert (res.method, res.value, res.error_bound) == (
+        "quadrature", 2.6967022747267038, 2.32865820261327e-10)
+    assert res.value == pytest.approx((1.6 + 2.0 ** 1.5) ** (2.0 / 3.0),
+                                      rel=1e-9)
+
+
+def test_frozen_averaged_lorentz_norm_by_level_quadrature():
+    X = sp.cesaro_space(sp.lorentz_space(cat.sqrt_phi(H)))
+    res = nm.norm(_QUARTER_THEN_STEP, X)
+    assert (res.method, res.value, res.error_bound) == (
+        "quadrature", 5.681859122723186, 1.547351057269858e-13)
+
+
+def test_frozen_averaged_marcinkiewicz_norm_by_sup_search():
+    # the running average of rising steps rises, so f** has no exact form
+    X = sp.cesaro_space(sp.marcinkiewicz_space(cat.sqrt_phi(H)))
+    f = pw.step_function(H, [(0.0, 1.0, 1.0), (1.0, 2.0, 3.0)])
+    res = nm.norm(f, X)
+    assert (res.method, res.value, res.error_bound) == (
+        "quadrature", 2.8851623039902323, 0.0005615652659398774)

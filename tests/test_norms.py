@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from cesarospaces import catalog as cat
 from cesarospaces import cesaro as cz
 from cesarospaces import norms as nm
+from cesarospaces import oc
 from cesarospaces import piecewise as pw
 from cesarospaces import rearrange as rr
 from cesarospaces import spaces as sp
-from cesarospaces.errors import MethodInapplicableError
+from cesarospaces.errors import MethodInapplicableError, RepresentationError
 from cesarospaces.piecewise import INF
 from support import HALFLINE as H, UNIT as U, chi, step_functions
 
@@ -49,6 +50,30 @@ def test_zero_function_has_zero_norm_everywhere():
     z = pw.zero(H)
     for X in cat.default_catalog(H):
         assert nm.norm(z, X).value == 0.0
+
+
+def test_lp_norm_of_cancelling_exact_integral_is_real():
+    # C chi_[a,1) is 1 - a/t on [a, 1) and (1-a)/t beyond; for a this close
+    # to 1 the exact integral of its fourth power cancels to about -9e-16
+    a = 0.9999208231417833
+    res = nm.norm(chi(H, a, 1.0), sp.cesaro_space(sp.lebesgue(4.0, H)))
+    assert isinstance(res.value, float)
+    assert res.value == 0.0
+    # the true norm, (1 - a) * (1/3 + O(1-a)) ** 0.25, sits inside the bound
+    assert (1.0 - a) * 3.0 ** -0.25 <= res.error_bound < 1e-2
+
+
+def test_adversarial_search_on_head_indicator_in_averaged_l4():
+    e = next(e for e in cat.default_battery()
+             if e.label == "ces4-h head indicator")
+    report = oc.adversarial_family_search(e.f, e.space, budget=3, seed=1)
+    assert report.found is False
+
+
+def test_lp_norm_refuses_a_negative_integral_beyond_rounding(monkeypatch):
+    monkeypatch.setattr(pw, "_piece_integral", lambda tm, p, q: -1e-3)
+    with pytest.raises(RepresentationError):
+        nm.norm(chi(H, 0.0, 1.0), L2)
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +144,54 @@ def test_orlicz_exact_path_used_for_power_functions():
     f = pw.power_piece(H, 0.0, 1.0, 1.0, -0.25)
     res = nm.norm(f, X)
     assert res.method == "exact"
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    calls: list = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_luxemburg_bisection_takes_absolute_value_once(monkeypatch):
+    # loose and tight tolerances differ by about 26 bisection steps; the
+    # lam-free work (|f|, its sup and tail) must not follow the step count
+    X = sp.orlicz_space(cat.orlicz_square(H), H)
+    calls = _count_calls(monkeypatch, pw, "absolute")
+    counts = []
+    for k, tol in enumerate((1e-4, 1e-12)):
+        monkeypatch.setattr(nm, "LUXEMBURG_REL_TOL", tol)
+        f = pw.make_ppl(H, [(0.0, 1.0, {(-0.25, 0): 1.0 + k}),
+                            (1.0, 2.0, {(0.0, 0): -2.0})])
+        rr._abs_segments.cache_clear()  # segments cached by earlier tests
+        del calls[:]
+        nm.norm(f, X)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 3
+
+
+def test_marcinkiewicz_sup_search_takes_absolute_value_once(monkeypatch):
+    # rising steps make the running average rise, so the norm leaves the
+    # exact path for the grid and golden-section search
+    X = sp.cesaro_space(sp.marcinkiewicz_space(cat.sqrt_phi(H)))
+    calls = _count_calls(monkeypatch, pw, "absolute")
+    steps = _count_calls(monkeypatch, rr, "superlevel_set")
+    counts = []
+    for k, tol in enumerate((1e-4, 1e-12)):
+        monkeypatch.setattr(nm, "SUP_SEARCH_TOL", tol)
+        f = pw.step_function(H, [(0.0, 1.0, 1.0 + k), (1.0, 2.0, 5.0)])
+        rr._abs_segments.cache_clear()
+        del calls[:], steps[:]
+        res = nm.norm(f, X)
+        assert res.method == "quadrature"
+        assert len(steps) >= 60
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 6
 
 
 # ---------------------------------------------------------------------------
