@@ -6,7 +6,8 @@ constant, and dividing by x shifts every monomial power down by one, which
 stays inside the representation family.
 
 ``cesaro_numeric`` is the independent numeric route (adaptive quadrature on
-an evaluable), used for maximal functions and cross-checks.
+an evaluable), used for maximal functions and cross-checks.  ``_quad`` is
+the package's one adaptive quadrature; scipy is imported on its first call.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-from scipy import integrate as sci
 
 from . import piecewise as pw
 from .errors import TransformUndefinedError
@@ -69,6 +68,25 @@ def cesaro_transform(f: PPL) -> PPL:
     return pw.make_ppl(f.domain, out)
 
 
+def _quad(func: Callable[[float], float], a: float, b: float,
+          breaks: Sequence[float], tol: float) -> tuple[float, float]:
+    """Integral of func over [a, b] and its error bound, by adaptive
+    quadrature split at the finite breaks inside (a, b); b may be infinite."""
+    from scipy import integrate
+
+    pts = sorted({x for x in breaks if a < x < b and math.isfinite(x)})
+    knots = [a] + pts + [b]
+    total = err = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", category=integrate.IntegrationWarning)
+        for c, d in zip(knots, knots[1:]):
+            v, e = integrate.quad(func, c, d, epsabs=tol, epsrel=tol,
+                                  limit=200)
+            total += v
+            err += e
+    return total, err
+
+
 def cesaro_numeric(g: Callable[[float], float] | PPL, t: float,
                    breakpoints: Sequence[float] | None = None,
                    tol: float = 1e-10) -> tuple[float, float]:
@@ -80,20 +98,11 @@ def cesaro_numeric(g: Callable[[float], float] | PPL, t: float,
     if t <= 0.0:
         raise ValueError("t must be positive")
     if isinstance(g, PPL):
-        pts = [b for b in g.breakpoints() if 0.0 < b < t]
+        breakpoints = g.breakpoints()
         func = lambda x: pw.evaluate(g, x)
     else:
-        pts = [b for b in (breakpoints or []) if 0.0 < b < t]
         func = g
-    knots = [0.0] + sorted(set(pts)) + [t]
-    total = 0.0
-    err = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=sci.IntegrationWarning)
-        for a, b in zip(knots, knots[1:]):
-            val, e = sci.quad(func, a, b, epsabs=tol, epsrel=tol, limit=200)
-            total += val
-            err += e
+    total, err = _quad(func, 0.0, t, breakpoints or (), tol)
     return total / t, err / t
 
 

@@ -11,11 +11,8 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-from scipy import integrate as sci
+from typing import Callable
 
 from . import cesaro as cz
 from . import piecewise as pw
@@ -62,26 +59,6 @@ def _as_decreasing(r: rr.RearrangedFunction) -> DecreasingView:
     return DecreasingView(r.evaluate, r.domain, r.sup_value,
                           r.value_at_infinity, r.support_measure(),
                           tuple(r.breakpoints()))
-
-
-# ---------------------------------------------------------------------------
-# quadrature helpers
-
-
-def _quad(func: Callable[[float], float], a: float, b: float,
-          breaks: Sequence[float] = ()) -> tuple[float, float]:
-    """Adaptive quadrature with explicit splits, infinite b allowed."""
-    pts = sorted({x for x in breaks if a < x < b and math.isfinite(x)})
-    knots = [a] + pts + [b]
-    total = err = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=sci.IntegrationWarning)
-        for c, d in zip(knots, knots[1:]):
-            v, e = sci.quad(func, c, d, epsabs=QUAD_TOL, epsrel=QUAD_TOL,
-                            limit=200)
-            total += v
-            err += e
-    return total, err
 
 
 def _dominant_at(tm: TermMap, at: str) -> tuple[float, int]:
@@ -294,7 +271,7 @@ def _lp_ppl(f: PPL, p: float) -> NormResult:
                 val = INF
             else:
                 fn = lambda t: abs(pw.eval_term_map(tm, t)) ** p
-                val, e = _quad(fn, piece.lo, piece.hi)
+                val, e = cz._quad(fn, piece.lo, piece.hi, (), QUAD_TOL)
                 err += e
         if math.isinf(val):
             return NormResult(INF, "exact" if pm is not None else "quadrature", 0.0)
@@ -390,7 +367,7 @@ def _orlicz_modular(f: PPL, spec: OrliczFunctionSpec
         if exact is not None:
             return exact, 0.0
         fn = lambda t: spec.value(abs(pw.evaluate(g, t)) / lam)
-        return _quad(fn, lo, hi, breaks=breaks)
+        return cz._quad(fn, lo, hi, breaks, QUAD_TOL)
 
     return modular
 
@@ -466,12 +443,8 @@ def _lorentz_ppl(f: PPL, X: SpaceDescriptor) -> NormResult:
         return spec.value(d) if d > 0.0 else 0.0
 
     hi = r.sup_value if math.isfinite(r.sup_value) else INF
-    val, err = _quad(level, 0.0, hi, breaks=rr.critical_values(f))
+    val, err = cz._quad(level, 0.0, hi, rr.critical_values(f), QUAD_TOL)
     return NormResult(val, "quadrature", err)
-
-
-def _marcinkiewicz_sup_exact(w: PPL) -> float:
-    return pw.essential_sup_abs(w)
 
 
 def _golden_max(fn: Callable[[float], float], a: float, b: float) -> float:
@@ -503,7 +476,7 @@ def _marcinkiewicz_ppl(f: PPL, X: SpaceDescriptor) -> NormResult:
             # is identically infinite
             return NormResult(INF, "exact", 0.0)
         w = pw.product(spec.phi, second)
-        return NormResult(_marcinkiewicz_sup_exact(w), "exact", 0.0)
+        return NormResult(pw.essential_sup_abs(w), "exact", 0.0)
     src = pw.absolute(f)
     if math.isinf(r.sup_value) and rr._layer_cake_average(r, src, 1.0) == INF:
         return NormResult(INF, "exact", 0.0)
@@ -537,7 +510,7 @@ def _lp_decreasing(g: DecreasingView, p: float) -> NormResult:
     if g.support == 0.0:
         return NormResult(0.0, "quadrature", 0.0)
     fn = lambda s: g.evaluate(s) ** p
-    val, err = _quad(fn, 0.0, g.support, breaks=g.breaks)
+    val, err = cz._quad(fn, 0.0, g.support, g.breaks, QUAD_TOL)
     if val <= 0.0:
         return NormResult(0.0, "quadrature", err)
     value = val ** (1.0 / p)
@@ -551,7 +524,7 @@ def _orlicz_decreasing(g: DecreasingView, spec: OrliczFunctionSpec) -> NormResul
         if math.isinf(g.support) and g.value_at_infinity / lam > spec.zero_bound:
             return INF, 0.0
         fn = lambda s: spec.value(g.evaluate(s) / lam)
-        return _quad(fn, 0.0, g.support, breaks=g.breaks)
+        return cz._quad(fn, 0.0, g.support, g.breaks, QUAD_TOL)
 
     return _luxemburg(modular, g.support == 0.0 or g.sup_value == 0.0, False)
 
@@ -570,8 +543,8 @@ def _lorentz_decreasing(g: DecreasingView, X: SpaceDescriptor) -> NormResult:
     density = spec.density()
     fn = lambda s: g.evaluate(s) * pw.evaluate(density, s)
     upper = min(g.support, g.domain.end)
-    val, err = _quad(fn, 0.0, upper,
-                     breaks=list(g.breaks) + density.breakpoints())
+    breaks = list(g.breaks) + density.breakpoints()
+    val, err = cz._quad(fn, 0.0, upper, breaks, QUAD_TOL)
     return NormResult(atom_part + val, "quadrature", err)
 
 
@@ -604,7 +577,7 @@ def _norm_decreasing(g: DecreasingView, X: SpaceDescriptor) -> NormResult:
                           one.error_bound)
     if X.tag == "L1plusLinf":
         fn = g.evaluate
-        val, err = _quad(fn, 0.0, min(1.0, g.support), breaks=g.breaks)
+        val, err = cz._quad(fn, 0.0, min(1.0, g.support), g.breaks, QUAD_TOL)
         return NormResult(val, "quadrature", err)
     if X.tag == "orlicz":
         return _orlicz_decreasing(g, X.orlicz)

@@ -423,7 +423,7 @@ def _truncation_remainder(f: PPL, m: float) -> PPL:
     return pw.positive_part(pw.combine(g, cap, "sub"))
 
 
-def _vanishing_ends(g: PPL, unit_only_zero: bool = True) -> tuple[bool, dict]:
+def _vanishing_ends(g: PPL) -> tuple[bool, dict]:
     d0 = vanishing_average_at_zero(g)
     ev = {"vanishing_average_at_zero": d0}
     ok = d0

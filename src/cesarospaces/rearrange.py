@@ -18,12 +18,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy.optimize import brentq
-
 from . import cesaro as _cesaro_mod
 from . import piecewise as pw
 from .errors import EvaluationDomainError, NotRearrangeableError
-from .rootfind import eval_exp_poly
+from .rootfind import brentq, eval_exp_poly
 from .piecewise import INF, PPL, DomainSpec, TermMap
 
 BISECT_TOL = 1e-12
@@ -216,33 +214,6 @@ def decreasing_rearrangement(f: PPL) -> RearrangedFunction:
     if pw.is_nonnegative(f) and pw.is_nonincreasing(f):
         return RearrangedFunction(f, f.domain, f, sup, tail)
     return RearrangedFunction(f, f.domain, None, sup, tail)
-
-
-def distribution_of_decreasing(g, lam: float, probe_cap: float = 1e300) -> float:
-    """m({g > lam}) for a nonincreasing evaluable g, by s-bisection.
-
-    Used by the oracle side: it rebuilds the distribution from g's values
-    without touching the exact machinery.
-    """
-    if lam < 0.0:
-        raise ValueError("lam must be >= 0")
-    g0 = g(0.0)
-    if math.isfinite(g0) and g0 <= lam:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while g(hi) > lam:
-        hi *= 2.0
-        if hi > probe_cap:
-            return INF
-    for _ in range(BISECT_MAX_ITER):
-        if hi - lo <= BISECT_TOL * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if g(mid) > lam:
-            lo = mid
-        else:
-            hi = mid
-    return hi
 
 
 @dataclass(frozen=True)

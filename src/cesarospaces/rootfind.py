@@ -8,20 +8,20 @@ terminates because factoring out exp(alpha_min*u) turns the lowest block
 into a plain polynomial whose degree drops with every differentiation.
 
 u-space precision 1e-12 equals relative t-space precision 1e-12.
+Sign changes are refined by ``brentq``, Brent's method in plain Python.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping
-
-from scipy.optimize import brentq
+from typing import Callable, Mapping
 
 from .errors import RepresentationError
 
 _XTOL = 1e-12
 _U_CAP = 700.0  # |u| beyond this is out of float range for t = e**u
 _MAX_MARCH = 60
+_BRENT_RTOL = 4 * math.ulp(1.0)  # the smallest rtol brentq accepts
 
 TermMap = Mapping[tuple[float, int], float]
 
@@ -101,6 +101,73 @@ def _dominance_bound(terms: dict[tuple[float, int], float], toward_plus: bool,
         "could not establish a dominance bound for root isolation")
 
 
+def brentq(f: Callable[[float], float], a: float, b: float, xtol: float,
+           rtol: float, maxiter: int = 100) -> float:
+    """A root of f in [a, b], where f(a) and f(b) differ in sign.
+
+    Brent's method (R. P. Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4), step for step as in scipy's
+    ``Zeros/brentq.c``, so that both return the same float.  Raises
+    ``ValueError`` for ends of one sign or a NaN value of f, and
+    ``RuntimeError`` after ``maxiter`` iterations without convergence.
+    """
+    if xtol <= 0.0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENT_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL:g})")
+
+    def call(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # C gets an infinite or NaN step here, which fails the
+                # test below and bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def _single_term_roots(k: int, ulo: float, uhi: float) -> list[float]:
     # c * e^{alpha u} * u^k vanishes only at u = 0 (when k > 0)
     return [0.0] if k > 0 and ulo < 0.0 < uhi else []
@@ -147,13 +214,8 @@ def roots_u(terms: TermMap, ulo: float, uhi: float) -> list[float]:
         if fa == 0.0 or fb == 0.0:
             continue
         if (fa > 0) != (fb > 0):
-            root = brentq(lambda u: eval_exp_poly(shifted, u), a, b,
-                          xtol=_XTOL, rtol=4 * math.ulp(1.0))
-            found.append(float(root))
-    # interior knots that are exact zeros of the derivative chain can be
-    # roots of h itself (flat crossings); catch the last knot too
-    if fvals[-1] == 0.0 and not math.isinf(knots[-1]):
-        pass  # open interval: endpoint roots belong to the caller
+            found.append(brentq(lambda u: eval_exp_poly(shifted, u), a, b,
+                                xtol=_XTOL, rtol=_BRENT_RTOL))
     out: list[float] = []
     for r in sorted(found):
         if ulo < r < uhi and (not out or r - out[-1] > _XTOL):

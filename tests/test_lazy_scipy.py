@@ -1,0 +1,78 @@
+"""scipy stays off the import path until a quadrature actually runs.
+
+Each check runs in a fresh interpreter, because the test process itself
+has long since imported scipy.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
+from cesarospaces import cli
+
+SRC = pathlib.Path(cli.__file__).resolve().parent.parent
+
+REPORT = """
+import json, sys
+print(json.dumps({"result": result,
+                  "scipy": sorted(m for m in sys.modules
+                                  if m.startswith("scipy"))}))
+"""
+
+
+def run_fresh(code: str) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code) + REPORT],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    out = run_fresh("""
+        import cesarospaces
+        result = None
+    """)
+    assert out["scipy"] == []
+
+
+def test_oc_point_all_methods_on_a_step_function_loads_no_scipy(tmp_path):
+    out = run_fresh(f"""
+        import pathlib
+        from cesarospaces import cli, documents as dc, piecewise as pw
+        from cesarospaces import spaces as sp
+        H = pw.DomainSpec("halfline")
+        tmp = pathlib.Path({str(tmp_path)!r})
+        f = tmp / "f.json"
+        f.write_text(dc.dump_function(pw.step_function(
+            H, [(0.0, 1.0, 2.0), (1.0, 3.0, -0.5)])), encoding="utf-8")
+        X = tmp / "x.json"
+        X.write_text(dc.dump_space(sp.cesaro_space(sp.lebesgue(2.0, H))),
+                     encoding="utf-8")
+        result = cli.main(["oc-point", "--method", "all", "--function",
+                           str(f), "--space", str(X),
+                           "--out", str(tmp / "out.json")])
+    """)
+    assert out["result"] == 0
+    assert out["scipy"] == []
+
+
+def test_level_quadrature_loads_scipy_integrate_on_first_use():
+    out = run_fresh("""
+        from cesarospaces import catalog as cat, norms as nm
+        from cesarospaces import piecewise as pw, spaces as sp
+        H = pw.DomainSpec("halfline")
+        X = sp.cesaro_space(sp.lorentz_space(cat.sqrt_phi(H)))
+        # a rising piece has no exact rearrangement: the level form runs
+        result = nm.norm(pw.power_piece(H, 0.0, 1.0, 1.0, 0.5), X).method
+    """)
+    assert out["result"] == "quadrature"
+    assert "scipy.integrate" in out["scipy"]

@@ -211,3 +211,27 @@ def test_limit_estimate_on_simple_sequences():
     assert est.tends_to_zero is False
     est = oc.limit_estimate(lambda t: t, "zero")
     assert est.tends_to_zero is True
+
+
+# 1/log and 1/log log tend to 0, but too slowly for any sample to show it
+# below EPS_LIMIT: the sampled decisions must refuse rather than guess
+SLOW_DECAY = {
+    "1/log": lambda x: 1.0 / math.log(x + math.e),
+    "1/loglog": lambda x: 1.0 / math.log(math.log(x + math.e) + math.e),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLOW_DECAY))
+def test_vanishing_sequence_refuses_slow_decay(name):
+    decision, vals = oc.vanishing_sequence(SLOW_DECAY[name])
+    assert decision is None
+    assert min(vals) > oc.EPS_LIMIT
+
+
+@pytest.mark.parametrize("name", sorted(SLOW_DECAY))
+def test_limit_estimate_refuses_slow_decay_at_both_ends(name):
+    fn = SLOW_DECAY[name]
+    at_inf = oc.limit_estimate(fn, "inf")
+    at_zero = oc.limit_estimate(lambda t: fn(1.0 / t), "zero")
+    assert at_inf.tends_to_zero is None and at_inf.value is None
+    assert at_zero.tends_to_zero is None and at_zero.value is None
