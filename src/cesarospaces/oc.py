@@ -434,6 +434,22 @@ def _vanishing_ends(g: PPL) -> tuple[bool, dict]:
     return ok, ev
 
 
+def _atom_weight_verdict(f: PPL, g: PPL, CX: SpaceDescriptor,
+                         unbounded_weight: bool, family: str) -> OCVerdict:
+    """The rules shared by averaged Lorentz and Marcinkiewicz spaces whose
+    parameter function jumps at zero; ``family`` prefixes the rule id."""
+    if unbounded_weight:
+        member, ev = truncation_core_membership(f, CX)
+        d0 = vanishing_average_at_zero(g)
+        ev["vanishing_average_at_zero"] = d0
+        flag = None if member is None else (member and d0)
+        if d0 is False:
+            flag = False
+        return _verdict_from_flag(flag, "point", f"{family}/atom-unbounded", ev)
+    ok, ev = _vanishing_ends(g)
+    return _verdict_from_flag(ok, "point", f"{family}/atom-bounded", ev)
+
+
 def oc_point_closed_form(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
     """Family-specific decision rules for points of averaged spaces."""
     if CX.tag != "cesaro":
@@ -523,18 +539,8 @@ def oc_point_closed_form(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
             return _verdict_from_flag(lim == 0.0, "point",
                                       "averaged-lorentz/bounded-weight",
                                       {"rearranged_tail_value": lim})
-        if unbounded_weight:
-            member, ev = truncation_core_membership(f, CX)
-            d0 = vanishing_average_at_zero(g)
-            ev["vanishing_average_at_zero"] = d0
-            flag = None if member is None else (member and d0)
-            if d0 is False:
-                flag = False
-            return _verdict_from_flag(flag, "point",
-                                      "averaged-lorentz/atom-unbounded", ev)
-        ok, ev = _vanishing_ends(g)
-        return _verdict_from_flag(ok, "point",
-                                  "averaged-lorentz/atom-bounded", ev)
+        return _atom_weight_verdict(f, g, CX, unbounded_weight,
+                                    "averaged-lorentz")
 
     if X.tag == "marcinkiewicz":
         spec = X.quasi
@@ -586,18 +592,8 @@ def oc_point_closed_form(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
             return _verdict_from_flag(member, "point",
                                       "averaged-marcinkiewicz/truncation-core",
                                       ev)
-        if unbounded_weight:
-            member, ev = truncation_core_membership(f, CX)
-            d0 = vanishing_average_at_zero(g)
-            ev["vanishing_average_at_zero"] = d0
-            flag = None if member is None else (member and d0)
-            if d0 is False:
-                flag = False
-            return _verdict_from_flag(flag, "point",
-                                      "averaged-marcinkiewicz/atom-unbounded", ev)
-        ok, ev = _vanishing_ends(g)
-        return _verdict_from_flag(ok, "point",
-                                  "averaged-marcinkiewicz/atom-bounded", ev)
+        return _atom_weight_verdict(f, g, CX, unbounded_weight,
+                                    "averaged-marcinkiewicz")
 
     raise MethodInapplicableError(f"no closed-form rule for base {X.tag!r}")
 

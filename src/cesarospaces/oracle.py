@@ -222,7 +222,9 @@ def _weighted_sorted(fn, end: float, cuts=()):
     acc = 0.0
     for _, w in pairs:
         acc += w
-        cum.append(acc)
+        # the rounded running sum can pass the grid's top, where the
+        # parameter function of a [0, 1] space is undefined
+        cum.append(min(acc, top))
     return values, cum
 
 
@@ -294,11 +296,7 @@ def _running_average(fn, end: float, cuts):
     total = cum[-1]
 
     from bisect import bisect_right
-    from functools import lru_cache
 
-    # norm oracles above this one re-evaluate the average at recurring
-    # abscissas (bisection over scale factors); memoize aggressively
-    @lru_cache(maxsize=1 << 18)
     def avg(t: float) -> float:
         if t <= 0.0:
             return 0.0
@@ -348,7 +346,8 @@ def _orlicz_lux(fn, end: float, cuts, spec) -> float:
     """Luxemburg functional by bisection over the scale factor.
 
     The integrand is sampled once on fixed composite panels over dyadic
-    shells and every bisection step reuses those samples; the unresolved
+    shells and every bisection step reuses those samples, evaluating the
+    Young function once per distinct sampled magnitude; the unresolved
     ends keep the geometric-continuation semantics of improper_integral.
     """
     shells: list[list[tuple[float, float]]] = []
@@ -370,16 +369,24 @@ def _orlicz_lux(fn, end: float, cuts, spec) -> float:
                 nodes.append((sixth, abs(fn(a + h - 1e-9 * h))))
         shells.append(nodes)
         lo = hi
+    # magnitudes in order of first appearance, so a step reads them in the
+    # order the nodes do and stops at the same first infinite value
+    magnitudes = list(dict.fromkeys(g for nodes in shells for _, g in nodes))
+    slot = {g: i for i, g in enumerate(magnitudes)}
+    indexed = [[(w, slot[g]) for w, g in nodes] for nodes in shells]
 
     def modular(lam: float) -> float:
+        values: list[float] = []
+        for g in magnitudes:
+            v = spec.value(g / lam)
+            if math.isinf(v):
+                return INF
+            values.append(v)
         sums: list[float] = []
-        for nodes in shells:
+        for nodes in indexed:
             s = 0.0
-            for w, g in nodes:
-                v = spec.value(g / lam)
-                if math.isinf(v):
-                    return INF
-                s += w * v
+            for w, i in nodes:
+                s += w * values[i]
             sums.append(s)
         total = math.fsum(sums)
         scale = 1.0 + abs(total)
@@ -434,6 +441,7 @@ def _lorentz_sampled(fn, end: float, spec, cuts=()) -> float:
     atom = spec.atom_at_zero
     total = atom * values[0] if atom > 0.0 else 0.0
     prev = 0.0
+    phi_prev = atom
     octave_sums: dict[int, float] = {}
     first = True
     exhausted = True
@@ -441,8 +449,8 @@ def _lorentz_sampled(fn, end: float, spec, cuts=()) -> float:
         if v <= 0.0:
             exhausted = False
             break
-        dphi = spec.value(c) - (spec.value(prev) if prev > 0.0 else atom)
-        contrib = v * dphi
+        phi_c = spec.value(c)
+        contrib = v * (phi_c - phi_prev)
         total += contrib
         # the very first cell carries the whole phi-jump from zero; keep it
         # out of the per-octave decay statistics
@@ -451,6 +459,7 @@ def _lorentz_sampled(fn, end: float, spec, cuts=()) -> float:
             octave_sums[k] = octave_sums.get(k, 0.0) + contrib
         first = False
         prev = c
+        phi_prev = phi_c
     scale = 1.0 + abs(total)
     # head contributions refusing to decay toward fine octaves: divergent
     lows = sorted(k for k in octave_sums if k < -8)

@@ -151,6 +151,31 @@ def test_adversarial_search_respects_good_point():
     assert rep.families_tried > 0
 
 
+ATOM_WEIGHT_CASES = [
+    (family, phi, rule, keys)
+    for family in ("lorentz", "marcinkiewicz")
+    for phi, rule, keys in (
+        (cat.sqrt_plus_atom_phi, "atom-unbounded",
+         ["excess_norms", "tail_norms", "vanishing_average_at_zero"]),
+        (cat.atom_phi, "atom-bounded",
+         ["vanishing_average_at_infinity", "vanishing_average_at_zero"]))]
+
+
+@pytest.mark.parametrize("family,phi,rule,keys", ATOM_WEIGHT_CASES,
+                         ids=[f"{c[0]}-{c[2]}" for c in ATOM_WEIGHT_CASES])
+def test_atom_weight_rules_per_family(family, phi, rule, keys):
+    # Lorentz and Marcinkiewicz weights with a jump at zero share one rule
+    # pair; each family keeps its own rule ids
+    base = getattr(sp, f"{family}_space")(phi(H))
+    CX = sp.cesaro_space(base)
+    head = oc.oc_point_closed_form(chi(H, 0.0, 1.0), CX)
+    interior = oc.oc_point_closed_form(chi(H, 1.0, 2.0), CX)
+    assert (head.verdict, interior.verdict) == ("not-OC", "OC")
+    for v in (head, interior):
+        assert v.rule == f"averaged-{family}/{rule}"
+        assert sorted(v.evidence) == keys
+
+
 # ---------------------------------------------------------------------------
 # space verdicts
 

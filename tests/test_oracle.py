@@ -122,3 +122,69 @@ def test_tolerance_table_covers_all_tags():
     for key in ("Lp", "Lp-sup", "L1capLinf", "L1plusLinf", "orlicz",
                 "lorentz", "marcinkiewicz"):
         assert key in orc.ORACLE_TOL
+
+
+# ---------------------------------------------------------------------------
+# work done per oracle call, and values pinned bit for bit
+
+STEP = pw.step_function(H, [(0.0, 0.5, 1.0), (0.5, 1.5, -3.0),
+                            (1.5, 2.0, 2.0), (2.0, 4.0, 0.25)])
+
+
+def _count_calls(monkeypatch, cls) -> list[int]:
+    count = [0]
+    value = cls.value
+
+    def counted(self, x):
+        count[0] += 1
+        return value(self, x)
+
+    monkeypatch.setattr(cls, "value", counted)
+    return count
+
+
+def test_luxemburg_bisection_evaluates_young_function_per_magnitude(
+        monkeypatch):
+    X = sp.orlicz_space(cat.orlicz_square(H), H)
+    count = _count_calls(monkeypatch, sp.OrliczFunctionSpec)
+    report = orc.quadrature_norm_oracle(STEP, X)
+    assert report.passed
+    # one evaluation per distinct sampled magnitude and bisection step;
+    # one per quadrature node would be about a million
+    assert count[0] <= 2000
+
+
+def test_lorentz_level_sum_evaluates_phi_once_per_cell(monkeypatch):
+    # built first: building a space validates its parameter function
+    X = sp.lorentz_space(cat.sqrt_phi(H))
+    count = _count_calls(monkeypatch, sp.QuasiConcaveSpec)
+    report = orc.quadrature_norm_oracle(STEP, X)
+    assert report.passed
+    assert count[0] <= 10000
+
+
+@pytest.mark.parametrize("X,expected", [
+    (sp.orlicz_space(cat.orlicz_square(H), H), 3.4095454242469714),
+    (sp.lorentz_space(cat.sqrt_phi(H)), 3.785405043171407),
+    (sp.marcinkiewicz_space(cat.sqrt_phi(H)), 3.2659863237109037),
+], ids=["orlicz", "lorentz", "marcinkiewicz"])
+def test_sampled_oracle_values_are_pinned(X, expected):
+    assert orc.quadrature_norm_oracle(STEP, X).oracle == expected
+
+
+# the running sum of the sample cells' widths rounds above 1 on this input
+UNIT_STEP = pw.step_function(U, [
+    (0.0, 0.13317481644160512, -0.5019172785300062),
+    (0.13317481644160512, 0.41913904357146525, 2.2850033803499694),
+    (0.41913904357146525, 0.5406858855321425, -2.326563389622264),
+    (0.5406858855321425, 0.5566648979370926, -2.32769712650599),
+    (0.5566648979370926, 1.0, -2.759810509568698),
+])
+
+
+@pytest.mark.parametrize("X", [sp.lorentz_space(cat.sqrt_phi(U)),
+                               sp.marcinkiewicz_space(cat.sqrt_phi(U))],
+                         ids=["lorentz", "marcinkiewicz"])
+def test_sampled_oracles_stay_inside_the_unit_interval(X):
+    report = orc.quadrature_norm_oracle(UNIT_STEP, X)
+    assert report.passed, report.row()
