@@ -125,8 +125,8 @@ def _domain_name(domain: DomainSpec) -> str:
 def _pieces_to_doc(f: PPL) -> list[dict]:
     doc = []
     for piece in f.pieces:
-        terms = [{"c": t.coeff, "alpha": t.alpha, "logpow": t.logpow}
-                 for t in piece.terms]
+        terms = [{"c": c, "alpha": alpha, "logpow": k}
+                 for (alpha, k), c in piece.term_map().items()]
         hi: Any = "inf" if math.isinf(piece.hi) else piece.hi
         doc.append({"interval": [piece.lo, hi], "terms": terms})
     return doc

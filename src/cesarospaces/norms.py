@@ -19,7 +19,8 @@ from . import piecewise as pw
 from . import rearrange as rr
 from .errors import (MethodInapplicableError, RepresentationError,
                      TransformUndefinedError)
-from .piecewise import INF, PPL, DomainSpec, TermMap
+from .piecewise import INF, PPL, DomainSpec, TermMap, TermPairs
+from .rootfind import dominant_key
 from .spaces import OrliczFunctionSpec, SpaceDescriptor
 
 LUXEMBURG_REL_TOL = 1e-10
@@ -38,38 +39,9 @@ class NormResult:
         return f"NormResult({self.value!r}, {self.method}, err<={self.error_bound:g})"
 
 
-@dataclass(frozen=True)
-class DecreasingView:
-    """A nonincreasing nonnegative evaluable that is its own rearrangement."""
-
-    func: Callable[[float], float]
-    domain: DomainSpec
-    sup_value: float
-    value_at_infinity: float
-    support: float
-    breaks: tuple[float, ...]
-
-    def evaluate(self, s: float) -> float:
-        return self.func(s)
-
-    __call__ = evaluate
-
-
-def _as_decreasing(r: rr.RearrangedFunction) -> DecreasingView:
-    return DecreasingView(r.evaluate, r.domain, r.sup_value,
-                          r.value_at_infinity, r.support_measure(),
-                          tuple(r.breakpoints()))
-
-
-def _dominant_at(tm: TermMap, at: str) -> tuple[float, int]:
-    if at == "inf":
-        return max(tm, key=lambda ak: (ak[0], ak[1]))
-    return min(tm, key=lambda ak: (ak[0], -ak[1]))
-
-
 def _power_diverges(tm: TermMap, p: float, at: str) -> bool:
     """Does the integral of |piece|**p diverge at the given improper end?"""
-    alpha, _k = _dominant_at(tm, at)
+    alpha, _k = dominant_key(tm, at == "inf")
     scaled = alpha * p
     if at == "inf":
         return scaled >= -1.0
@@ -105,12 +77,9 @@ def _abs_power_map(tm: TermMap, p: float) -> TermMap | None:
     return None
 
 
-FrozenMap = tuple[tuple[tuple[float, int], float], ...]
-
-
 @functools.lru_cache(maxsize=256)
 def _generator_power_bands(
-        spec: OrliczFunctionSpec) -> tuple[tuple[float, float, FrozenMap], ...] | None:
+        spec: OrliczFunctionSpec) -> tuple[tuple[float, float, TermPairs], ...] | None:
     """Generator pieces as (ulo, uhi, terms) bands, or None.
 
     Available only when every exponent of the generator is a nonnegative
@@ -119,18 +88,17 @@ def _generator_power_bands(
     """
     bands = []
     for p in spec.phi.pieces:
-        tm = p.term_map()
-        for alpha, k in tm:
+        for alpha, k in p.term_map():
             if k != 0 or alpha < 0.0 or alpha != int(alpha):
                 return None
-        bands.append((p.lo, p.hi, tuple(sorted(tm.items()))))
+        bands.append((p.lo, p.hi, p.pairs))
     return tuple(bands)
 
 
 @functools.lru_cache(maxsize=8192)
-def _piece_pow_map(piece: pw.Piece, n: int) -> FrozenMap | None:
+def _piece_pow_map(piece: pw.Piece, n: int) -> TermPairs | None:
     pm = _map_pow_int(piece.term_map(), n)
-    return tuple(sorted(pm.items())) if pm is not None else None
+    return pw.canonical_pairs(pm) if pm is not None else None
 
 
 def _interval_difference(A: pw.MeasurableSet,
@@ -150,7 +118,7 @@ def _interval_difference(A: pw.MeasurableSet,
     return pw.MeasurableSet.from_intervals(A.domain, out)
 
 
-def _compose_band(piece: pw.Piece, terms: FrozenMap,
+def _compose_band(piece: pw.Piece, terms: TermPairs,
                   lam: float) -> TermMap | None:
     """Term map of the generator band applied to piece/lam, or None."""
     out: TermMap = {}
@@ -321,7 +289,7 @@ def _orlicz_modular(f: PPL, spec: OrliczFunctionSpec
     so a modular that is +inf by the sup test never needs the tail.
     """
     if f.is_step:
-        steps = [(abs(piece.terms[0].coeff), piece.hi - piece.lo)
+        steps = [(abs(piece.term_map()[(0.0, 0)]), piece.hi - piece.lo)
                  for piece in f.pieces]
 
         def step_modular(lam: float) -> tuple[float, float]:
@@ -344,8 +312,8 @@ def _orlicz_modular(f: PPL, spec: OrliczFunctionSpec
     endpoint_diverges = False
     if g.pieces and g.pieces[0].lo == 0.0 and math.isinf(sup) \
             and math.isinf(spec.finite_bound) and spec.phi.pieces:
-        a_f, _ = _dominant_at(g.pieces[0].term_map(), "zero")
-        a_phi, _ = _dominant_at(spec.phi.pieces[-1].term_map(), "inf")
+        a_f, _ = dominant_key(g.pieces[0].term_map(), False)
+        a_phi, _ = dominant_key(spec.phi.pieces[-1].term_map(), True)
         endpoint_diverges = a_f * a_phi <= -1.0
     tail: float | None = None
     lo = g.pieces[0].lo
@@ -499,113 +467,25 @@ def _marcinkiewicz_ppl(f: PPL, X: SpaceDescriptor) -> NormResult:
 
 
 # ---------------------------------------------------------------------------
-# norms of decreasing evaluables (tails of rearrangements)
-
-
-def _lp_decreasing(g: DecreasingView, p: float) -> NormResult:
-    if math.isinf(p):
-        return NormResult(g.sup_value, "quadrature", 0.0)
-    if g.value_at_infinity > 0.0 and math.isinf(g.support):
-        return NormResult(INF, "quadrature", 0.0)
-    if g.support == 0.0:
-        return NormResult(0.0, "quadrature", 0.0)
-    fn = lambda s: g.evaluate(s) ** p
-    val, err = cz._quad(fn, 0.0, g.support, g.breaks, QUAD_TOL)
-    if val <= 0.0:
-        return NormResult(0.0, "quadrature", err)
-    value = val ** (1.0 / p)
-    return NormResult(value, "quadrature", err * value / (p * val))
-
-
-def _orlicz_decreasing(g: DecreasingView, spec: OrliczFunctionSpec) -> NormResult:
-    def modular(lam: float) -> tuple[float, float]:
-        if g.sup_value > spec.finite_bound * lam:
-            return INF, 0.0
-        if math.isinf(g.support) and g.value_at_infinity / lam > spec.zero_bound:
-            return INF, 0.0
-        fn = lambda s: spec.value(g.evaluate(s) / lam)
-        return cz._quad(fn, 0.0, g.support, g.breaks, QUAD_TOL)
-
-    return _luxemburg(modular, g.support == 0.0 or g.sup_value == 0.0, False)
-
-
-def _lorentz_decreasing(g: DecreasingView, X: SpaceDescriptor) -> NormResult:
-    spec = X.quasi
-    atom = spec.atom_at_zero
-    atom_part = 0.0
-    if atom > 0.0:
-        if math.isinf(g.sup_value):
-            return NormResult(INF, "quadrature", 0.0)
-        atom_part = atom * g.sup_value
-    if not g.domain.is_unit and g.value_at_infinity > 0.0 \
-            and math.isinf(spec.value_at_end):
-        return NormResult(INF, "quadrature", 0.0)
-    density = spec.density()
-    fn = lambda s: g.evaluate(s) * pw.evaluate(density, s)
-    upper = min(g.support, g.domain.end)
-    breaks = list(g.breaks) + density.breakpoints()
-    val, err = cz._quad(fn, 0.0, upper, breaks, QUAD_TOL)
-    return NormResult(atom_part + val, "quadrature", err)
-
-
-def _marcinkiewicz_decreasing(g: DecreasingView, X: SpaceDescriptor) -> NormResult:
-    spec = X.quasi
-
-    def fn(t: float) -> float:
-        val, _ = cz.cesaro_numeric(g.evaluate, t, breakpoints=g.breaks)
-        return spec.value(t) * val
-
-    end = g.domain.end
-    grid = sorted({t for t in (2.0 ** k for k in range(-20, 21)) if t <= end})
-    vals = [fn(t) for t in grid]
-    best = max(vals) if vals else 0.0
-    idx = vals.index(best)
-    lo = grid[max(idx - 1, 0)]
-    hi = grid[min(idx + 1, len(grid) - 1)]
-    refined = _golden_max(fn, lo, hi) if hi > lo else best
-    value = max(best, refined)
-    return NormResult(value, "quadrature",
-                      abs(refined - best) + 1e-8 * (1.0 + value))
-
-
-def _norm_decreasing(g: DecreasingView, X: SpaceDescriptor) -> NormResult:
-    if X.tag == "Lp":
-        return _lp_decreasing(g, X.p)
-    if X.tag == "L1capLinf":
-        one = _lp_decreasing(g, 1.0)
-        return NormResult(max(one.value, g.sup_value), "quadrature",
-                          one.error_bound)
-    if X.tag == "L1plusLinf":
-        fn = g.evaluate
-        val, err = cz._quad(fn, 0.0, min(1.0, g.support), g.breaks, QUAD_TOL)
-        return NormResult(val, "quadrature", err)
-    if X.tag == "orlicz":
-        return _orlicz_decreasing(g, X.orlicz)
-    if X.tag == "lorentz":
-        return _lorentz_decreasing(g, X)
-    if X.tag == "marcinkiewicz":
-        return _marcinkiewicz_decreasing(g, X)
-    raise MethodInapplicableError(
-        f"decreasing-evaluable norm not defined for {X.tag}")
-
-
-# ---------------------------------------------------------------------------
 # dispatcher
 
 
 def norm(f, X: SpaceDescriptor) -> NormResult:
     """Norm of f in X.
 
-    f may be an exact piecewise function, a rearrangement object, or a
-    decreasing evaluable view.  Exact inputs use closed forms wherever the
-    space's defining formula stays inside the representation family.
+    f is an exact piecewise function or a rearrangement.  Exact inputs use
+    closed forms wherever the space's defining formula stays inside the
+    representation family.  A rearrangement is measured through its exact
+    form; without one, a symmetric X gives the norm of the source (there
+    ||f*|| = ||f||) and any other X raises MethodInapplicableError.
     """
     if isinstance(f, rr.RearrangedFunction):
         if f.exact is not None:
             return norm(f.exact, X)
-        return _norm_decreasing(_as_decreasing(f), X)
-    if isinstance(f, DecreasingView):
-        return _norm_decreasing(f, X)
+        if not X.is_symmetric:
+            raise MethodInapplicableError(
+                "an inexact rearrangement has a norm only in symmetric spaces")
+        return norm(f.source, X)
     if not isinstance(f, PPL):
         raise TypeError(f"cannot take a norm of {type(f).__name__}")
     if f.domain != X.domain:

@@ -29,6 +29,7 @@ from . import rearrange as rr
 from .errors import (InvalidFamilyError, MethodInapplicableError,
                      NotInSpaceError)
 from .piecewise import INF, PPL, DomainSpec, MeasurableSet
+from .rootfind import dominant_key
 from .spaces import SpaceDescriptor
 
 EPS_LIMIT = 1e-7
@@ -74,6 +75,13 @@ def _verdict_from_flag(flag: bool | None, subject: str, rule: str,
     if flag is False:
         return OCVerdict(subject, VERDICT_NOT, rule, evidence)
     return OCVerdict(subject, VERDICT_UNDECIDED, rule, evidence)
+
+
+def _all_of(flags: Sequence[bool | None]) -> bool | None:
+    """Three-valued AND: False if any flag is False, True if all are True."""
+    if any(d is False for d in flags):
+        return False
+    return True if all(d is True for d in flags) else None
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +184,6 @@ def vanishing_average_at_infinity(g: PPL) -> bool:
     return pw.limit_at_infinity(g) == 0.0
 
 
-def _dominant_term(tm: dict) -> tuple[float, int, float]:
-    """(alpha, logpow, coeff) of the summand that dominates at infinity."""
-    (alpha, logpow), coeff = max(tm.items(), key=lambda kv: kv[0])
-    return alpha, logpow, coeff
-
-
 def _peak_limit_at_infinity(g: PPL, spec) -> bool | None:
     """Exact limit test of phi(t)/t * integral of g* over (0, t) at infinity.
 
@@ -208,7 +210,8 @@ def _peak_limit_at_infinity(g: PPL, spec) -> bool | None:
     if not math.isinf(last.hi):
         return None
     tm = last.term_map()
-    alpha, logpow, coeff = _dominant_term(tm)
+    alpha, logpow = dominant_key(tm, True)
+    coeff = tm[(alpha, logpow)]
     if coeff <= 0.0 or alpha > 0.0 or (alpha == 0.0 and logpow > 0):
         return None
     amap = pw.antiderivative_map(tm)
@@ -278,11 +281,7 @@ def tail_test_point(f: PPL, X: SpaceDescriptor) -> tuple[bool | None, dict]:
         tail_dec, tail_vals = vanishing_sequence(tail)
         evidence["tail_norms"] = tail_vals[-6:]
         flags.append(tail_dec)
-    if any(d is False for d in flags):
-        return False, evidence
-    if all(d is True for d in flags):
-        return True, evidence
-    return None, evidence
+    return _all_of(flags), evidence
 
 
 def truncation_core_membership(f: PPL, CX: SpaceDescriptor) -> tuple[bool | None, dict]:
@@ -303,11 +302,7 @@ def truncation_core_membership(f: PPL, CX: SpaceDescriptor) -> tuple[bool | None
         tail_dec, tail_vals = vanishing_sequence(tail)
         evidence["tail_norms"] = tail_vals[-6:]
         flags.append(tail_dec)
-    if any(d is False for d in flags):
-        return False, evidence
-    if all(d is True for d in flags):
-        return True, evidence
-    return None, evidence
+    return _all_of(flags), evidence
 
 
 def xa_trivial(X: SpaceDescriptor) -> bool | None:
@@ -399,14 +394,9 @@ def oc_point_via_characterization(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
             dinf = vanishing_average_at_infinity(g)
             evidence["vanishing_average_at_infinity"] = dinf
             checks.append(dinf)
-        if any(x is False for x in checks):
-            return OCVerdict("point", VERDICT_NOT,
-                             "truncation-core-and-vanishing-average", evidence)
-        if all(x is True for x in checks):
-            return OCVerdict("point", VERDICT_OC,
-                             "truncation-core-and-vanishing-average", evidence)
-        return OCVerdict("point", VERDICT_UNDECIDED,
-                         "truncation-core-and-vanishing-average", evidence)
+        return _verdict_from_flag(_all_of(checks), "point",
+                                  "truncation-core-and-vanishing-average",
+                                  evidence)
     return OCVerdict("point", VERDICT_UNDECIDED,
                      "transform-image-of-core", evidence)
 

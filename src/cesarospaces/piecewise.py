@@ -14,8 +14,9 @@ analytically from the dominant monomial, never by sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import rootfind
 from .errors import (
@@ -30,6 +31,8 @@ INF = math.inf
 MAX_TERMS_PER_PIECE = 64
 
 TermMap = dict[tuple[float, int], float]
+TermView = Mapping[tuple[float, int], float]  # read-only view of a term map
+TermPairs = tuple[tuple[tuple[float, int], float], ...]
 
 
 @dataclass(frozen=True)
@@ -67,28 +70,39 @@ class Term:
     alpha: float = 0.0
     logpow: int = 0
 
-    def __post_init__(self) -> None:
-        if self.logpow < 0 or self.logpow != int(self.logpow):
-            raise ValidationError("logpow must be a nonnegative integer")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Piece:
+    """The sum of ``pairs`` on [lo, hi).
+
+    ``pairs`` is the canonical form :func:`make_ppl` builds: the nonzero
+    ((alpha, logpow), coeff) pairs sorted by key.  It alone decides equality
+    and hashing; :meth:`term_map` is the same data as a read-only map.
+    """
+
     lo: float
     hi: float
-    terms: tuple[Term, ...]
+    pairs: TermPairs
+    _map: TermView = field(init=False, compare=False)
 
-    def term_map(self) -> TermMap:
-        out: TermMap = {}
-        for t in self.terms:
-            key = (t.alpha, t.logpow)
-            out[key] = out.get(key, 0.0) + t.coeff
-        return out
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_map", MappingProxyType(dict(self.pairs)))
 
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        """The summands as :class:`Term` values, in sorted key order."""
+        return tuple(Term(c, alpha, k) for (alpha, k), c in self.pairs)
 
-def _terms_from_map(tm: TermMap) -> tuple[Term, ...]:
-    items = sorted((k, c) for k, c in tm.items() if c != 0.0)
-    return tuple(Term(c, alpha, k) for (alpha, k), c in items)
+    def term_map(self) -> TermView:
+        """Read-only (alpha, logpow) -> coeff, in sorted key order."""
+        return self._map
+
+    def __repr__(self) -> str:
+        return f"Piece(lo={self.lo!r}, hi={self.hi!r}, terms={self.terms!r})"
+
+    def __reduce__(self):
+        # rebuild the map on unpickling; a mappingproxy cannot be pickled
+        return Piece, (self.lo, self.hi, self.pairs)
 
 
 @dataclass(frozen=True)
@@ -109,10 +123,8 @@ class PiecewisePowerLog:
 
     @property
     def is_step(self) -> bool:
-        return all(
-            len(p.terms) == 1 and p.terms[0].alpha == 0.0 and p.terms[0].logpow == 0
-            for p in self.pieces
-        )
+        return all(len(p.pairs) == 1 and (0.0, 0) in p.term_map()
+                   for p in self.pieces)
 
     def breakpoints(self) -> list[float]:
         pts: list[float] = []
@@ -133,32 +145,39 @@ class PiecewisePowerLog:
 PPL = PiecewisePowerLog
 
 
+def canonical_pairs(tm: TermView) -> TermPairs:
+    """The nonzero terms of a map as ((alpha, logpow), coeff) pairs, sorted."""
+    return tuple(sorted((k, c) for k, c in tm.items() if c != 0.0))
+
+
 def make_ppl(domain: DomainSpec,
              pieces: Iterable[tuple[float, float, TermMap]]) -> PPL:
     """Canonicalize raw (lo, hi, term-map) triples into a function."""
-    cleaned: list[tuple[float, float, TermMap]] = []
+    cleaned: list[tuple[float, float, TermPairs]] = []
     for lo, hi, tm in pieces:
-        tm = {k: c for k, c in tm.items() if c != 0.0}
-        if not tm or lo >= hi:
+        pairs = canonical_pairs(tm)
+        if not pairs or lo >= hi:
             continue
         if lo < 0.0 or hi > domain.end:
             raise ValidationError(
                 f"piece [{lo}, {hi}) leaves the domain [0, {domain.end}]")
-        if len(tm) > MAX_TERMS_PER_PIECE:
+        if len(pairs) > MAX_TERMS_PER_PIECE:
             raise RepresentationError(
-                f"piece would carry {len(tm)} terms (budget {MAX_TERMS_PER_PIECE})")
-        cleaned.append((lo, hi, tm))
+                f"piece would carry {len(pairs)} terms (budget {MAX_TERMS_PER_PIECE})")
+        for (_alpha, k), _c in pairs:
+            if k < 0 or k != int(k):
+                raise ValidationError("logpow must be a nonnegative integer")
+        cleaned.append((lo, hi, pairs))
     cleaned.sort(key=lambda item: item[0])
-    merged: list[tuple[float, float, TermMap]] = []
-    for lo, hi, tm in cleaned:
+    merged: list[tuple[float, float, TermPairs]] = []
+    for lo, hi, pairs in cleaned:
         if merged and lo < merged[-1][1]:
             raise ValidationError("pieces overlap")
-        if merged and lo == merged[-1][1] and tm == merged[-1][2]:
-            merged[-1] = (merged[-1][0], hi, tm)
+        if merged and lo == merged[-1][1] and pairs == merged[-1][2]:
+            merged[-1] = (merged[-1][0], hi, pairs)
         else:
-            merged.append((lo, hi, tm))
-    return PPL(domain, tuple(Piece(lo, hi, _terms_from_map(tm))
-                             for lo, hi, tm in merged))
+            merged.append((lo, hi, pairs))
+    return PPL(domain, tuple(Piece(lo, hi, pairs) for lo, hi, pairs in merged))
 
 
 def zero(domain: DomainSpec) -> PPL:
@@ -222,7 +241,7 @@ def limit_term_map(tm: TermMap, at: str) -> float:
     if not live:
         return 0.0
     if at == "inf":
-        alpha, k = max(live, key=lambda ak: (ak[0], ak[1]))
+        alpha, k = rootfind.dominant_key(live, True)
         c = live[(alpha, k)]
         if alpha > 0.0 or (alpha == 0.0 and k > 0):
             return math.copysign(INF, c)
@@ -230,7 +249,7 @@ def limit_term_map(tm: TermMap, at: str) -> float:
             return c
         return 0.0
     if at == "zero":
-        alpha, k = min(live, key=lambda ak: (ak[0], -ak[1]))
+        alpha, k = rootfind.dominant_key(live, False)
         c = live[(alpha, k)]
         sign = c * ((-1.0) ** k)
         if alpha < 0.0 or (alpha == 0.0 and k > 0):
@@ -600,9 +619,7 @@ def is_nonincreasing(f: PPL) -> bool:
         if p.lo != prev_hi:
             return False  # interior gap: the function would rise from 0
         tm = p.term_map()
-        segs = [(lo, hi) for lo, hi, _ in monotone_segments(
-            PPL(f.domain, (p,)))]
-        for lo, hi in segs:
+        for lo, hi, _ in monotone_segments(PPL(f.domain, (p,))):
             vlo, vhi = segment_end_values(tm, lo, hi)
             if vhi > vlo + 1e-15 * max(1.0, abs(vlo)):
                 return False

@@ -32,7 +32,7 @@ BISECT_MAX_ITER = 200
 class _Segment:
     lo: float
     hi: float
-    tm: TermMap  # sorted by key, zero coefficients dropped; never mutated
+    tm: pw.TermView  # the piece's term map
     vlo: float
     vhi: float
 
@@ -43,14 +43,13 @@ def _abs_segments(f: PPL) -> tuple[_Segment, ...]:
     segs = []
     for lo, hi, tm in pw.monotone_segments(g):
         vlo, vhi = pw.segment_end_values(tm, lo, hi)
-        canon = dict(sorted((k, c) for k, c in tm.items() if c != 0.0))
-        segs.append(_Segment(lo, hi, canon, vlo, vhi))
+        segs.append(_Segment(lo, hi, tm, vlo, vhi))
     return tuple(segs)
 
 
-def _crossing(tm: TermMap, lo: float, hi: float, lam: float) -> float:
+def _crossing(tm: pw.TermView, lo: float, hi: float, lam: float) -> float:
     """Unique t in (lo, hi) with value lam on a monotone positive segment."""
-    keys = sorted(tm)
+    keys = list(tm)  # a piece's term map: already in sorted key order
     if len(keys) == 1:
         (alpha, k), = keys
         c = tm[(alpha, k)]
@@ -198,10 +197,8 @@ def decreasing_rearrangement(f: PPL) -> RearrangedFunction:
     if f.is_zero:
         return RearrangedFunction(f, f.domain, f, 0.0, 0.0)
     if f.is_step:
-        steps = sorted(
-            ((abs(p.terms[0].coeff), p.hi - p.lo) for p in f.pieces
-             if p.terms[0].coeff != 0.0),
-            reverse=True)
+        steps = sorted(((abs(p.term_map()[(0.0, 0)]), p.hi - p.lo)
+                        for p in f.pieces), reverse=True)
         out = []
         pos = 0.0
         for value, length in steps:

@@ -61,7 +61,9 @@ def derivative_terms(terms: TermMap) -> dict[tuple[float, int], float]:
     return _clean(out)
 
 
-def _dominant_key(terms: dict[tuple[float, int], float], toward_plus: bool):
+def dominant_key(terms: TermMap, toward_plus: bool) -> tuple[float, int]:
+    """Key (alpha, k) of the summand dominating as u -> +inf (t -> inf:
+    largest alpha, then k) or u -> -inf (t -> 0: smallest alpha, largest k)."""
     keys = terms.keys()
     if toward_plus:
         return max(keys, key=lambda ak: (ak[0], ak[1]))
@@ -75,7 +77,7 @@ def _dominance_bound(terms: dict[tuple[float, int], float], toward_plus: bool,
     Beyond the bound (toward the requested infinity) the sum cannot vanish,
     so root searches may stop there.
     """
-    dom = _dominant_key(terms, toward_plus)
+    dom = dominant_key(terms, toward_plus)
     others = [key for key in terms if key != dom]
     if not others:
         return start

@@ -325,6 +325,18 @@ def test_rearrangement_invariance_on_steps(f):
             assert abs(a.value - b.value) <= tol * (1.0 + abs(a.value))
 
 
+def test_norm_of_inexact_rearrangement_is_norm_of_source():
+    # t**0.5 increases on [0, 1), so its rearrangement has no exact form;
+    # a symmetric norm of f* is the norm of f, and no other norm is taken
+    f = pw.power_piece(U, 0.0, 1.0, 1.0, 0.5)
+    r = rr.decreasing_rearrangement(f)
+    assert r.exact is None
+    for X in cat.default_catalog(U):
+        assert nm.norm(r, X) == nm.norm(f, X)
+        with pytest.raises(MethodInapplicableError):
+            nm.norm(r, sp.cesaro_space(X))
+
+
 def test_hardy_inequality_single_case():
     f = pw.step_function(H, [(0.0, 1.0, 2.0), (1.0, 3.0, 1.0)])
     cf = cz.cesaro_transform(f)

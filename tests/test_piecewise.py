@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,44 @@ def test_make_ppl_enforces_term_budget():
     fat = {(float(i), 0): 1.0 for i in range(pw.MAX_TERMS_PER_PIECE + 1)}
     with pytest.raises(RepresentationError):
         pw.make_ppl(H, [(0.0, 1.0, fat)])
+
+
+@pytest.mark.parametrize("logpow", [-1, 1.5])
+def test_make_ppl_rejects_bad_logpow(logpow):
+    with pytest.raises(ValidationError):
+        pw.make_ppl(H, [(0.0, 1.0, {(0.5, logpow): 1.0})])
+
+
+def test_term_map_is_built_once_and_read_only():
+    p = pw.power_piece(H, 0.0, 1.0, 2.0, 0.5, 1).pieces[0]
+    assert p.term_map() is p.term_map()
+    with pytest.raises(TypeError):
+        p.term_map()[(0.0, 0)] = 1.0
+
+
+def test_piece_terms_come_in_sorted_key_order():
+    tm = {(1.0, 0): 3.0, (-0.5, 2): -1.0, (1.0, 1): 0.0, (-0.5, 0): 2.0,
+          (0.0, 0): 4.0}
+    (piece,) = pw.make_ppl(H, [(1.0, 2.0, tm)]).pieces
+    assert piece.terms == (pw.Term(2.0, -0.5, 0), pw.Term(-1.0, -0.5, 2),
+                           pw.Term(4.0, 0.0, 0), pw.Term(3.0, 1.0, 0))
+    assert list(piece.term_map()) == [(-0.5, 0), (-0.5, 2), (0.0, 0), (1.0, 0)]
+
+
+def test_insertion_order_does_not_change_a_piece():
+    items = [((1.0, 0), 3.0), ((-0.5, 2), -1.0), ((0.0, 0), 4.0)]
+    a = pw.make_ppl(H, [(0.0, 1.0, dict(items))])
+    b = pw.make_ppl(H, [(0.0, 1.0, dict(reversed(items)))])
+    assert a == b
+    assert hash(a) == hash(b)
+    assert hash(a.pieces[0]) == hash(b.pieces[0])
+
+
+def test_functions_survive_pickle_and_deepcopy():
+    f = pw.make_ppl(H, [(0.0, 1.0, {(0.5, 1): 2.0, (0.0, 0): -1.0})])
+    for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert g == f
+        assert g.pieces[0].term_map() == f.pieces[0].term_map()
 
 
 def test_structural_equality_is_symbolic():

@@ -81,3 +81,10 @@ def test_brentq_gives_up_after_maxiter(solver):
         solver(lambda u: math.exp(u) - 1.5, -3.0, 30.0, xtol=XTOL, rtol=RTOL,
                maxiter=2)
 
+
+def test_dominant_key_at_both_ends():
+    # t -> inf: largest exponent, then the highest log power;
+    # t -> 0: smallest exponent, then the highest log power
+    terms = {(-1.0, 0): 1.0, (-1.0, 2): 1.0, (0.5, 0): 1.0, (0.5, 1): 1.0}
+    assert rf.dominant_key(terms, True) == (0.5, 1)
+    assert rf.dominant_key(terms, False) == (-1.0, 2)
