@@ -95,6 +95,24 @@ def _generator_power_bands(
     return tuple(bands)
 
 
+def _power_generator(spec: OrliczFunctionSpec) -> tuple[float, int] | None:
+    """(c, n) when Phi(u) = c*u**n below the finite bound and zero bound 0.
+
+    Such a generator has the closed-form Luxemburg norm of
+    ``_orlicz_power_norm``; every other one returns None.
+    """
+    bands = _generator_power_bands(spec)
+    if spec.zero_bound != 0.0 or bands is None or len(bands) != 1:
+        return None
+    (ulo, uhi, terms), = bands
+    if ulo != 0.0 or uhi != spec.finite_bound or len(terms) != 1:
+        return None
+    ((alpha, _k), c), = terms
+    if alpha < 1.0:
+        return None
+    return c, int(alpha)
+
+
 @functools.lru_cache(maxsize=8192)
 def _piece_pow_map(piece: pw.Piece, n: int) -> TermPairs | None:
     pm = _map_pow_int(piece.term_map(), n)
@@ -380,6 +398,24 @@ def _luxemburg(modular: Callable[[float], tuple[float, float]],
     return NormResult(hi, method, (hi - lo) + max_err)
 
 
+def _orlicz_power_norm(f: PPL, spec: OrliczFunctionSpec, c: float,
+                       n: int) -> NormResult:
+    """Luxemburg norm for Phi(u) = c*u**n up to the finite bound b.
+
+    The modular c*||f||_n**n / lam**n is finite exactly when
+    ess sup|f| <= b*lam, so the norm is max(ess sup|f|/b, c**(1/n)*||f||_n);
+    the first term drops out when b is infinite.
+    """
+    lp = _lp_ppl(f, float(n))
+    scale = c ** (1.0 / n)
+    value = scale * lp.value
+    if math.isfinite(spec.finite_bound):
+        cap = pw.essential_sup_abs(f) / spec.finite_bound
+        if cap > value:
+            return NormResult(cap, "exact", 0.0)
+    return NormResult(value, lp.method, scale * lp.error_bound)
+
+
 def _lorentz_ppl(f: PPL, X: SpaceDescriptor) -> NormResult:
     spec = X.quasi
     atom = spec.atom_at_zero
@@ -507,6 +543,9 @@ def norm(f, X: SpaceDescriptor) -> NormResult:
         return _sum_space_ppl(f)
     if X.tag == "orlicz":
         spec = X.orlicz
+        power = _power_generator(spec)
+        if power is not None:
+            return _orlicz_power_norm(f, spec, *power)
         exact_modular = f.is_step or _orlicz_exact_ready(f, spec)
         return _luxemburg(_orlicz_modular(f, spec), f.is_zero, exact_modular)
     if X.tag == "lorentz":

@@ -481,28 +481,38 @@ def oc_point_closed_form(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
         scales = [2.0 ** k for k in range(21)]
         if not math.isfinite(spec.finite_bound):
             first_bad = None
-            modular = nm._orlicz_modular(g, spec)
-            for lam in scales:
-                val, _ = modular(1.0 / lam)
-                if not math.isfinite(val):
-                    first_bad = lam
-                    break
+            power = nm._power_generator(spec)
+            if power is not None:
+                # the modular of g at 1/lam is c * lam**n * ||g||_n**n:
+                # finite at every scale or at none
+                if not math.isfinite(nm._lp_ppl(g, float(power[1])).value):
+                    first_bad = scales[0]
+            else:
+                modular = nm._orlicz_modular(g, spec)
+                for lam in scales:
+                    val, _ = modular(1.0 / lam)
+                    if not math.isfinite(val):
+                        first_bad = lam
+                        break
             ev = {"scales_tested": len(scales), "first_failing_scale": first_bad}
             return _verdict_from_flag(first_bad is None, "point",
                                       "averaged-orlicz/unbounded-generator", ev)
         if spec.zero_bound == 0.0:
             horizons = [2.0 ** j for j in range(21)]
+            # one modular per horizon, built on first use and shared by
+            # every scale; None once the truncation remainder vanishes
+            modulars: list = []
             failing_scale = None
             for lam in scales:
                 found = False
-                for m in horizons:
-                    rem = _truncation_remainder(f, m)
-                    if rem.is_zero:
-                        found = True
-                        break
-                    crm = cz.cesaro_transform(rem)
-                    val, _ = nm._orlicz_modular(crm, spec)(1.0 / lam)
-                    if math.isfinite(val):
+                for j, m in enumerate(horizons):
+                    if j == len(modulars):
+                        rem = _truncation_remainder(f, m)
+                        modulars.append(None if rem.is_zero else
+                                        nm._orlicz_modular(
+                                            cz.cesaro_transform(rem), spec))
+                    modular = modulars[j]
+                    if modular is None or math.isfinite(modular(1.0 / lam)[0]):
                         found = True
                         break
                 if not found:

@@ -6,6 +6,7 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cesarospaces import catalog as cat
 from cesarospaces import cesaro as cz
@@ -16,7 +17,8 @@ from cesarospaces import rearrange as rr
 from cesarospaces import spaces as sp
 from cesarospaces.errors import MethodInapplicableError, RepresentationError
 from cesarospaces.piecewise import INF
-from support import HALFLINE as H, UNIT as U, chi, step_functions
+from support import (HALFLINE as H, UNIT as U, chi, nonzero_step_functions,
+                     step_functions)
 
 L1 = sp.lebesgue(1.0, H)
 L2 = sp.lebesgue(2.0, H)
@@ -173,6 +175,88 @@ def test_luxemburg_bisection_takes_absolute_value_once(monkeypatch):
         nm.norm(f, X)
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 3
+
+
+def test_luxemburg_bisection_on_dead_zone_generator_takes_absolute_value_once(
+        monkeypatch):
+    # the generator vanishes below 1/2, so it has no closed form and the
+    # norm still bisects; the same count as above must hold there
+    X = sp.orlicz_space(cat.orlicz_flat_capped(H), H)
+    calls = _count_calls(monkeypatch, pw, "absolute")
+    counts = []
+    for k, tol in enumerate((1e-4, 1e-12)):
+        monkeypatch.setattr(nm, "LUXEMBURG_REL_TOL", tol)
+        f = pw.make_ppl(H, [(0.0, 1.0, {(0.5, 0): 1.0 + k}),
+                            (1.0, 2.0, {(0.0, 0): -2.0})])
+        rr._abs_segments.cache_clear()
+        del calls[:]
+        res = nm.norm(f, X)
+        counts.append(len(calls))
+        assert res.error_bound > 0.0  # a bisection bracket, not a closed form
+    assert counts[0] == counts[1] <= 3
+
+
+POWER_GENERATOR_SPACES = [sp.orlicz_space(gen(dom), dom)
+                          for gen in (cat.orlicz_square, cat.orlicz_square_capped)
+                          for dom in (H, U)]
+
+
+def _assert_inside_bisection_bracket(f, X):
+    res = nm.norm(f, X)
+    lux = nm._luxemburg(nm._orlicz_modular(f, X.orlicz), f.is_zero, True)
+    assert (res.method, res.error_bound) == ("exact", 0.0)
+    assert lux.value - lux.error_bound <= res.value <= lux.value, (res, lux)
+
+
+@pytest.mark.parametrize(
+    "X", POWER_GENERATOR_SPACES,
+    ids=["square-halfline", "square-unit", "capped-halfline", "capped-unit"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_power_generator_closed_form_inside_bisection_bracket(X, data):
+    _assert_inside_bisection_bracket(
+        data.draw(nonzero_step_functions(domain=X.domain)), X)
+
+
+def test_power_generator_closed_form_inside_bisection_bracket_on_battery():
+    checked = 0
+    for e in cat.default_battery():
+        X = e.space.inner
+        if X is None or X.tag != "orlicz" \
+                or nm._power_generator(X.orlicz) is None:
+            continue
+        _assert_inside_bisection_bracket(
+            cz.cesaro_transform(pw.absolute(e.f)), X)
+        checked += 1
+    assert checked == 6
+
+
+def test_generators_off_the_closed_form():
+    # a positive zero bound, two monomials and a fractional power all keep
+    # the bisection
+    two_terms = pw.make_ppl(H, [(0.0, INF, {(2.0, 0): 1.0, (3.0, 0): 1.0})])
+    fractional = pw.make_ppl(H, [(0.0, INF, {(1.5, 0): 1.0})])
+    for spec in (cat.orlicz_flat_capped(H), sp.OrliczFunctionSpec(two_terms),
+                 sp.OrliczFunctionSpec(fractional)):
+        assert nm._power_generator(spec) is None
+    assert nm._power_generator(cat.orlicz_square(H)) == (1.0, 2)
+    assert nm._power_generator(cat.orlicz_square_capped(H)) == (1.0, 2)
+
+
+@pytest.mark.parametrize("domain,lo,hi,tm", [
+    (U, 0.0, 1.0, {(-0.7, 0): 1.0, (-0.1, 0): 1.0}),
+    (H, 1.0, INF, {(-0.6, 0): 1.0, (-2.0, 0): 1.0}),
+], ids=["zero-end", "infinite-end"])
+def test_power_norm_divergence_read_off_dominant_exponent(monkeypatch, domain,
+                                                          lo, hi, tm):
+    # two monomials have no exact 1.5th power; the dominant one decides
+    # divergence at the improper end before any quadrature could run
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran on a divergent integral")
+
+    monkeypatch.setattr(cz, "_quad", no_quadrature)
+    res = nm.norm(pw.make_ppl(domain, [(lo, hi, tm)]), sp.lebesgue(1.5, domain))
+    assert (res.value, res.method) == (INF, "quadrature")
 
 
 def test_marcinkiewicz_sup_search_takes_absolute_value_once(monkeypatch):

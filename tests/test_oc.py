@@ -7,6 +7,7 @@ import math
 import pytest
 
 from cesarospaces import catalog as cat
+from cesarospaces import cesaro as cz
 from cesarospaces import oc
 from cesarospaces import piecewise as pw
 from cesarospaces import spaces as sp
@@ -64,6 +65,42 @@ def test_unit_sup_space_boundary_cases():
     assert late.verdict == "OC"
     const = oc.oc_point(chi(U, 0.0, 1.0), CX)
     assert const.verdict == "not-OC"
+
+
+_SQUARE_PLUS_CUBE = sp.OrliczFunctionSpec(
+    pw.make_ppl(H, [(0.0, INF, {(2.0, 0): 1.0, (3.0, 0): 1.0})]))
+
+
+@pytest.mark.parametrize("spec", [cat.orlicz_square(H), _SQUARE_PLUS_CUBE],
+                         ids=["power", "two-terms"])
+def test_unbounded_generator_evidence(spec):
+    # u**2 is decided by one finiteness check of ||C|f| ||_2, u**2 + u**3 by
+    # the modular at every scale; both report the same evidence
+    CX = sp.cesaro_space(sp.orlicz_space(spec, H))
+    v = oc.oc_point_closed_form(pw.power_piece(H, 0.0, 1.0, 1.0, -0.25), CX)
+    assert (v.verdict, v.rule, v.evidence) == (
+        "OC", "averaged-orlicz/unbounded-generator",
+        {"scales_tested": 21, "first_failing_scale": None})
+
+
+def test_capped_generator_builds_one_transform_per_horizon(monkeypatch):
+    # 3 chi_(0,1) needs horizons 1 and 2 at each of the 21 scales: two
+    # transforms for them, plus the averaged modulus and the membership
+    # norm; rebuilt per scale it would be 44
+    CX = sp.cesaro_space(sp.orlicz_space(cat.orlicz_square_capped(H), H))
+    calls = []
+    original = cz.cesaro_transform
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(cz, "cesaro_transform", counted)
+    v = oc.oc_point_closed_form(pw.scale(chi(H, 0.0, 1.0), 3.0), CX)
+    assert (v.verdict, v.rule, v.evidence) == (
+        "not-OC", "averaged-orlicz/capped-generator",
+        {"first_failing_scale": None, "vanishing_average_at_zero": False})
+    assert len(calls) == 4
 
 
 # ---------------------------------------------------------------------------
