@@ -127,7 +127,7 @@ def main(argv=None) -> int:
             print(flat)
 
     demonstrated = sorted({r["sample"] for r in all_rows
-                           if r.get("point_verdict") == "not-oc"
+                           if r.get("point_verdict") == oc.VERDICT_NOT
                            or r.get("witness_found") is True
                            or r.get("direct") is False})
     open_cases = sorted({r["sample"] for r in all_rows

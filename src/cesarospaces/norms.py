@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,7 +25,6 @@ from .rootfind import dominant_key
 from .spaces import OrliczFunctionSpec, SpaceDescriptor
 
 LUXEMBURG_REL_TOL = 1e-10
-LUXEMBURG_CAP = 1e30
 QUAD_TOL = 1e-10
 SUP_SEARCH_TOL = 1e-10
 
@@ -359,23 +359,26 @@ def _orlicz_modular(f: PPL, spec: OrliczFunctionSpec
 
 
 def _luxemburg(modular: Callable[[float], tuple[float, float]],
-               is_zero: bool, exact_modular: bool) -> NormResult:
-    if is_zero:
-        return NormResult(0.0, "exact", 0.0)
+               exact_modular: bool) -> NormResult:
+    """Bisect lam over the whole float range for modular(lam) = 1.
+
+    Doubling stops at the first lam with modular(lam) <= 1 (inf when even
+    the largest float fails) and halving at the first with modular > 1;
+    a norm below the least subnormal is reported as [0, that subnormal].
+    """
+    method = "exact" if exact_modular else "quadrature"
     hi = 1.0
     max_err = 0.0
-    for _ in range(200):
+    while True:
         val, e = modular(hi)
         max_err = max(max_err, e)
         if val <= 1.0:
             break
-        hi *= 2.0
-        if hi > LUXEMBURG_CAP:
-            return NormResult(INF, "exact" if exact_modular else "quadrature", 0.0)
-    else:
-        return NormResult(INF, "exact" if exact_modular else "quadrature", 0.0)
+        if hi == sys.float_info.max:
+            return NormResult(INF, method, 0.0)
+        hi = min(2.0 * hi, sys.float_info.max)
     lo = hi / 2.0
-    while lo > 1e-30:
+    while lo > 0.0:
         val, e = modular(lo)
         max_err = max(max_err, e)
         if val > 1.0:
@@ -383,18 +386,17 @@ def _luxemburg(modular: Callable[[float], tuple[float, float]],
         hi = lo
         lo /= 2.0
     else:
-        return NormResult(0.0, "exact" if exact_modular else "quadrature", 0.0)
+        return NormResult(hi, method, hi + max_err)
     for _ in range(200):
         if hi - lo <= LUXEMBURG_REL_TOL * hi:
             break
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
         val, e = modular(mid)
         max_err = max(max_err, e)
         if val <= 1.0:
             hi = mid
         else:
             lo = mid
-    method = "exact" if exact_modular else "quadrature"
     return NormResult(hi, method, (hi - lo) + max_err)
 
 
@@ -547,7 +549,7 @@ def norm(f, X: SpaceDescriptor) -> NormResult:
         if power is not None:
             return _orlicz_power_norm(f, spec, *power)
         exact_modular = f.is_step or _orlicz_exact_ready(f, spec)
-        return _luxemburg(_orlicz_modular(f, spec), f.is_zero, exact_modular)
+        return _luxemburg(_orlicz_modular(f, spec), exact_modular)
     if X.tag == "lorentz":
         return _lorentz_ppl(f, X)
     if X.tag == "marcinkiewicz":

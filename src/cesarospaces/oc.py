@@ -223,9 +223,18 @@ def _peak_limit_at_infinity(g: PPL, spec) -> bool | None:
     return pw.limit_at_infinity(w) == 0.0
 
 
-def _restrict_tail(f: PPL, n: float) -> PPL:
-    A = MeasurableSet.from_intervals(f.domain, [(n, f.domain.end)])
-    return pw.restrict(f, A)
+def _escaping_tail(f: PPL, S: SpaceDescriptor, evidence: dict) -> bool | None:
+    """Do the norms in S of f restricted to [n, end) vanish as n grows?
+
+    The last samples go to evidence["tail_norms"].
+    """
+    def tail(n: float) -> float:
+        A = MeasurableSet.from_intervals(f.domain, [(n, f.domain.end)])
+        return nm.norm(pw.restrict(f, A), S).value
+
+    decision, vals = vanishing_sequence(tail)
+    evidence["tail_norms"] = vals[-6:]
+    return decision
 
 
 def _excess_over(f: PPL, n: float) -> PPL:
@@ -247,23 +256,16 @@ def tail_test_point(f: PPL, X: SpaceDescriptor) -> tuple[bool | None, dict]:
         return True, {"zero": True}
 
     sup = pw.essential_sup_abs(f)
-    head_dec: bool | None
     if math.isfinite(sup):
         # bounded function: restriction norms over shrinking heads are
         # squeezed between sup * phi(s) and (sup - eps) * phi(s), so the
         # head condition reduces to whether the fundamental function of X
         # vanishes at zero
-        triv = xa_trivial(X)
-        if triv is True:
+        if xa_trivial(X):
             evidence["head"] = "fundamental function stays positive at zero"
             return False, evidence
-        if triv is False:
-            head_dec = True
-            evidence["head"] = "bounded, fundamental function vanishes at zero"
-        else:
-            est = limit_estimate(lambda s: nm.fundamental_function(X, s), "zero")
-            head_dec = est.tends_to_zero
-            evidence["head_fundamental_samples"] = list(est.samples[-6:])
+        head_dec: bool | None = True
+        evidence["head"] = "bounded, fundamental function vanishes at zero"
     else:
         # unbounded: sweep restrictions to the superlevel sets, which are
         # equimeasurable with shrinking left cuts of the rearrangement
@@ -275,38 +277,30 @@ def tail_test_point(f: PPL, X: SpaceDescriptor) -> tuple[bool | None, dict]:
         evidence["head_norms"] = head_vals[-6:]
     flags = [head_dec]
     if not f.domain.is_unit:
-        def tail(n: float) -> float:
-            return nm.norm(_restrict_tail(f, n), X).value
-
-        tail_dec, tail_vals = vanishing_sequence(tail)
-        evidence["tail_norms"] = tail_vals[-6:]
-        flags.append(tail_dec)
+        flags.append(_escaping_tail(f, X, evidence))
     return _all_of(flags), evidence
 
 
 def truncation_core_membership(f: PPL, CX: SpaceDescriptor) -> tuple[bool | None, dict]:
     """Do the canonical truncations of f converge to f in the averaged norm?"""
     evidence: dict = {}
-    flags: list[bool | None] = []
 
     def excess(n: float) -> float:
         return nm.norm(_excess_over(f, n), CX).value
 
     exc_dec, exc_vals = vanishing_sequence(excess)
     evidence["excess_norms"] = exc_vals[-6:]
-    flags.append(exc_dec)
+    flags = [exc_dec]
     if not f.domain.is_unit:
-        def tail(n: float) -> float:
-            return nm.norm(_restrict_tail(f, n), CX).value
-
-        tail_dec, tail_vals = vanishing_sequence(tail)
-        evidence["tail_norms"] = tail_vals[-6:]
-        flags.append(tail_dec)
+        flags.append(_escaping_tail(f, CX, evidence))
     return _all_of(flags), evidence
 
 
-def xa_trivial(X: SpaceDescriptor) -> bool | None:
-    """Is the core (order-continuous part) of the symmetric space zero?"""
+def xa_trivial(X: SpaceDescriptor) -> bool:
+    """Is the core (order-continuous part) of the symmetric space zero?
+
+    Read off the descriptor for every symmetric family.
+    """
     if X.tag == "Lp":
         return math.isinf(X.p)
     if X.tag == "L1capLinf":
@@ -320,12 +314,7 @@ def xa_trivial(X: SpaceDescriptor) -> bool | None:
     if X.tag == "cesaro":
         raise MethodInapplicableError(
             "core triviality applies to the symmetric base space")
-    est = limit_estimate(lambda t: nm.fundamental_function(X, t), "zero")
-    if est.tends_to_zero is True:
-        return False
-    if est.tends_to_zero is False:
-        return True
-    return None
+    raise MethodInapplicableError(f"unknown space tag {X.tag!r}")
 
 
 def _constants_in_space(X: SpaceDescriptor) -> bool:
@@ -369,22 +358,7 @@ def oc_point_via_characterization(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
     triv = xa_trivial(X)
     evidence["core_trivial"] = triv
     g = averaged_modulus(f)
-    if triv is False:
-        if X.domain.is_unit:
-            probe_ok: bool | None = True
-        else:
-            probe = pw.power_piece(X.domain, 1.0, INF, 1.0, -1.0)
-            probe_ok, probe_ev = tail_test_point(probe, X)
-            evidence["decaying_tail_in_core"] = probe_ok
-        if probe_ok is True:
-            flag, ev = tail_test_point(g, X)
-            evidence.update(ev)
-            return _verdict_from_flag(flag, "point", "transform-image-of-core",
-                                      evidence)
-        evidence["note"] = "canonical decaying tail not in the core"
-        return OCVerdict("point", VERDICT_UNDECIDED, "transform-image-of-core",
-                         evidence)
-    if triv is True:
+    if triv:
         member, ev = truncation_core_membership(f, CX)
         evidence.update(ev)
         d0 = vanishing_average_at_zero(g)
@@ -397,8 +371,20 @@ def oc_point_via_characterization(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
         return _verdict_from_flag(_all_of(checks), "point",
                                   "truncation-core-and-vanishing-average",
                                   evidence)
-    return OCVerdict("point", VERDICT_UNDECIDED,
-                     "transform-image-of-core", evidence)
+    if X.domain.is_unit:
+        probe_ok: bool | None = True
+    else:
+        probe = pw.power_piece(X.domain, 1.0, INF, 1.0, -1.0)
+        probe_ok, _ = tail_test_point(probe, X)
+        evidence["decaying_tail_in_core"] = probe_ok
+    if probe_ok is True:
+        flag, ev = tail_test_point(g, X)
+        evidence.update(ev)
+        return _verdict_from_flag(flag, "point", "transform-image-of-core",
+                                  evidence)
+    evidence["note"] = "canonical decaying tail not in the core"
+    return OCVerdict("point", VERDICT_UNDECIDED, "transform-image-of-core",
+                     evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +400,10 @@ def _truncation_remainder(f: PPL, m: float) -> PPL:
 
 
 def _vanishing_ends(g: PPL) -> tuple[bool, dict]:
-    d0 = vanishing_average_at_zero(g)
-    ev = {"vanishing_average_at_zero": d0}
-    ok = d0
+    ev = {"vanishing_average_at_zero": vanishing_average_at_zero(g)}
     if not g.domain.is_unit:
-        dinf = vanishing_average_at_infinity(g)
-        ev["vanishing_average_at_infinity"] = dinf
-        ok = d0 and dinf
-    return ok, ev
+        ev["vanishing_average_at_infinity"] = vanishing_average_at_infinity(g)
+    return all(ev.values()), ev
 
 
 def _atom_weight_verdict(f: PPL, g: PPL, CX: SpaceDescriptor,
@@ -432,10 +414,8 @@ def _atom_weight_verdict(f: PPL, g: PPL, CX: SpaceDescriptor,
         member, ev = truncation_core_membership(f, CX)
         d0 = vanishing_average_at_zero(g)
         ev["vanishing_average_at_zero"] = d0
-        flag = None if member is None else (member and d0)
-        if d0 is False:
-            flag = False
-        return _verdict_from_flag(flag, "point", f"{family}/atom-unbounded", ev)
+        return _verdict_from_flag(_all_of([member, d0]), "point",
+                                  f"{family}/atom-unbounded", ev)
     ok, ev = _vanishing_ends(g)
     return _verdict_from_flag(ok, "point", f"{family}/atom-bounded", ev)
 
@@ -579,13 +559,7 @@ def oc_point_closed_form(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
                             esti = limit_estimate(peak, "inf")
                             zi = esti.tends_to_zero
                             ev["peak_samples_inf"] = list(esti.samples)
-                if z0 is False or zi is False:
-                    flag: bool | None = False
-                elif z0 is True and zi is True:
-                    flag = True
-                else:
-                    flag = None
-                return _verdict_from_flag(flag, "point",
+                return _verdict_from_flag(_all_of([z0, zi]), "point",
                                           "averaged-marcinkiewicz/vanishing-peak",
                                           ev)
             member, ev = truncation_core_membership(f, CX)
@@ -604,6 +578,9 @@ def oc_point_closed_form(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
 
 def _oc_space_symmetric(X: SpaceDescriptor) -> OCVerdict:
     unit = X.domain.is_unit
+    if X.tag in ("lorentz", "marcinkiewicz") and X.quasi.atom_at_zero > 0.0:
+        return OCVerdict("space", VERDICT_NOT, "fundamental-atom",
+                         {"atom_at_zero": X.quasi.atom_at_zero})
     if X.tag == "Lp":
         if math.isfinite(X.p):
             return OCVerdict("space", VERDICT_OC, "power-space", {"p": X.p})
@@ -625,18 +602,12 @@ def _oc_space_symmetric(X: SpaceDescriptor) -> OCVerdict:
         return _verdict_from_flag(flag, "space", "orlicz-doubling", ev)
     if X.tag == "lorentz":
         spec = X.quasi
-        if spec.atom_at_zero > 0.0:
-            return OCVerdict("space", VERDICT_NOT, "fundamental-atom",
-                             {"atom_at_zero": spec.atom_at_zero})
         if unit or math.isinf(spec.value_at_end):
             return OCVerdict("space", VERDICT_OC, "lorentz-continuity", {})
         return OCVerdict("space", VERDICT_NOT, "lorentz-continuity",
                          {"weight_at_infinity": spec.value_at_end})
     if X.tag == "marcinkiewicz":
         spec = X.quasi
-        if spec.atom_at_zero > 0.0:
-            return OCVerdict("space", VERDICT_NOT, "fundamental-atom",
-                             {"atom_at_zero": spec.atom_at_zero})
         if _phi_is_linear(spec.phi):
             return OCVerdict("space", VERDICT_OC, "weighted-l1-identity",
                              {"note": "the weak space collapses to the integrable class"})

@@ -145,6 +145,13 @@ def improper_integral(fn, end: float, cuts=(), tol: float = SIMPSON_TOL) -> floa
     total = math.fsum(shells)
     if not math.isfinite(total):
         return INF
+    return _continue_ends(total, shells, end)
+
+
+def _continue_ends(total: float, shells: list[float], end: float) -> float:
+    """Add the geometric continuation of the first shell toward 0 and, for
+    an infinite end, of the last shell toward infinity; INF when either
+    ratio reaches DIVERGENCE_RATIO."""
     scale = 1.0 + abs(total)
     if len(shells) >= 2 and shells[0] > 1e-14 * scale:
         ratio = shells[0] / shells[1] if shells[1] > 0.0 else 1.0
@@ -388,19 +395,7 @@ def _orlicz_lux(fn, end: float, cuts, spec) -> float:
             for w, i in nodes:
                 s += w * values[i]
             sums.append(s)
-        total = math.fsum(sums)
-        scale = 1.0 + abs(total)
-        if len(sums) >= 2 and sums[0] > 1e-14 * scale:
-            ratio = sums[0] / sums[1] if sums[1] > 0.0 else 1.0
-            if ratio >= DIVERGENCE_RATIO:
-                return INF
-            total += sums[0] * ratio / (1.0 - ratio)
-        if math.isinf(end) and len(sums) >= 2 and sums[-1] > 1e-14 * scale:
-            ratio = sums[-1] / sums[-2] if sums[-2] > 0.0 else 1.0
-            if ratio >= DIVERGENCE_RATIO:
-                return INF
-            total += sums[-1] * ratio / (1.0 - ratio)
-        return total
+        return _continue_ends(math.fsum(sums), sums, end)
 
     lam = 1.0
     rho = modular(lam)

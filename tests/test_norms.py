@@ -203,7 +203,7 @@ POWER_GENERATOR_SPACES = [sp.orlicz_space(gen(dom), dom)
 
 def _assert_inside_bisection_bracket(f, X):
     res = nm.norm(f, X)
-    lux = nm._luxemburg(nm._orlicz_modular(f, X.orlicz), f.is_zero, True)
+    lux = nm._luxemburg(nm._orlicz_modular(f, X.orlicz), True)
     assert (res.method, res.error_bound) == ("exact", 0.0)
     assert lux.value - lux.error_bound <= res.value <= lux.value, (res, lux)
 
@@ -241,6 +241,24 @@ def test_generators_off_the_closed_form():
         assert nm._power_generator(spec) is None
     assert nm._power_generator(cat.orlicz_square(H)) == (1.0, 2)
     assert nm._power_generator(cat.orlicz_square_capped(H)) == (1.0, 2)
+
+
+@pytest.mark.parametrize("s", [1e31, 1e-31, 1e300, 1e308, 5e-324])
+def test_bisected_norm_brackets_the_whole_float_range(s):
+    # the dead-zone generator still bisects, and the norm of s chi_[0,1) is
+    # exactly s at every scale, far above 1e30 and below 1e-30 included
+    X = sp.orlicz_space(cat.orlicz_flat_capped(H), H)
+    res = nm.norm(pw.step_function(H, [(0.0, 1.0, s)]), X)
+    assert res.method == "exact"
+    assert res.value - res.error_bound <= s <= res.value, res
+
+
+def test_bisected_norm_is_inf_only_past_the_largest_float():
+    # t**-0.5 is unbounded, so Phi(|f|/lam) is +inf on a set of positive
+    # measure at every lam: the doubling runs to the largest float
+    X = sp.orlicz_space(cat.orlicz_flat_capped(H), H)
+    res = nm.norm(pw.power_piece(H, 0.0, 1.0, 1.0, -0.5), X)
+    assert (res.value, res.method, res.error_bound) == (INF, "exact", 0.0)
 
 
 @pytest.mark.parametrize("domain,lo,hi,tm", [

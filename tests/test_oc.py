@@ -213,28 +213,116 @@ def test_atom_weight_rules_per_family(family, phi, rule, keys):
         assert sorted(v.evidence) == keys
 
 
+_ONE_H = pw.step_function(H, [(0.0, INF, 1.0)])
+_ONE_U = pw.step_function(U, [(0.0, 1.0, 1.0)])
+_LORENTZ_BOUNDED = sp.cesaro_space(sp.lorentz_space(cat.bounded_sqrt_phi(H)))
+_MARCINKIEWICZ_BOUNDED = sp.cesaro_space(
+    sp.marcinkiewicz_space(cat.bounded_sqrt_phi(H)))
+_SUM_U = sp.cesaro_space(sp.l1_plus_linf(U))
+_CAP_U = sp.cesaro_space(sp.l1_cap_linf(U))
+
+POINT_RULE_CASES = [
+    (chi(H, 0.0, 1.0), _LORENTZ_BOUNDED, "OC",
+     "averaged-lorentz/bounded-weight", {"rearranged_tail_value": 0.0}),
+    (_ONE_H, _LORENTZ_BOUNDED, "not-OC",
+     "averaged-lorentz/bounded-weight", {"rearranged_tail_value": 1.0}),
+    (chi(H, 0.0, 1.0), _MARCINKIEWICZ_BOUNDED, "OC",
+     "averaged-marcinkiewicz/truncation-core",
+     {"excess_norms": [0.0, 0.0], "tail_norms": [0.0, 0.0]}),
+    (_ONE_H, _MARCINKIEWICZ_BOUNDED, "not-OC",
+     "averaged-marcinkiewicz/truncation-core",
+     {"excess_norms": [0.0, 0.0], "tail_norms": [1.0] * 6}),
+    (_ONE_U, _SUM_U, "OC", "averaged-sum-space/all-points", {}),
+    (chi(U, 0.5, 1.0), _CAP_U, "OC", "averaged-power/vanishing-average",
+     {"vanishing_average_at_zero": True}),
+    (_ONE_U, _CAP_U, "not-OC", "averaged-power/vanishing-average",
+     {"vanishing_average_at_zero": False}),
+]
+
+
+@pytest.mark.parametrize(
+    "f,CX,verdict,rule,evidence", POINT_RULE_CASES,
+    ids=[f"{c[3]}-{c[2]}" for c in POINT_RULE_CASES])
+def test_closed_form_point_rules(f, CX, verdict, rule, evidence):
+    v = oc.oc_point_closed_form(f, CX)
+    assert (v.verdict, v.rule, v.evidence) == (verdict, rule, evidence)
+
+
 # ---------------------------------------------------------------------------
 # space verdicts
 
 
+def _unit_slope(domain):
+    return sp.QuasiConcaveSpec(pw.power_piece(domain, 0.0, domain.end, 1.0, 1.0))
+
+
+def _undeclared_sqrt(domain):
+    return sp.QuasiConcaveSpec(pw.power_piece(domain, 0.0, domain.end, 1.0, 0.5))
+
+
+def _flagless_square(domain):
+    return sp.OrliczFunctionSpec(cat.orlicz_square(domain).phi)
+
+
+SYMMETRIC_SPACE_CASES = [
+    (sp.lebesgue(2.0, H), "OC", "power-space", {"p": 2.0}),
+    (sp.lebesgue_inf(H), "not-OC", "essential-sup", {}),
+    (sp.lorentz_space(cat.sqrt_phi(H)), "OC", "lorentz-continuity", {}),
+    (sp.marcinkiewicz_space(cat.sqrt_phi(H)), "not-OC",
+     "marcinkiewicz-extremal", {"lower_index": 2.0}),
+    (sp.lorentz_space(cat.sqrt_plus_atom_phi(U)), "not-OC", "fundamental-atom",
+     {"atom_at_zero": 1.0}),
+    (sp.orlicz_space(cat.orlicz_square(H), H), "OC", "orlicz-doubling",
+     {"doubling": True, "scope": "global"}),
+    (sp.l1_cap_linf(H), "not-OC", "intersection-space", {}),
+    (sp.l1_plus_linf(U), "OC", "sum-space",
+     {"note": "coincides with the integrable class"}),
+    (sp.l1_plus_linf(H), "not-OC", "sum-space", {}),
+    (sp.marcinkiewicz_space(_unit_slope(U)), "OC", "weighted-l1-identity",
+     {"note": "the weak space collapses to the integrable class"}),
+    (sp.marcinkiewicz_space(cat.atom_phi(H)), "not-OC", "fundamental-atom",
+     {"atom_at_zero": 1.0}),
+    (sp.marcinkiewicz_space(_undeclared_sqrt(H)), "inconclusive",
+     "marcinkiewicz-extremal",
+     {"note": "no declared dilation index separates the cases"}),
+    (sp.orlicz_space(_flagless_square(U), U), "inconclusive",
+     "orlicz-doubling", {"doubling": None, "scope": "large-argument"}),
+]
+
+
 def test_symmetric_space_verdicts():
-    assert oc.oc_space(sp.lebesgue(2.0, H)).verdict == "OC"
-    assert oc.oc_space(sp.lebesgue_inf(H)).verdict == "not-OC"
-    assert oc.oc_space(sp.lorentz_space(cat.sqrt_phi(H))).verdict == "OC"
-    assert oc.oc_space(
-        sp.marcinkiewicz_space(cat.sqrt_phi(H))).verdict == "not-OC"
-    assert oc.oc_space(
-        sp.lorentz_space(cat.sqrt_plus_atom_phi(U))).verdict == "not-OC"
-    assert oc.oc_space(
-        sp.orlicz_space(cat.orlicz_square(H), H)).verdict == "OC"
+    for X, verdict, rule, evidence in SYMMETRIC_SPACE_CASES:
+        v = oc.oc_space(X)
+        assert (v.verdict, v.rule, v.evidence) == (verdict, rule, evidence), \
+            X.describe()
+
+
+AVERAGED_SPACE_CASES = [
+    (CES2, "OC", "averaged-power/space", {"p": 2.0}),
+    (CESINF, "not-OC", "averaged-power/space", {"p": "inf"}),
+    (sp.cesaro_space(sp.lebesgue(1.0, H)), "trivial-space",
+     "trivial-space/tail-membership", {"domain": "halfline"}),
+    (sp.cesaro_space(sp.lebesgue(1.0, U)), "OC", "weighted-l1-identity",
+     {"note": "unit-interval average with the log weight"}),
+    (sp.cesaro_space(sp.l1_plus_linf(U)), "OC", "averaged-sum-space/space", {}),
+    (sp.cesaro_space(sp.l1_plus_linf(H)), "not-OC", "averaged-sum-space/space",
+     {"witness": "constant functions keep a tail average"}),
+    (sp.cesaro_space(sp.marcinkiewicz_space(_unit_slope(U))), "OC",
+     "weighted-l1-identity", {}),
+    (sp.cesaro_space(sp.marcinkiewicz_space(cat.atom_phi(H))), "not-OC",
+     "averaged-marcinkiewicz/space", {"atom_at_zero": 1.0}),
+    (sp.cesaro_space(sp.marcinkiewicz_space(_undeclared_sqrt(H))),
+     "inconclusive", "averaged-marcinkiewicz/space", {}),
+    (sp.cesaro_space(sp.orlicz_space(_flagless_square(U), U)), "inconclusive",
+     "averaged-orlicz/space", {"doubling": None}),
+]
 
 
 def test_averaged_space_verdicts():
-    assert oc.oc_space(CES2).verdict == "OC"
-    assert oc.oc_space(CESINF).verdict == "not-OC"
-    assert oc.oc_space(sp.cesaro_space(sp.lebesgue(1.0, H))).verdict == \
-        "trivial-space"
-    assert oc.oc_space(sp.cesaro_space(sp.lebesgue(1.0, U))).verdict == "OC"
+    for CX, verdict, rule, evidence in AVERAGED_SPACE_CASES:
+        v = oc.oc_space(CX)
+        assert (v.verdict, v.rule, v.evidence) == (verdict, rule, evidence), \
+            CX.describe()
 
 
 def test_transfer_route_matches_family_rules():
@@ -264,6 +352,14 @@ def test_core_triviality_in_unit_catalog():
     flags = {X.describe(): oc.xa_trivial(X) for X in cat.default_catalog(U)}
     assert flags["Linf[0,1]"] is True
     assert sum(1 for v in flags.values() if v) == 1
+
+
+def test_core_triviality_refuses_unknown_families():
+    # every known family is decided from its descriptor; anything else is
+    # refused rather than sampled
+    for X in (sp.SpaceDescriptor("unknown", H), CES2):
+        with pytest.raises(MethodInapplicableError):
+            oc.xa_trivial(X)
 
 
 def test_limit_estimate_on_simple_sequences():
