@@ -484,9 +484,11 @@ def _marcinkiewicz_ppl(f: PPL, X: SpaceDescriptor) -> NormResult:
         w = pw.product(spec.phi, second)
         return NormResult(pw.essential_sup_abs(w), "exact", 0.0)
     src = pw.absolute(f)
-    if math.isinf(r.sup_value) and rr._layer_cake_average(r, src, 1.0) == INF:
+    levels = rr._level_memo(f)  # every point bisects from the same bracket
+    if math.isinf(r.sup_value) and \
+            rr._layer_cake_average(r, src, 1.0, levels) == INF:
         return NormResult(INF, "exact", 0.0)
-    fn = lambda t: spec.value(t) * rr._layer_cake_average(r, src, t)
+    fn = lambda t: spec.value(t) * rr._layer_cake_average(r, src, t, levels)
     end = f.domain.end
     grid = [t for t in (2.0 ** k for k in range(-24, 25))
             if t <= end] + [b for b in spec.phi.breakpoints() if 0 < b <= end]
@@ -660,10 +662,18 @@ def cx_nontrivial(X: SpaceDescriptor) -> bool:
     """Is the averaged space over X nonzero?
 
     Always true on the unit interval; on the half-line it holds exactly when
-    the decaying tail 1/x beyond 1 belongs to X.
+    the decaying tail 1/x beyond 1 belongs to X.  For Lorentz and
+    Marcinkiewicz spaces that is read off the dominant exponent a of phi's
+    last piece at infinity, phi(t) ~ c*t**a*(ln t)**k with a <= 1: the
+    tail, whose rearrangement is 1/(1+s), belongs iff a < 1, the exponents
+    for which the integral of phi'(s)/(1+s) and the sup of
+    phi(t)*ln(1+t)/t are finite.  Other spaces measure the tail.
     """
     base = X.inner if X.tag == "cesaro" else X
     if base.domain.is_unit:
         return True
+    if base.tag in ("lorentz", "marcinkiewicz"):
+        a, _k = dominant_key(base.quasi.phi.pieces[-1].term_map(), True)
+        return a < 1.0
     tail = pw.power_piece(base.domain, 1.0, INF, 1.0, -1.0)
     return math.isfinite(norm(tail, base).value)

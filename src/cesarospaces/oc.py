@@ -539,8 +539,9 @@ def oc_point_closed_form(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
                 else:
                     ev = {"peak_limits_exact": False}
                     abs_g = pw.absolute(g)
+                    levels = rr._level_memo(g)
                     peak = lambda t: spec.value(t) * \
-                        rr._layer_cake_average(r_g, abs_g, t)
+                        rr._layer_cake_average(r_g, abs_g, t, levels)
                     sup_g = pw.essential_sup_abs(g)
                     if math.isfinite(sup_g):
                         # peak is squeezed under sup * phi(t) and the weight
@@ -818,9 +819,12 @@ def adversarial_family_search(f: PPL, S: SpaceDescriptor, budget: int = 500,
             return MeasurableSet.from_intervals(domain, ivs)
 
         tried += 1
+        seen: dict[float, float] = {}  # the quick samples recur in the sequence
 
         def val(n: float) -> float:
-            return nm.norm(pw.restrict(f, fam(n)), S).value
+            if n not in seen:
+                seen[n] = nm.norm(pw.restrict(f, fam(n)), S).value
+            return seen[n]
 
         quick = [val(2.0 ** k) for k in (0, 3, 6, 9, 12)]
         if quick[-1] == 0.0 or quick[-1] < 1e-3 * max(quick[0], EPS_LIMIT):

@@ -3,25 +3,32 @@
 The distribution d_f(lam) = m({|f| > lam}) is computed exactly per monotone
 segment: each segment contributes nothing, its full length, or a length cut
 at the unique crossing |f| = lam.  Crossings have closed forms for constant,
-pure-power and a + b/t segments; everything else falls back to bracketed
-bisection at relative precision 1e-12.
+pure-power and a + b/t segments; everything else falls back to a Brent
+solve in u = ln t at precision 1e-12.  What a crossing needs besides the
+level (which closed form applies, the ends in u, the terms in summation
+order) is built once per segment that is not flat.
 
 The rearrangement f*(s) = inf{lam > 0 : d_f(lam) <= s} is returned as an
 exact function whenever f is a step function or is already nonnegative and
 nonincreasing; otherwise it is an evaluation procedure driven by bisection
-over lam.
+over lam.  That bisection starts from the same bracket [f*(inf), sup|f|]
+for every s, so a sweep over many s (the Marcinkiewicz sup search, the
+sampled peak limits) shares its first midpoints; such a sweep keeps one
+level memo (``_level_memo``) for its own duration and measures each
+shared level once, with the same midpoints and comparisons as without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable
 
 from . import cesaro as _cesaro_mod
 from . import piecewise as pw
 from .errors import EvaluationDomainError, NotRearrangeableError
-from .rootfind import brentq, eval_exp_poly
+from .rootfind import brentq, eval_exp_pairs
 from .piecewise import INF, PPL, DomainSpec, TermMap
 
 BISECT_TOL = 1e-12
@@ -29,12 +36,52 @@ BISECT_MAX_ITER = 200
 
 
 @dataclass(frozen=True, eq=False)
+class _Crossing:
+    """What ``_crossing`` needs of a segment besides the level, built once.
+
+    ``power`` is (c, 1/alpha) for a lone c*t**alpha and ``hyperbola`` is
+    (b, a) for b/t + a, the two closed forms.  The rest feeds the Brent
+    fallback: the ends in u = ln t (with 0 and inf taken as u = -700 and
+    700), and the piece's terms split around its constant term ``const``
+    (0.0 when it has none, and then it comes last) into the pairs
+    ``below`` and ``above``, so that the sum shifted by a level is added
+    up in the order ``eval_exp_poly`` adds up the piece's term map.
+    """
+
+    power: tuple[float, float] | None
+    hyperbola: tuple[float, float] | None
+    ulo: float
+    uhi: float
+    below: pw.TermPairs
+    const: float
+    above: pw.TermPairs
+
+
+def _crossing_data(lo: float, hi: float, tm: pw.TermView) -> _Crossing:
+    keys = list(tm)  # a piece's term map: already in sorted key order
+    power = None
+    if len(keys) == 1:
+        (alpha, k), = keys
+        if k == 0 and alpha != 0.0:
+            power = (tm[(alpha, k)], 1.0 / alpha)
+    hyperbola = None
+    if keys == [(-1.0, 0), (0.0, 0)]:
+        hyperbola = (tm[(-1.0, 0)], tm[(0.0, 0)])
+    ulo = math.log(lo) if lo > 0.0 else -700.0
+    uhi = math.log(hi) if not math.isinf(hi) else 700.0
+    pairs = tuple(tm.items())
+    slot = keys.index((0.0, 0)) if (0.0, 0) in tm else len(keys)
+    return _Crossing(power, hyperbola, ulo, uhi, pairs[:slot],
+                     tm.get((0.0, 0), 0.0), pairs[slot + 1:])
+
+
+@dataclass(frozen=True, eq=False)
 class _Segment:
     lo: float
     hi: float
-    tm: pw.TermView  # the piece's term map
     vlo: float
     vhi: float
+    cross: _Crossing | None  # None on a flat segment: no level cuts it
 
 
 @lru_cache(maxsize=512)
@@ -43,29 +90,27 @@ def _abs_segments(f: PPL) -> tuple[_Segment, ...]:
     segs = []
     for lo, hi, tm in pw.monotone_segments(g):
         vlo, vhi = pw.segment_end_values(tm, lo, hi)
-        segs.append(_Segment(lo, hi, tm, vlo, vhi))
+        cross = _crossing_data(lo, hi, tm) if vlo != vhi else None
+        segs.append(_Segment(lo, hi, vlo, vhi, cross))
     return tuple(segs)
 
 
-def _crossing(tm: pw.TermView, lo: float, hi: float, lam: float) -> float:
-    """Unique t in (lo, hi) with value lam on a monotone positive segment."""
-    keys = list(tm)  # a piece's term map: already in sorted key order
-    if len(keys) == 1:
-        (alpha, k), = keys
-        c = tm[(alpha, k)]
-        if k == 0 and alpha != 0.0:
-            return (lam / c) ** (1.0 / alpha)
-    if len(keys) == 2 and keys[0] == (-1.0, 0) and keys[1] == (0.0, 0):
-        b, a = tm[(-1.0, 0)], tm[(0.0, 0)]
+def _crossing(seg: _Segment, lam: float) -> float:
+    """Unique t in (lo, hi) with value lam on a monotone positive segment
+    whose end values lie on both sides of lam."""
+    c = seg.cross
+    if c.power is not None:
+        coeff, inv_alpha = c.power
+        return (lam / coeff) ** inv_alpha
+    if c.hyperbola is not None:
+        b, a = c.hyperbola
         if lam != a:
             t = b / (lam - a)
-            if lo < t < hi:
+            if seg.lo < t < seg.hi:
                 return t
-    ulo = math.log(lo) if lo > 0.0 else -700.0
-    uhi = math.log(hi) if not math.isinf(hi) else 700.0
-    shifted = dict(tm)
-    shifted[(0.0, 0)] = shifted.get((0.0, 0), 0.0) - lam
-    clipped = lambda x: min(max(eval_exp_poly(shifted, x), -1e300), 1e300)
+    ulo, uhi = c.ulo, c.uhi
+    shifted = c.below + (((0.0, 0), c.const - lam),) + c.above
+    clipped = lambda x: min(max(eval_exp_pairs(shifted, x), -1e300), 1e300)
     flo, fhi = clipped(ulo), clipped(uhi)
     if flo == 0.0:
         return math.exp(ulo)
@@ -100,11 +145,29 @@ def _measure_above(segs: tuple[_Segment, ...], lam: float) -> float:
         if above_lo and above_hi:
             total += seg.hi - seg.lo
         elif above_lo or above_hi:
-            x = _crossing(seg.tm, seg.lo, seg.hi, lam)
+            x = _crossing(seg, lam)
             total += (x - seg.lo) if above_lo else (seg.hi - x)
         if math.isinf(total):
             return INF
     return total
+
+
+def _level_memo(f: PPL) -> Callable[[float], float]:
+    """lam -> d_f(lam) for lam >= 0, each level measured once.
+
+    The memo lives as long as the returned function: one sweep keeps it
+    while it inverts the distribution at many points.
+    """
+    segs = _abs_segments(f)
+    memo: dict[float, float] = {}
+
+    def measure(lam: float) -> float:
+        d = memo.get(lam)
+        if d is None:
+            d = memo[lam] = _measure_above(segs, lam)
+        return d
+
+    return measure
 
 
 def critical_values(f: PPL) -> list[float]:
@@ -141,6 +204,16 @@ class RearrangedFunction:
     value_at_infinity: float
 
     def evaluate(self, s: float) -> float:
+        return self._evaluate(s, None)
+
+    def _evaluate(self, s: float,
+                  levels: Callable[[float], float] | None) -> float:
+        """evaluate(s), reading d_f through ``levels`` when given.
+
+        The bisection starts from the same bracket for every s, so the
+        points of one sweep share their first midpoints; a sweep passes
+        one ``_level_memo`` here to measure each shared level once.
+        """
         if s < 0.0:
             raise EvaluationDomainError("rearrangement argument must be >= 0")
         if self.domain.is_unit and s > 1.0:
@@ -149,21 +222,21 @@ class RearrangedFunction:
             return self.sup_value
         if self.exact is not None:
             return pw.evaluate(self.exact, min(s, self.exact.domain.end))
-        segs = _abs_segments(self.source)
-        support = _measure_above(segs, 0.0)
-        if s >= support:
+        measure = levels if levels is not None \
+            else partial(_measure_above, _abs_segments(self.source))
+        if s >= measure(0.0):
             return 0.0
         lo = self.value_at_infinity
-        if lo > 0.0 and _measure_above(segs, lo) <= s:
+        if lo > 0.0 and measure(lo) <= s:
             return lo
         hi = self.sup_value if math.isfinite(self.sup_value) else 1.0
-        while _measure_above(segs, hi) > s:
+        while measure(hi) > s:
             hi *= 2.0
         for _ in range(BISECT_MAX_ITER):
             if hi - lo <= BISECT_TOL * max(1.0, hi):
                 break
             mid = 0.5 * (lo + hi)
-            if _measure_above(segs, mid) <= s:
+            if measure(mid) <= s:
                 hi = mid
             else:
                 lo = mid
@@ -300,7 +373,7 @@ def superlevel_set(f, lam: float) -> pw.MeasurableSet:
         if above_lo and above_hi:
             ivs.append((seg.lo, seg.hi))
         elif above_lo or above_hi:
-            cut = _crossing(seg.tm, seg.lo, seg.hi, lam)
+            cut = _crossing(seg, lam)
             if above_lo:
                 ivs.append((seg.lo, cut))
             else:
@@ -321,15 +394,18 @@ def second_maximal(f, t: float) -> float:
     r = f if isinstance(f, RearrangedFunction) else decreasing_rearrangement(f)
     if r.exact is not None:
         return pw.integrate(r.exact, 0.0, min(t, r.domain.end)) / t
-    return _layer_cake_average(r, pw.absolute(r.source), t)
+    return _layer_cake_average(r, pw.absolute(r.source), t,
+                               _level_memo(r.source))
 
 
-def _layer_cake_average(r: RearrangedFunction, src: PPL, t: float) -> float:
+def _layer_cake_average(r: RearrangedFunction, src: PPL, t: float,
+                        levels: Callable[[float], float]) -> float:
     """second_maximal(r, t) for t > 0 and r without an exact form.
 
-    src must be |r.source|; a caller that sweeps t computes it once.
+    src must be |r.source| and levels a ``_level_memo(r.source)``; a
+    caller that sweeps t builds both once.
     """
-    lam = r.evaluate(t)
+    lam = r._evaluate(t, levels)
     if not math.isfinite(lam):
         return INF
     E = superlevel_set(src, lam)

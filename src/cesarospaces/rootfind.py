@@ -14,7 +14,7 @@ Sign changes are refined by ``brentq``, Brent's method in plain Python.
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import RepresentationError
 
@@ -38,8 +38,14 @@ def _log_mag(c: float, alpha: float, k: int, u: float) -> float:
 
 
 def eval_exp_poly(terms: TermMap, u: float) -> float:
+    return eval_exp_pairs(terms.items(), u)
+
+
+def eval_exp_pairs(pairs: Iterable[tuple[tuple[float, int], float]],
+                   u: float) -> float:
+    """eval_exp_poly on ((alpha, k), c) pairs, summed in the given order."""
     total = 0.0
-    for (alpha, k), c in terms.items():
+    for (alpha, k), c in pairs:
         x = alpha * u
         if x > _U_CAP:
             return math.copysign(math.inf, c * (u ** k if k % 2 else 1.0) if k else c)
@@ -207,7 +213,8 @@ def roots_u(terms: TermMap, ulo: float, uhi: float) -> list[float]:
 
     knots = [ulo] + crit + [uhi]
     found: list[float] = []
-    fvals = [eval_exp_poly(shifted, u) for u in knots]
+    pairs = tuple(shifted.items())
+    fvals = [eval_exp_pairs(pairs, u) for u in knots]
     for i in range(len(knots) - 1):
         a, b = knots[i], knots[i + 1]
         fa, fb = fvals[i], fvals[i + 1]
@@ -216,7 +223,7 @@ def roots_u(terms: TermMap, ulo: float, uhi: float) -> list[float]:
         if fa == 0.0 or fb == 0.0:
             continue
         if (fa > 0) != (fb > 0):
-            found.append(brentq(lambda u: eval_exp_poly(shifted, u), a, b,
+            found.append(brentq(lambda u: eval_exp_pairs(pairs, u), a, b,
                                 xtol=_XTOL, rtol=_BRENT_RTOL))
     out: list[float] = []
     for r in sorted(found):

@@ -139,3 +139,23 @@ def test_frozen_averaged_marcinkiewicz_norm_by_sup_search():
     res = nm.norm(f, X)
     assert (res.method, res.value, res.error_bound) == (
         "quadrature", 2.8851623039902323, 0.0005615652659398774)
+
+
+# 2*t**0.5*ln(t)**2 on [0, 0.5]: its running average has no exact
+# rearrangement, and its level crossings have no closed form, so every
+# distribution value on these two paths comes through the Brent solve
+_POWER_LOG_HEAD = pw.make_ppl(H, [(0.0, 0.5, {(0.5, 2): 2.0})])
+
+
+def test_frozen_averaged_marcinkiewicz_norm_through_brent_crossings():
+    X = sp.cesaro_space(sp.marcinkiewicz_space(cat.sqrt_phi(H)))
+    res = nm.norm(_POWER_LOG_HEAD, X)
+    assert (res.method, res.value, res.error_bound) == (
+        "quadrature", 2.32522479261837, 0.005852860688603772)
+
+
+def test_frozen_averaged_lorentz_norm_through_brent_crossings():
+    X = sp.cesaro_space(sp.lorentz_space(cat.sqrt_phi(H)))
+    res = nm.norm(_POWER_LOG_HEAD, X)
+    assert (res.method, res.value, res.error_bound) == (
+        "quadrature", 4.001405193722873, 4.829470157119431e-14)

@@ -160,6 +160,19 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+def test_marcinkiewicz_sup_search_measures_each_level_once(monkeypatch):
+    # the running average of 2*t**0.5*ln(t)**2 on [0, 0.5] has no exact
+    # rearrangement, so each of the ~100 points of the sup search bisects
+    # lam from the same bracket; measured point by point that took 4,355
+    # distribution evaluations, and the shared levels must be measured once
+    X = sp.cesaro_space(sp.marcinkiewicz_space(cat.sqrt_phi(H)))
+    f = pw.make_ppl(H, [(0.0, 0.5, {(0.5, 2): 2.0})])
+    calls = _count_calls(monkeypatch, rr, "_measure_above")
+    res = nm.norm(f, X)
+    assert res.method == "quadrature"
+    assert len(calls) <= 0.6 * 4355
+
+
 def test_luxemburg_bisection_takes_absolute_value_once(monkeypatch):
     # loose and tight tolerances differ by about 26 bisection steps; the
     # lam-free work (|f|, its sup and tail) must not follow the step count
@@ -517,3 +530,20 @@ def test_cx_nontrivial_catalog():
     assert nm.cx_nontrivial(sp.lebesgue(1.0, U)) is True
     assert nm.cx_nontrivial(LINF) is True
     assert nm.cx_nontrivial(sp.l1_cap_linf(H)) is False
+
+
+_SLOPE = pw.make_ppl(H, [(0.0, INF, {(1.0, 0): 1.0})])
+_SQRT = pw.make_ppl(H, [(0.0, INF, {(0.5, 0): 1.0})])
+_SLOPE_THEN_SQRT = pw.make_ppl(H, [(0.0, 1.0, {(1.0, 0): 1.0}),
+                                   (1.0, INF, {(0.5, 0): 1.0})])
+
+
+@pytest.mark.parametrize("family", [sp.lorentz_space, sp.marcinkiewicz_space])
+@pytest.mark.parametrize("phi, member", [
+    (_SLOPE, False), (_SQRT, True), (_SLOPE_THEN_SQRT, True)])
+def test_cx_nontrivial_reads_phi_exponent_at_infinity(family, phi, member):
+    # 1/x on [1, inf) belongs exactly when phi grows like t**a with a < 1;
+    # phi(t) = t makes both families L1, where the tail is not integrable
+    X = family(sp.QuasiConcaveSpec(phi))
+    assert nm.cx_nontrivial(X) is member
+    assert nm.cx_nontrivial(sp.cesaro_space(X)) is member

@@ -309,6 +309,10 @@ AVERAGED_SPACE_CASES = [
      {"witness": "constant functions keep a tail average"}),
     (sp.cesaro_space(sp.marcinkiewicz_space(_unit_slope(U))), "OC",
      "weighted-l1-identity", {}),
+    # Marcinkiewicz with phi(t) = t is L1 again, and 1/x on [1, inf) is not
+    # integrable
+    (sp.cesaro_space(sp.marcinkiewicz_space(_unit_slope(H))), "trivial-space",
+     "trivial-space/tail-membership", {"domain": "halfline"}),
     (sp.cesaro_space(sp.marcinkiewicz_space(cat.atom_phi(H))), "not-OC",
      "averaged-marcinkiewicz/space", {"atom_at_zero": 1.0}),
     (sp.cesaro_space(sp.marcinkiewicz_space(_undeclared_sqrt(H))),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -46,6 +46,9 @@ def bracketed_exp_polys(draw):
 
 @given(case=bracketed_exp_polys())
 @settings(max_examples=300, deadline=None)
+# 0.5*u**2*(e**(-2u) - e**(-1.5u)) has a triple root at u = 0, on which
+# both solvers give up after 100 iterations
+@example(case=({(-2.0, 2): 0.5, (-1.5, 2): -0.5}, -1.0, 1.0))
 def test_brentq_returns_the_same_float_as_scipy(case):
     terms, a, b = case
     h = _clipped(terms)
@@ -56,7 +59,11 @@ def test_brentq_returns_the_same_float_as_scipy(case):
     for solver in IMPLEMENTATIONS:
         visited = []
         f = lambda u: visited.append(u) or h(u)
-        runs.append((solver(f, a, b, xtol=XTOL, rtol=RTOL), visited))
+        try:
+            outcome = solver(f, a, b, xtol=XTOL, rtol=RTOL)
+        except RuntimeError as exc:  # no convergence: the same error
+            outcome = str(exc)
+        runs.append((outcome, visited))
     (ours, our_steps), (theirs, their_steps) = runs
     assert ours == theirs
     assert our_steps == their_steps  # the same iterates, bit for bit
