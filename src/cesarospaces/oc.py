@@ -77,6 +77,12 @@ def _verdict_from_flag(flag: bool | None, subject: str, rule: str,
     return OCVerdict(subject, VERDICT_UNDECIDED, rule, evidence)
 
 
+def _trivial_point(CX: SpaceDescriptor) -> OCVerdict:
+    """The verdict of every point route in a zero averaged space."""
+    return OCVerdict("point", VERDICT_TRIVIAL, "trivial-space/tail-membership",
+                     {"domain": CX.inner.domain.kind})
+
+
 def _all_of(flags: Sequence[bool | None]) -> bool | None:
     """Three-valued AND: False if any flag is False, True if all are True."""
     if any(d is False for d in flags):
@@ -348,8 +354,7 @@ def oc_point_via_characterization(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
         raise MethodInapplicableError("expected an averaged-space descriptor")
     X = CX.inner
     if not nm.cx_nontrivial(CX):
-        return OCVerdict("point", VERDICT_TRIVIAL, "trivial-space/tail-membership",
-                         {"domain": X.domain.kind})
+        return _trivial_point(CX)
     norm_val = _require_membership(f, CX)
     evidence: dict = {"norm_in_space": norm_val}
     if f.is_zero:
@@ -426,9 +431,7 @@ def oc_point_closed_form(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
         raise MethodInapplicableError("expected an averaged-space descriptor")
     X = CX.inner
     if not nm.cx_nontrivial(CX):
-        return OCVerdict("point", VERDICT_TRIVIAL,
-                         "trivial-space/tail-membership",
-                         {"domain": X.domain.kind})
+        return _trivial_point(CX)
     _require_membership(f, CX)
     g = averaged_modulus(f)
     unit = X.domain.is_unit
@@ -845,6 +848,8 @@ def oc_point(f: PPL, CX: SpaceDescriptor, method: str = "closed-form") -> OCVerd
     if method == "theorem":
         return oc_point_via_characterization(f, CX)
     if method == "direct":
+        if CX.tag == "cesaro" and not nm.cx_nontrivial(CX):
+            return _trivial_point(CX)
         report = direct_oc_check(f, CX)
         ev = {"norms": list(report.norms[-6:]), "family": report.family}
         return _verdict_from_flag(report.decision, "point",

@@ -168,20 +168,23 @@ def _continue_ends(total: float, shells: list[float], end: float) -> float:
 
 # ---------------------------------------------------------------------------
 # sampled rearrangements
+#
+# A sampler reads its function through ``sample``, which maps nondecreasing
+# points to the function's values in one call: one walk over the pieces of
+# a piecewise function, with the floats of pointwise evaluation.
 
 
-def _sorted_samples(fn, end: float, n: int):
-    """Uniform midpoint samples of |fn| on [GRID_DELTA, min(end, GRID_TOP)],
+def _sorted_samples(sample, end: float, n: int):
+    """Uniform midpoint samples of |f| on [GRID_DELTA, min(end, GRID_TOP)],
     sorted descending.  Returns (values, cell width)."""
     top = min(end, GRID_TOP)
     h = (top - GRID_DELTA) / n
-    vals = sorted((abs(fn(GRID_DELTA + (i + 0.5) * h)) for i in range(n)),
-                  reverse=True)
-    return vals, h
+    nodes = [GRID_DELTA + (i + 0.5) * h for i in range(n)]
+    return sorted(map(abs, sample(nodes)), reverse=True), h
 
 
-def _weighted_sorted(fn, end: float, cuts=()):
-    """Multi-scale sample-sort of |fn|: (values desc, cumulative measure).
+def _weighted_sorted(sample, end: float, cuts=()):
+    """Multi-scale sample-sort of |f|: (values desc, cumulative measure).
 
     A logarithmic grid resolves integrable singularities at zero, a uniform
     grid resolves the body, a coarser logarithmic extension follows slow
@@ -217,12 +220,12 @@ def _weighted_sorted(fn, end: float, cuts=()):
                 knots.add(c * (1.0 - eps))
             if c * (1.0 + eps) < top:
                 knots.add(c * (1.0 + eps))
+    # each grid is dropped as soon as it is read: a verify run peaks here
     ordered = sorted(knots)
-    pairs = []
-    for lo, hi in zip(ordered, ordered[1:]):
-        if hi <= lo:
-            continue
-        pairs.append((abs(fn(0.5 * (lo + hi))), hi - lo))
+    del knots
+    vals = sample([0.5 * (lo + hi) for lo, hi in zip(ordered, ordered[1:])])
+    pairs = [(abs(v), hi - lo) for v, lo, hi in zip(vals, ordered, ordered[1:])]
+    del ordered, vals
     pairs.sort(key=lambda vw: -vw[0])
     values = [v for v, _ in pairs]
     cum = []
@@ -245,7 +248,7 @@ def rearrangement_oracle(f: PPL, n: int = GRID_POINTS) -> OracleReport:
     """
     r = rr.decreasing_rearrangement(f)
     end = f.domain.end
-    vals, h = _sorted_samples(lambda t: pw.evaluate(f, t), end, n)
+    vals, h = _sorted_samples(lambda ts: pw.evaluate_sorted(f, ts), end, n)
     shift = (len(f.breakpoints()) + 2) * h + GRID_DELTA
     worst = 0.0
     sup_seen = vals[0] if vals else 0.0
@@ -323,7 +326,7 @@ def _running_average(fn, end: float, cuts):
 # norm recomputation per space family
 
 
-def _sup_sampled(fn, end: float, cuts) -> float:
+def _sup_sampled(sample, end: float, cuts) -> float:
     pts: set[float] = set()
     top = min(end, 2.0 ** 30)
     x = 2.0 ** -40
@@ -337,8 +340,7 @@ def _sup_sampled(fn, end: float, cuts) -> float:
             if c * (1 + eps) < end:
                 pts.add(c * (1 + eps))
     best = 0.0
-    for p in sorted(pts):
-        v = abs(fn(p))
+    for v in map(abs, sample(sorted(pts))):
         if math.isfinite(v):
             best = max(best, v)
         else:
@@ -349,7 +351,7 @@ def _sup_sampled(fn, end: float, cuts) -> float:
     return best
 
 
-def _orlicz_lux(fn, end: float, cuts, spec) -> float:
+def _orlicz_lux(sample, end: float, cuts, spec) -> float:
     """Luxemburg functional by bisection over the scale factor.
 
     The integrand is sampled once on fixed composite panels over dyadic
@@ -357,13 +359,14 @@ def _orlicz_lux(fn, end: float, cuts, spec) -> float:
     Young function once per distinct sampled magnitude; the unresolved
     ends keep the geometric-continuation semantics of improper_integral.
     """
-    shells: list[list[tuple[float, float]]] = []
+    weights: list[list[float]] = []  # per shell, in node order
+    nodes: list[float] = []  # the nodes of every shell, in order
     lo = 2.0 ** SHELL_LOW
     top = min(end, 2.0 ** SHELL_HIGH)
     while lo < top:
         hi = min(lo * 2.0, top)
         xs = [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
-        nodes: list[tuple[float, float]] = []
+        ws: list[float] = []
         for x0, x1 in zip(xs, xs[1:]):
             h = (x1 - x0) / 64.0
             for i in range(64):
@@ -371,16 +374,19 @@ def _orlicz_lux(fn, end: float, cuts, spec) -> float:
                 sixth = h / 6.0
                 # endpoint nodes are nudged into the cell so half-open
                 # piece boundaries read the value on the correct side
-                nodes.append((sixth, abs(fn(a + 1e-9 * h))))
-                nodes.append((4.0 * sixth, abs(fn(a + 0.5 * h))))
-                nodes.append((sixth, abs(fn(a + h - 1e-9 * h))))
-        shells.append(nodes)
+                nodes += (a + 1e-9 * h, a + 0.5 * h, a + h - 1e-9 * h)
+                ws += (sixth, 4.0 * sixth, sixth)
+        weights.append(ws)
         lo = hi
+    mags = [abs(v) for v in sample(nodes)]
+    del nodes
     # magnitudes in order of first appearance, so a step reads them in the
     # order the nodes do and stops at the same first infinite value
-    magnitudes = list(dict.fromkeys(g for nodes in shells for _, g in nodes))
+    magnitudes = list(dict.fromkeys(mags))
     slot = {g: i for i, g in enumerate(magnitudes)}
-    indexed = [[(w, slot[g]) for w, g in nodes] for nodes in shells]
+    slots = iter([slot[g] for g in mags])
+    # zip ends at the end of a shell's weights, before taking a slot
+    indexed = [list(zip(ws, slots)) for ws in weights]
 
     def modular(lam: float) -> float:
         values: list[float] = []
@@ -431,20 +437,18 @@ def _orlicz_lux(fn, end: float, cuts, spec) -> float:
     return hi
 
 
-def _lorentz_sampled(fn, end: float, spec, cuts=()) -> float:
-    values, cum = _weighted_sorted(fn, end, cuts)
+def _lorentz_sampled(sample, end: float, spec, cuts=()) -> float:
+    values, cum = _weighted_sorted(sample, end, cuts)
     atom = spec.atom_at_zero
     total = atom * values[0] if atom > 0.0 else 0.0
     prev = 0.0
     phi_prev = atom
     octave_sums: dict[int, float] = {}
     first = True
-    exhausted = True
-    for v, c in zip(values, cum):
-        if v <= 0.0:
-            exhausted = False
-            break
-        phi_c = spec.value(c)
+    # the sum stops at the first zero value, and so does the walk over phi
+    live = next((i for i, v in enumerate(values) if v <= 0.0), len(values))
+    exhausted = live == len(values)
+    for v, c, phi_c in zip(values, cum, spec.values(cum[:live])):
         contrib = v * (phi_c - phi_prev)
         total += contrib
         # the very first cell carries the whole phi-jump from zero; keep it
@@ -476,17 +480,17 @@ def _lorentz_sampled(fn, end: float, spec, cuts=()) -> float:
     return total
 
 
-def _marcinkiewicz_sampled(fn, end: float, spec, cuts=()) -> float:
-    values, cum = _weighted_sorted(fn, end, cuts)
+def _marcinkiewicz_sampled(sample, end: float, spec, cuts=()) -> float:
+    values, cum = _weighted_sorted(sample, end, cuts)
     best = 0.0
     acc = 0.0
     prev = 0.0
     oct_best: dict[int, float] = {}
-    for v, c in zip(values, cum):
+    for v, c, phi_c in zip(values, cum, spec.values(cum)):
         acc += v * (c - prev)
         prev = c
         if c > 0.0:
-            cand = spec.value(c) * acc / c
+            cand = phi_c * acc / c
             if math.isfinite(cand):
                 best = max(best, cand)
                 k = math.floor(math.log2(c))
@@ -510,24 +514,26 @@ def _marcinkiewicz_sampled(fn, end: float, spec, cuts=()) -> float:
     return best
 
 
-def _oracle_value(fn, end: float, cuts, X: SpaceDescriptor):
-    """Recompute the norm of a plain callable; returns (value, tol, note)."""
+def _oracle_value(fn, sample, end: float, cuts, X: SpaceDescriptor):
+    """Recompute the norm of a function given pointwise (``fn``) and on
+    nondecreasing points (``sample``); returns (value, tol, note)."""
     tag = X.tag
     if tag == "Lp":
         p = X.p
         if math.isinf(p):
-            return _sup_sampled(fn, end, cuts), ORACLE_TOL["Lp-sup"], "sampled sup"
+            return _sup_sampled(sample, end, cuts), ORACLE_TOL["Lp-sup"], \
+                "sampled sup"
         raw = improper_integral(lambda t: abs(fn(t)) ** p, end, cuts)
         val = INF if math.isinf(raw) else raw ** (1.0 / p)
         return val, ORACLE_TOL["Lp"], "shell quadrature"
     if tag == "L1capLinf":
-        v1, _, _ = _oracle_value(fn, end, cuts,
+        v1, _, _ = _oracle_value(fn, sample, end, cuts,
                                  SpaceDescriptor("Lp", X.domain, p=1.0))
-        vi, _, _ = _oracle_value(fn, end, cuts,
+        vi, _, _ = _oracle_value(fn, sample, end, cuts,
                                  SpaceDescriptor("Lp", X.domain, p=INF))
         return max(v1, vi), ORACLE_TOL["L1capLinf"], "max of parts"
     if tag == "L1plusLinf":
-        vals, h = _sorted_samples(fn, end, 1 << 15)
+        vals, h = _sorted_samples(sample, end, 1 << 15)
         idx = int(1.0 / h)
         lam = vals[idx] if idx < len(vals) else 0.0
         body = improper_integral(lambda t: max(abs(fn(t)) - lam, 0.0),
@@ -535,19 +541,22 @@ def _oracle_value(fn, end: float, cuts, X: SpaceDescriptor):
         return (INF if math.isinf(body) else body + lam), \
             ORACLE_TOL["L1plusLinf"], "level split at sampled quantile"
     if tag == "orlicz":
-        return _orlicz_lux(fn, end, cuts, X.orlicz), ORACLE_TOL["orlicz"], \
+        return _orlicz_lux(sample, end, cuts, X.orlicz), ORACLE_TOL["orlicz"], \
             "simpson modular bisection"
     if tag == "lorentz":
-        return _lorentz_sampled(fn, end, X.quasi, cuts), \
+        return _lorentz_sampled(sample, end, X.quasi, cuts), \
             ORACLE_TOL["lorentz"], "weighted sample-sort"
     if tag == "marcinkiewicz":
-        return _marcinkiewicz_sampled(fn, end, X.quasi, cuts), \
+        return _marcinkiewicz_sampled(sample, end, X.quasi, cuts), \
             ORACLE_TOL["marcinkiewicz"], "weighted sample-sort"
     if tag == "cesaro":
         inner_fn = _running_average(lambda t: abs(fn(t)), end, cuts)
         if inner_fn is None:
             return INF, ORACLE_TOL["Lp"], "average diverges near zero"
-        val, tol, note = _oracle_value(inner_fn, end, cuts, X.inner)
+        # the running average is no piecewise function: its samples are
+        # its pointwise values
+        val, tol, note = _oracle_value(
+            inner_fn, lambda ts: list(map(inner_fn, ts)), end, cuts, X.inner)
         return val, tol, "double quadrature; " + note
     raise MethodInapplicableError(f"no oracle for tag {tag!r}")
 
@@ -557,6 +566,7 @@ def quadrature_norm_oracle(f: PPL, X: SpaceDescriptor,
     """Recompute the norm of f in X from the defining formula and compare."""
     exact = nm.norm(f, X).value
     fn = lambda t: pw.evaluate(f, t)
+    sample = lambda ts: pw.evaluate_sorted(f, ts)
     cuts = [b for b in f.breakpoints() if math.isfinite(b) and b > 0.0]
-    val, tol, note = _oracle_value(fn, f.domain.end, cuts, X)
+    val, tol, note = _oracle_value(fn, sample, f.domain.end, cuts, X)
     return OracleReport(name, exact, val, tol, note)

@@ -13,7 +13,10 @@ analytically from the dominant monomial, never by sampling.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
@@ -336,6 +339,54 @@ def evaluate(f: PPL, t: float) -> float:
         if piece.lo <= t < piece.hi or (t == piece.hi == f.domain.end):
             return eval_term_map(piece.term_map(), t)
     return 0.0
+
+
+def evaluate_sorted(f: PPL, ts: Sequence[float]) -> list[float]:
+    """``[evaluate(f, t) for t in ts]``, in one walk over the pieces per
+    nondecreasing run of ``ts``, so sorted points take a single walk.
+
+    Each piece finds its points by bisection and evaluates them through the
+    same term map, so every value is the pointwise float, and an error is
+    the pointwise one, raised at the same point.  NaN raises ValueError.
+    """
+    out: list[float] = []
+    # a run ends where the next point is smaller; NaN compares false both
+    # ways, so it makes a run of its own
+    steps = map(operator.le, ts, itertools.islice(ts, 1, None))
+    ends = itertools.compress(itertools.count(1), map(operator.not_, steps))
+    first = 0
+    for last in itertools.chain(ends, (len(ts),)):
+        _walk(f, ts, first, last, out)
+        first = last
+    return out
+
+
+def _walk(f: PPL, ts: Sequence[float], first: int, last: int,
+          out: list[float]) -> None:
+    """Append the values at the nondecreasing points ts[first:last]."""
+    if first == last:
+        return
+    if math.isnan(ts[first]):
+        raise ValueError("evaluation points must be numbers")
+    if ts[first] < 0.0:
+        raise EvaluationDomainError(f"t = {ts[first]} outside domain")
+    end = f.domain.end
+    i = bisect.bisect_right(ts, 0.0, first, last)
+    stop = bisect.bisect_right(ts, end, i, last)
+    if i > first:
+        out += [evaluate(f, 0.0)] * (i - first)
+    for piece in f.pieces:
+        lo = bisect.bisect_left(ts, piece.lo, i, stop)
+        # the piece closing at the domain's end also takes t = end
+        hi = stop if piece.hi == end else \
+            bisect.bisect_left(ts, piece.hi, lo, stop)
+        tm = piece.term_map()
+        out += [0.0] * (lo - i)
+        out += [eval_term_map(tm, t) for t in ts[lo:hi]]
+        i = hi
+    out += [0.0] * (stop - i)
+    if stop < last:
+        raise EvaluationDomainError(f"t = {ts[stop]} outside domain")
 
 
 def limit_at_zero(f: PPL) -> float:

@@ -13,9 +13,12 @@ ValidationError, soft contradictions emit a warning.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import piecewise as pw
 from .errors import ValidationError
@@ -118,6 +121,15 @@ class QuasiConcaveSpec:
         if t == 0.0:
             return 0.0
         return pw.evaluate(self.phi, t)
+
+    def values(self, ts: Sequence[float]) -> list[float]:
+        """``[value(t) for t in ts]``; nondecreasing ``ts`` take one walk
+        over phi's pieces."""
+        vals = pw.evaluate_sorted(self.phi, ts)
+        # phi(0) = 0 by convention, as in value
+        for i in itertools.compress(itertools.count(), map(operator.not_, ts)):
+            vals[i] = 0.0
+        return vals
 
     def density(self) -> PPL:
         return pw.derivative(self.phi)

@@ -52,6 +52,18 @@ def test_trivial_space_verdict():
     assert v.is_oc is False
 
 
+@pytest.mark.parametrize("X", [sp.lebesgue(1.0, H), sp.l1_cap_linf(H)],
+                         ids=["L1", "L1capLinf"])
+@pytest.mark.parametrize("method", ["closed-form", "theorem", "direct"])
+def test_every_point_route_reports_a_trivial_space(X, method):
+    # a zero space has no point to test: no route may search restriction
+    # norms there and answer not-OC
+    f = pw.power_piece(H, 0.0, 1.0, 3.91, 0.546)
+    v = oc.oc_point(f, sp.cesaro_space(X), method=method)
+    assert (v.verdict, v.rule, v.evidence) == (
+        "trivial-space", "trivial-space/tail-membership", {"domain": "halfline"})
+
+
 def test_membership_is_required():
     CM = sp.cesaro_space(sp.marcinkiewicz_space(cat.sqrt_phi(H)))
     c = pw.step_function(H, [(0.0, INF, 1.0)])

@@ -188,3 +188,50 @@ UNIT_STEP = pw.step_function(U, [
 def test_sampled_oracles_stay_inside_the_unit_interval(X):
     report = orc.quadrature_norm_oracle(UNIT_STEP, X)
     assert report.passed, report.row()
+
+
+# the other samplers, pinned bit for bit to values recorded with
+# pointwise sampling
+@pytest.mark.parametrize("f,X,expected", [
+    (STEP, sp.lebesgue(INF, H), 3.0),
+    (STEP, sp.l1_cap_linf(H), 4.9999999936256145),
+    (UNIT_STEP, sp.l1_plus_linf(U), 2.2637735750436305),
+    # running averages, sampled point by point
+    (STEP, sp.cesaro_space(sp.lebesgue(INF, H)), 2.3333333326666703),
+    (UNIT_STEP, sp.cesaro_space(sp.l1_plus_linf(U)), 1.6285960706763947),
+], ids=["Linf", "L1capLinf", "L1plusLinf-unit", "avg-Linf",
+        "avg-L1plusLinf-unit"])
+def test_other_sampled_oracle_values_are_pinned(f, X, expected):
+    assert orc.quadrature_norm_oracle(f, X).oracle == expected
+
+
+def test_rearrangement_oracle_value_is_pinned():
+    report = orc.rearrangement_oracle(STEP)
+    assert (report.oracle, report.note) == (0.0, "grid 4096, cell 0.25")
+
+
+def test_marcinkiewicz_oracle_samples_without_pointwise_scans(monkeypatch):
+    X = sp.marcinkiewicz_space(cat.sqrt_phi(H))
+    count = [0]
+    evaluate = pw.evaluate
+
+    def counted(f, t):
+        count[0] += 1
+        return evaluate(f, t)
+
+    monkeypatch.setattr(pw, "evaluate", counted)
+    report = orc.quadrature_norm_oracle(STEP, X)
+    assert report.passed
+    # |f| and phi are read in one walk per grid, not by a scan of the
+    # pieces per sample (about 154,000 calls)
+    assert count[0] <= 300
+
+
+def test_orlicz_oracle_on_a_panel_whose_nodes_fall_out_of_order():
+    # in the 5e-12 wide panel the nudged quadrature nodes round out of
+    # order, so the walk over them restarts; the value was recorded with
+    # pointwise sampling
+    f = pw.step_function(H, [(0.0, 1.3, 1.0), (1.3, 1.3 + 5e-12, 3.0),
+                             (1.3 + 5e-12, 2.0, 2.0)])
+    X = sp.orlicz_space(cat.orlicz_square(H), H)
+    assert orc.quadrature_norm_oracle(f, X).oracle == 2.0248456731387705

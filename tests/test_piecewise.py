@@ -7,7 +7,8 @@ import math
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cesarospaces import piecewise as pw
 from cesarospaces.errors import (DomainMismatchError, EvaluationDomainError,
@@ -128,6 +129,70 @@ def test_evaluate_outside_domain_raises():
     f = pw.indicator(U, 0.0, 1.0)
     with pytest.raises(EvaluationDomainError):
         f(1.5)
+
+
+@st.composite
+def functions_and_points(draw):
+    """A function with gaps, step and power-log pieces (a tail on the
+    half-line), and points, mostly sorted: repeats, breakpoints, t = 0, the
+    right end of [0, 1], and sometimes a point outside the domain."""
+    domain = draw(st.sampled_from([H, U]))
+    top = 1.0 if domain.is_unit else 8.0
+    cuts = sorted(set(draw(st.lists(
+        st.floats(min_value=0.0, max_value=top), min_size=2, max_size=6))
+        + [0.0]))
+    if not domain.is_unit and draw(st.booleans()):
+        cuts.append(INF)
+    coeffs = st.floats(min_value=-4.0, max_value=4.0).filter(lambda c: c)
+    pieces = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        kind = draw(st.sampled_from(["gap", "step", "power-log"]))
+        if kind == "step":
+            pieces.append((lo, hi, {(0.0, 0): draw(coeffs)}))
+        elif kind == "power-log":
+            alphas = st.floats(min_value=-1.5, max_value=1.5)
+            if math.isinf(hi):
+                alphas = st.floats(min_value=-3.0, max_value=-1.5)
+            tm = {(draw(alphas), draw(st.integers(0, 2))): draw(coeffs)
+                  for _ in range(draw(st.integers(1, 3)))}
+            pieces.append((lo, hi, tm))
+    f = pw.make_ppl(domain, pieces)
+    marks = [0.0, top] + [b for b in f.breakpoints() if b <= top]
+    pts = draw(st.lists(st.one_of(st.sampled_from(marks),
+                                  st.floats(min_value=0.0, max_value=top)),
+                        max_size=40))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=5)) if pts else []
+    outside = draw(st.sampled_from([[]] * 6 + [[-0.5], [top + 0.5]]))
+    pts += outside
+    return f, sorted(pts) if draw(st.integers(0, 3)) else pts
+
+
+def _outcome(fn):
+    try:
+        return [v.hex() for v in fn()]
+    except (EvaluationDomainError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(case=functions_and_points())
+@settings(max_examples=200, deadline=None)
+@example(case=(pw.indicator(U, 0.0, 1.0), [0.0, 0.5, 1.0, 1.0]))
+@example(case=(pw.power_piece(H, 0.0, 1.0, 1.0, -0.5), [0.0, 0.25, 1.0]))
+@example(case=(pw.step_function(H, [(0.5, INF, 2.0)]), [0.5, 2.0, INF]))
+@example(case=(pw.step_function(H, [(0.0, 1.0, 2.0), (1.0, 2.0, 3.0)]),
+               [1.5, 0.5, 1.0, 0.0, 2.5]))
+def test_evaluate_sorted_is_pointwise_evaluation_bit_for_bit(case):
+    f, ts = case
+    assert _outcome(lambda: pw.evaluate_sorted(f, ts)) == \
+        _outcome(lambda: [pw.evaluate(f, t) for t in ts])
+
+
+def test_evaluate_sorted_rejects_nan():
+    f = pw.indicator(H, 0.0, 1.0)
+    for ts in ([math.nan], [0.5, math.nan, 1.0], [math.nan, 0.5]):
+        with pytest.raises(ValueError):
+            pw.evaluate_sorted(f, ts)
+    assert pw.evaluate_sorted(f, []) == []
 
 
 def test_power_log_evaluation():
