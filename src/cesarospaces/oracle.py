@@ -16,8 +16,12 @@ finer than their grid.  Battery inputs are chosen within these limits.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from . import norms as nm
 from . import piecewise as pw
@@ -192,50 +196,85 @@ def _weighted_sorted(sample, end: float, cuts=()):
     sample carries its own cell width.
     """
     body_top = min(end, GRID_TOP)
-    knots: set[float] = {0.0}
-    x = 2.0 ** -40
-    step = 2.0 ** (1.0 / 256)
-    while x < min(body_top, 0.125):
-        knots.add(x)
-        x *= step
+    # the head, the body and the tail fill disjoint ranges in increasing
+    # order, so the grid is built sorted and repeats only next to itself
+    knots = [0.0, *_geometric(2.0 ** -40, 2.0 ** (1.0 / 256),
+                              min(body_top, 0.125))]
     h = body_top / 65536.0
     i0 = int(0.125 / h) + 1
-    knots.update(min(i0 * h + j * h, body_top) for j in range(65536 - i0 + 1))
+    knots += [i0 * h + j * h for j in range(65536 - i0 + 1)]
+    _clamp(knots, body_top)
     top = body_top
     if end > GRID_TOP:
         top = min(end, 2.0 ** 40)
-        x = body_top
-        tail_step = 2.0 ** (1.0 / 64)
-        while x < top:
-            knots.add(x)
-            x *= tail_step
-        knots.add(top)
+        knots += _geometric(body_top, 2.0 ** (1.0 / 64), top)
+        knots.append(top)
     for c in cuts:
         if not 0.0 < c < top:
             continue
-        knots.add(c)
+        knots.append(c)
         for k in range(8, 41):
             eps = 2.0 ** -k
             if c * (1.0 - eps) > 0.0:
-                knots.add(c * (1.0 - eps))
+                knots.append(c * (1.0 - eps))
             if c * (1.0 + eps) < top:
-                knots.add(c * (1.0 + eps))
+                knots.append(c * (1.0 + eps))
+    # sorting merges the clusters into the sorted grid; then each knot once
+    knots.sort()
+    ordered = [knots[0]]
+    ordered += itertools.compress(knots[1:], map(operator.ne, knots[1:], knots))
     # each grid is dropped as soon as it is read: a verify run peaks here
-    ordered = sorted(knots)
     del knots
-    vals = sample([0.5 * (lo + hi) for lo, hi in zip(ordered, ordered[1:])])
-    pairs = [(abs(v), hi - lo) for v, lo, hi in zip(vals, ordered, ordered[1:])]
-    del ordered, vals
-    pairs.sort(key=lambda vw: -vw[0])
-    values = [v for v, _ in pairs]
-    cum = []
-    acc = 0.0
-    for _, w in pairs:
-        acc += w
-        # the rounded running sum can pass the grid's top, where the
-        # parameter function of a [0, 1] space is undefined
-        cum.append(min(acc, top))
+    mids = map(operator.mul, itertools.repeat(0.5),
+               map(operator.add, ordered, ordered[1:]))
+    mags = list(map(abs, sample(list(mids))))
+    widths = list(map(operator.sub, ordered[1:], ordered))
+    del ordered
+    # a stable sort by descending magnitude, as buckets of widths per
+    # magnitude in node order; a step function fills a few dozen buckets
+    buckets: dict[float, list[float]] = {}
+    starts = [0, *itertools.compress(itertools.count(1),
+                                     map(operator.ne, mags[1:], mags))]
+    for a, b in zip(starts, starts[1:] + [len(mags)]):
+        buckets.setdefault(mags[a], []).extend(widths[a:b])
+    del mags, widths
+    values: list[float] = []
+    measures: list[float] = []
+    for v in sorted(buckets, reverse=True):
+        values += [v] * len(buckets[v])
+        measures += buckets.pop(v)
+    # knots are distinct, so the widths are positive and the sums rise
+    cum = list(itertools.accumulate(measures))
+    # the rounded running sum can pass the grid's top, where the parameter
+    # function of a [0, 1] space is undefined
+    _clamp(cum, top)
     return values, cum
+
+
+def _geometric(start: float, ratio: float, stop: float):
+    """start, start*ratio, (start*ratio)*ratio, ... while below stop."""
+    return itertools.takewhile(stop.__gt__, itertools.accumulate(
+        itertools.repeat(ratio), operator.mul, initial=start))
+
+
+def _clamp(xs: list[float], top: float) -> None:
+    """Replace each x of the nondecreasing list by min(x, top), in place."""
+    over = bisect.bisect_right(xs, top)
+    xs[over:] = [top] * (len(xs) - over)
+
+
+def _octave_runs(cum, lo: int, hi: int):
+    """The maximal runs of one ``floor(log2(c))`` in nondecreasing positive
+    ``cum[lo:hi]``, as (k, start, stop), each found by bisection."""
+    while lo < hi:
+        k = _octave(cum[lo])
+        stop = bisect.bisect_right(cum, k, lo + 1, hi, key=_octave)
+        yield k, lo, stop
+        lo = stop
+
+
+def _octave(c: float) -> int:
+    return math.floor(math.log2(c))
 
 
 def rearrangement_oracle(f: PPL, n: int = GRID_POINTS) -> OracleReport:
@@ -387,6 +426,11 @@ def _orlicz_lux(sample, end: float, cuts, spec) -> float:
     slots = iter([slot[g] for g in mags])
     # zip ends at the end of a shell's weights, before taking a slot
     indexed = [list(zip(ws, slots)) for ws in weights]
+    # Phi(0) = 0 exactly, so a shell where f vanishes sums to 0.0 with no
+    # node read
+    zero = slot.get(0.0)
+    indexed = [[] if all(i == zero for _, i in nodes) else nodes
+               for nodes in indexed]
 
     def modular(lam: float) -> float:
         values: list[float] = []
@@ -440,25 +484,22 @@ def _orlicz_lux(sample, end: float, cuts, spec) -> float:
 def _lorentz_sampled(sample, end: float, spec, cuts=()) -> float:
     values, cum = _weighted_sorted(sample, end, cuts)
     atom = spec.atom_at_zero
-    total = atom * values[0] if atom > 0.0 else 0.0
-    prev = 0.0
-    phi_prev = atom
-    octave_sums: dict[int, float] = {}
-    first = True
-    # the sum stops at the first zero value, and so does the walk over phi
-    live = next((i for i, v in enumerate(values) if v <= 0.0), len(values))
+    # the sum stops at the first zero value (magnitudes are never below
+    # 0.0), and so does the walk over phi
+    live = values.index(0.0) if 0.0 in values else len(values)
     exhausted = live == len(values)
-    for v, c, phi_c in zip(values, cum, spec.values(cum[:live])):
-        contrib = v * (phi_c - phi_prev)
-        total += contrib
-        # the very first cell carries the whole phi-jump from zero; keep it
-        # out of the per-octave decay statistics
-        if c > 0.0 and not first:
-            k = math.floor(math.log2(c))
-            octave_sums[k] = octave_sums.get(k, 0.0) + contrib
-        first = False
-        prev = c
-        phi_prev = phi_c
+    phis = spec.values(cum[:live])
+    contribs = list(map(operator.mul, values,
+                        map(operator.sub, phis, [atom, *phis])))
+    del phis
+    # left-to-right sums throughout: sum() compensates on Python 3.12+
+    total = reduce(operator.add, contribs,
+                   atom * values[0] if atom > 0.0 else 0.0)
+    # the very first cell carries the whole phi-jump from zero; keep it out
+    # of the per-octave decay statistics
+    octave_sums = {k: reduce(operator.add, contribs[a:b], 0.0)
+                   for k, a, b in _octave_runs(cum, 1, live)}
+    prev = cum[live - 1] if live else 0.0
     scale = 1.0 + abs(total)
     # head contributions refusing to decay toward fine octaves: divergent
     lows = sorted(k for k in octave_sums if k < -8)
@@ -482,22 +523,22 @@ def _lorentz_sampled(sample, end: float, spec, cuts=()) -> float:
 
 def _marcinkiewicz_sampled(sample, end: float, spec, cuts=()) -> float:
     values, cum = _weighted_sorted(sample, end, cuts)
-    best = 0.0
-    acc = 0.0
-    prev = 0.0
+    # phi(c) * (integral of the rearrangement up to c) / c per cell, the
+    # integral a left-to-right running sum; no term is -0.0, so the first
+    # sum is the loop's 0.0 + term
+    accs = itertools.accumulate(map(operator.mul, values,
+                                    map(operator.sub, cum, [0.0, *cum])))
+    cands = list(map(operator.truediv,
+                     map(operator.mul, spec.values(cum), accs), cum))
+    if not all(map(math.isfinite, cands)):
+        return INF
+    best = max(itertools.chain((0.0,), cands))
+    # octaves whose candidates are all 0 stay out
     oct_best: dict[int, float] = {}
-    for v, c, phi_c in zip(values, cum, spec.values(cum)):
-        acc += v * (c - prev)
-        prev = c
-        if c > 0.0:
-            cand = phi_c * acc / c
-            if math.isfinite(cand):
-                best = max(best, cand)
-                k = math.floor(math.log2(c))
-                if cand > oct_best.get(k, 0.0):
-                    oct_best[k] = cand
-            else:
-                return INF
+    for k, a, b in _octave_runs(cum, 0, len(cum)):
+        m = max(cands[a:b])
+        if m > 0.0:
+            oct_best[k] = m
     # a supremum still climbing at either sampling horizon is unresolved
     # growth, reported as divergence
     ks = sorted(oct_best)

@@ -338,6 +338,9 @@ def evaluate(f: PPL, t: float) -> float:
     for piece in f.pieces:
         if piece.lo <= t < piece.hi or (t == piece.hi == f.domain.end):
             return eval_term_map(piece.term_map(), t)
+    # NaN fails every comparison above and would read as the gap value
+    if math.isnan(t):
+        raise ValueError("evaluation points must be numbers")
     return 0.0
 
 
@@ -380,13 +383,31 @@ def _walk(f: PPL, ts: Sequence[float], first: int, last: int,
         # the piece closing at the domain's end also takes t = end
         hi = stop if piece.hi == end else \
             bisect.bisect_left(ts, piece.hi, lo, stop)
-        tm = piece.term_map()
         out += [0.0] * (lo - i)
-        out += [eval_term_map(tm, t) for t in ts[lo:hi]]
+        out += _eval_term_map_at(piece.term_map(), ts[lo:hi])
         i = hi
     out += [0.0] * (stop - i)
     if stop < last:
         raise EvaluationDomainError(f"t = {ts[stop]} outside domain")
+
+
+def _eval_term_map_at(tm: TermView, ts: Sequence[float]) -> list[float]:
+    """``[eval_term_map(tm, t) for t in ts]`` for points t > 0, bit for bit.
+
+    A one-term map without a log factor is the same expression
+    0.0 + c * t**alpha * 1.0 without ln t, and a constant one, whose
+    t**0.0 is 1.0 at every t, has one value.
+    """
+    if len(tm) == 1:
+        ((alpha, k), c), = tm.items()
+        if k == 0 and alpha == 0.0:
+            return [0.0 + c * 1.0 * 1.0] * len(ts)
+        if k == 0:
+            try:
+                return [0.0 + c * t ** alpha * 1.0 for t in ts]
+            except OverflowError:
+                pass  # eval_term_map reads an overflowing power as inf
+    return [eval_term_map(tm, t) for t in ts]
 
 
 def limit_at_zero(f: PPL) -> float:

@@ -1,10 +1,15 @@
-"""Hypothesis strategies and small helpers shared across test modules."""
+"""Hypothesis strategies, small helpers and reference loops shared across
+test modules."""
 
 from __future__ import annotations
 
+import math
+
 from hypothesis import strategies as st
 
+from cesarospaces import oracle as orc
 from cesarospaces import piecewise as pw
+from cesarospaces.piecewise import INF
 
 HALFLINE = pw.DomainSpec("halfline")
 UNIT = pw.DomainSpec("unit")
@@ -49,3 +54,127 @@ def nonzero_step_functions(draw, domain=HALFLINE, signed: bool = True):
         lo = 0.25 if domain.is_unit else 1.0
         f = pw.step_function(domain, [(lo, 2.0 * lo, 1.0)])
     return f
+
+
+# ---------------------------------------------------------------------------
+# references for the weighted sample-sort oracles: the per-cell loops that
+# oracle.py replaced, kept as the bit-for-bit specification
+
+
+def weighted_sorted_reference(sample, end: float, cuts=()):
+    """``oracle._weighted_sorted`` as a knot set, a stable sort of
+    (magnitude, width) pairs and a clamped running sum."""
+    body_top = min(end, orc.GRID_TOP)
+    knots: set[float] = {0.0}
+    x = 2.0 ** -40
+    step = 2.0 ** (1.0 / 256)
+    while x < min(body_top, 0.125):
+        knots.add(x)
+        x *= step
+    h = body_top / 65536.0
+    i0 = int(0.125 / h) + 1
+    knots.update(min(i0 * h + j * h, body_top) for j in range(65536 - i0 + 1))
+    top = body_top
+    if end > orc.GRID_TOP:
+        top = min(end, 2.0 ** 40)
+        x = body_top
+        tail_step = 2.0 ** (1.0 / 64)
+        while x < top:
+            knots.add(x)
+            x *= tail_step
+        knots.add(top)
+    for c in cuts:
+        if not 0.0 < c < top:
+            continue
+        knots.add(c)
+        for k in range(8, 41):
+            eps = 2.0 ** -k
+            if c * (1.0 - eps) > 0.0:
+                knots.add(c * (1.0 - eps))
+            if c * (1.0 + eps) < top:
+                knots.add(c * (1.0 + eps))
+    ordered = sorted(knots)
+    vals = sample([0.5 * (lo + hi) for lo, hi in zip(ordered, ordered[1:])])
+    pairs = [(abs(v), hi - lo) for v, lo, hi in zip(vals, ordered, ordered[1:])]
+    pairs.sort(key=lambda vw: -vw[0])
+    values = [v for v, _ in pairs]
+    cum = []
+    acc = 0.0
+    for _, w in pairs:
+        acc += w
+        cum.append(min(acc, top))
+    return values, cum
+
+
+def lorentz_sampled_reference(sample, end: float, spec, cuts=()) -> float:
+    """``oracle._lorentz_sampled`` with a per-cell loop and a dict update
+    per cell for the octave sums."""
+    values, cum = weighted_sorted_reference(sample, end, cuts)
+    atom = spec.atom_at_zero
+    total = atom * values[0] if atom > 0.0 else 0.0
+    prev = 0.0
+    phi_prev = atom
+    octave_sums: dict[int, float] = {}
+    first = True
+    live = next((i for i, v in enumerate(values) if v <= 0.0), len(values))
+    exhausted = live == len(values)
+    for v, c, phi_c in zip(values, cum, spec.values(cum[:live])):
+        contrib = v * (phi_c - phi_prev)
+        total += contrib
+        if c > 0.0 and not first:
+            k = math.floor(math.log2(c))
+            octave_sums[k] = octave_sums.get(k, 0.0) + contrib
+        first = False
+        prev = c
+        phi_prev = phi_c
+    scale = 1.0 + abs(total)
+    lows = sorted(k for k in octave_sums if k < -8)
+    if len(lows) >= 6:
+        seq = [octave_sums[k] for k in lows[:6]]
+        if all(s > 1e-10 * scale for s in seq) and seq[0] >= 0.5 * max(seq):
+            return INF
+    if math.isinf(end) and exhausted and prev > 0.0:
+        kmax = math.floor(math.log2(prev))
+        s_last = octave_sums.get(kmax - 1, 0.0)
+        s_prev = octave_sums.get(kmax - 2, 0.0)
+        if s_last > 1e-12 * scale:
+            ratio = s_last / s_prev if s_prev > 0.0 else 1.0
+            if ratio >= orc.DIVERGENCE_RATIO:
+                return INF
+            total += s_last * ratio / (1.0 - ratio)
+    return total
+
+
+def marcinkiewicz_sampled_reference(sample, end: float, spec,
+                                    cuts=()) -> float:
+    """``oracle._marcinkiewicz_sampled`` with a per-cell loop and a dict
+    update per cell for the octave maxima."""
+    values, cum = weighted_sorted_reference(sample, end, cuts)
+    best = 0.0
+    acc = 0.0
+    prev = 0.0
+    oct_best: dict[int, float] = {}
+    for v, c, phi_c in zip(values, cum, spec.values(cum)):
+        acc += v * (c - prev)
+        prev = c
+        if c > 0.0:
+            cand = phi_c * acc / c
+            if math.isfinite(cand):
+                best = max(best, cand)
+                k = math.floor(math.log2(c))
+                if cand > oct_best.get(k, 0.0):
+                    oct_best[k] = cand
+            else:
+                return INF
+    ks = sorted(oct_best)
+    if len(ks) >= 3:
+        a, b, c3 = (oct_best[k] for k in ks[-3:])
+        if math.isinf(end) and c3 > b * 1.001 > a * 1.001 ** 2 and \
+                c3 >= best * (1.0 - 1e-12):
+            return INF
+        a, b, c3 = (oct_best[k] for k in ks[:3])
+        if a > b * 1.001 > c3 * 1.001 ** 2 and a >= best * (1.0 - 1e-12):
+            return INF
+    if best > 1e7:
+        return INF
+    return best

@@ -5,7 +5,10 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import support
 from cesarospaces import catalog as cat
 from cesarospaces import oracle as orc
 from cesarospaces import piecewise as pw
@@ -172,7 +175,8 @@ def test_sampled_oracle_values_are_pinned(X, expected):
     assert orc.quadrature_norm_oracle(STEP, X).oracle == expected
 
 
-# the running sum of the sample cells' widths rounds above 1 on this input
+# the running sum of the sample cells' widths rounds above 1 on this input,
+# so its last cell's measure is clamped to 1
 UNIT_STEP = pw.step_function(U, [
     (0.0, 0.13317481644160512, -0.5019172785300062),
     (0.13317481644160512, 0.41913904357146525, 2.2850033803499694),
@@ -190,8 +194,15 @@ def test_sampled_oracles_stay_inside_the_unit_interval(X):
     assert report.passed, report.row()
 
 
+# cuts on knots of the half-line's base grid (0.5, 1 and 1024 are body
+# knots, and 1024 * (1 - 2^-k) is one for k <= 16), so knots repeat
+KNOT_STEP = pw.step_function(H, [(0.125, 0.5, 2.0), (0.5, 1.0, -2.0),
+                                 (1.0, 1024.0, 0.5)])
+
+
 # the other samplers, pinned bit for bit to values recorded with
-# pointwise sampling
+# pointwise sampling, and the weighted sample-sort oracles on the inputs
+# above to values recorded with their per-cell loops (tests/support.py)
 @pytest.mark.parametrize("f,X,expected", [
     (STEP, sp.lebesgue(INF, H), 3.0),
     (STEP, sp.l1_cap_linf(H), 4.9999999936256145),
@@ -199,8 +210,18 @@ def test_sampled_oracles_stay_inside_the_unit_interval(X):
     # running averages, sampled point by point
     (STEP, sp.cesaro_space(sp.lebesgue(INF, H)), 2.3333333326666703),
     (UNIT_STEP, sp.cesaro_space(sp.l1_plus_linf(U)), 1.6285960706763947),
+    (UNIT_STEP, sp.lorentz_space(cat.sqrt_phi(U)), 2.4821907516607533),
+    (UNIT_STEP, sp.marcinkiewicz_space(cat.sqrt_phi(U)), 2.3596664841536215),
+    (KNOT_STEP, sp.lorentz_space(cat.sqrt_phi(H)), 17.402144927736188),
+    (KNOT_STEP, sp.marcinkiewicz_space(cat.sqrt_phi(H)), 16.040041536320157),
+    (KNOT_STEP, sp.orlicz_space(cat.orlicz_square(H), H), 16.101242188116885),
+    # f vanishes on part of the dyadic shells around 0.3, 0.75, 1.5 and 3
+    (pw.step_function(H, [(0.3, 0.75, 1.0), (1.5, 3.0, -2.0)]),
+     sp.orlicz_space(cat.orlicz_square(H), H), 2.539685019841272),
 ], ids=["Linf", "L1capLinf", "L1plusLinf-unit", "avg-Linf",
-        "avg-L1plusLinf-unit"])
+        "avg-L1plusLinf-unit", "lorentz-unit", "marcinkiewicz-unit",
+        "lorentz-knots", "marcinkiewicz-knots", "orlicz-knots",
+        "orlicz-gaps"])
 def test_other_sampled_oracle_values_are_pinned(f, X, expected):
     assert orc.quadrature_norm_oracle(f, X).oracle == expected
 
@@ -235,3 +256,120 @@ def test_orlicz_oracle_on_a_panel_whose_nodes_fall_out_of_order():
                              (1.3 + 5e-12, 2.0, 2.0)])
     X = sp.orlicz_space(cat.orlicz_square(H), H)
     assert orc.quadrature_norm_oracle(f, X).oracle == 2.0248456731387705
+
+
+# ---------------------------------------------------------------------------
+# the weighted sample-sort oracles against their per-cell loops, bit for bit
+
+# knots of the base grids, as breakpoints and as extra cuts
+GRID_KNOTS = (0.125, 0.5, 1.0, 1024.0, 1024.0 * (1.0 - 2.0 ** -12))
+PHIS = (cat.sqrt_phi, cat.sqrt_plus_atom_phi, cat.bounded_sqrt_phi,
+        cat.atom_phi)
+
+
+@st.composite
+def sample_sort_cases(draw):
+    """A step function whose pieces share a few magnitudes, extra cuts,
+    and a parameter function on the same domain."""
+    domain = draw(st.sampled_from([U, H]))
+    end = 1.0 if domain.is_unit else draw(st.sampled_from([1.0, 16.0, 2048.0]))
+    edge = st.floats(0.0, end) | st.sampled_from(
+        [k for k in GRID_KNOTS if k <= end])
+    edges = sorted(set(draw(st.lists(edge, min_size=2, max_size=7))))
+    pool = draw(st.lists(st.floats(0.1, 4.0), min_size=1, max_size=3))
+    rows = [(lo, hi, draw(st.sampled_from(pool)) * draw(st.sampled_from(
+        [1.0, -1.0]))) for lo, hi in zip(edges, edges[1:])
+        if draw(st.integers(0, 3))]
+    if not domain.is_unit and draw(st.booleans()):
+        rows.append((max(edges[-1], 0.5), INF, draw(st.sampled_from(pool))))
+    f = pw.step_function(domain, rows)
+    extra = draw(st.lists(st.floats(0.0, 4096.0) | st.sampled_from(GRID_KNOTS),
+                          max_size=3))
+    cuts = [b for b in f.breakpoints() if math.isfinite(b) and b > 0.0]
+    return f, cuts + extra, draw(st.sampled_from(PHIS))(domain)
+
+
+def _hex(x):
+    return x.hex() if isinstance(x, float) else [_hex(v) for v in x]
+
+
+def _both(fn, reference, case, with_spec):
+    f, cuts, spec = case
+    sample = lambda ts: pw.evaluate_sorted(f, ts)
+    args = (sample, f.domain.end, spec, cuts) if with_spec else \
+        (sample, f.domain.end, cuts)
+    return _hex(fn(*args)), _hex(reference(*args))
+
+
+SAMPLE_SORT_EXAMPLES = [
+    (UNIT_STEP, [b for b in UNIT_STEP.breakpoints() if b > 0.0],
+     cat.sqrt_phi(U)),
+    (KNOT_STEP, [0.125, 0.5, 1.0, 1024.0], cat.sqrt_plus_atom_phi(H)),
+    # still positive at the sampling horizon: divergent tails
+    (pw.step_function(H, [(0.0, 1.0, 2.0), (1.0, INF, 0.5)]), [1.0],
+     cat.sqrt_phi(H)),
+    # no step function: a singularity at zero, divergent in both spaces
+    (pw.power_piece(U, 0.0, 1.0, 1.0, -0.9), [0.5], cat.sqrt_phi(U)),
+    # ... and finite in the Marcinkiewicz space on the half-line
+    (pw.power_piece(H, 0.0, 1.0, 1.0, -0.7), [1.0], cat.sqrt_phi(H)),
+]
+
+
+@given(case=sample_sort_cases())
+@settings(max_examples=8, deadline=None)
+@example(case=SAMPLE_SORT_EXAMPLES[0])
+@example(case=SAMPLE_SORT_EXAMPLES[1])
+def test_weighted_sorted_is_the_per_cell_loop_bit_for_bit(case):
+    values, reference = _both(orc._weighted_sorted,
+                              support.weighted_sorted_reference, case, False)
+    assert values == reference
+
+
+@given(case=sample_sort_cases())
+@settings(max_examples=8, deadline=None)
+@example(case=SAMPLE_SORT_EXAMPLES[0])
+@example(case=SAMPLE_SORT_EXAMPLES[2])
+@example(case=SAMPLE_SORT_EXAMPLES[3])
+def test_lorentz_sampled_is_the_per_cell_loop_bit_for_bit(case):
+    value, reference = _both(orc._lorentz_sampled,
+                             support.lorentz_sampled_reference, case, True)
+    assert value == reference
+
+
+@given(case=sample_sort_cases())
+@settings(max_examples=8, deadline=None)
+@example(case=SAMPLE_SORT_EXAMPLES[0])
+@example(case=SAMPLE_SORT_EXAMPLES[3])
+@example(case=SAMPLE_SORT_EXAMPLES[4])
+def test_marcinkiewicz_sampled_is_the_per_cell_loop_bit_for_bit(case):
+    value, reference = _both(orc._marcinkiewicz_sampled,
+                             support.marcinkiewicz_sampled_reference, case,
+                             True)
+    assert value == reference
+
+
+def _powers_of_two_and_neighbours():
+    k = st.integers(-60, 60)
+    return st.one_of(
+        k.map(lambda k: 2.0 ** k),
+        k.map(lambda k: math.nextafter(2.0 ** k, 0.0)),
+        k.map(lambda k: math.nextafter(2.0 ** k, INF)),
+        st.floats(2.0 ** -61, 2.0 ** 61))
+
+
+@given(cum=st.lists(_powers_of_two_and_neighbours(), max_size=40),
+       lo=st.integers(0, 5))
+@settings(max_examples=300, deadline=None)
+@example(cum=[2.0 ** 40, math.nextafter(2.0 ** 40, INF),
+              math.nextafter(2.0 ** 41, 0.0), 2.0 ** 41], lo=0)
+@example(cum=[math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0)],
+         lo=0)
+def test_octave_runs_are_the_per_cell_octaves(cum, lo):
+    cum.sort()
+    lo = min(lo, len(cum))
+    runs = list(orc._octave_runs(cum, lo, len(cum)))
+    per_cell = [math.floor(math.log2(c)) for c in cum[lo:]]
+    assert [k for k, a, b in runs for _ in range(a, b)] == per_cell
+    # runs are maximal and tile cum[lo:]
+    assert all(r[0] != s[0] and r[2] == s[1] for r, s in zip(runs, runs[1:]))
+    assert [r[1] for r in runs[:1]] == ([lo] if runs else [])

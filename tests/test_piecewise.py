@@ -195,6 +195,37 @@ def test_evaluate_sorted_rejects_nan():
     assert pw.evaluate_sorted(f, []) == []
 
 
+def test_evaluate_rejects_nan():
+    # NaN fails every piece test; it must not read as the gap value 0.0
+    for f in (pw.indicator(H, 0.0, 1.0), pw.zero(U)):
+        with pytest.raises(ValueError):
+            pw.evaluate(f, math.nan)
+
+
+@st.composite
+def term_maps_and_points(draw):
+    keys = draw(st.lists(
+        st.tuples(st.sampled_from([0.0, 0.5, -0.5, 1.0, 2.0, 3.0])
+                  | st.floats(-4.0, 4.0), st.integers(0, 2)),
+        min_size=1, max_size=3, unique=True))
+    tm = {key: draw(st.floats(-8.0, 8.0).filter(bool)) for key in keys}
+    ts = draw(st.lists(st.floats(min_value=5e-324, max_value=1e12)
+                       | st.sampled_from([1.0, INF]), max_size=12))
+    return tm, sorted(ts)
+
+
+@given(case=term_maps_and_points())
+@settings(max_examples=300, deadline=None)
+@example(case=({(400.0, 0): 1.0}, [1.0, 1e10]))
+@example(case=({(400.0, 0): -2.0, (0.0, 0): 1.0}, [1e10]))
+@example(case=({(0.0, 0): -3.0}, [1e-300, 1.0, INF]))
+@example(case=({(-0.5, 0): -2.0}, [4.0, INF]))
+def test_term_map_at_many_points_is_pointwise_bit_for_bit(case):
+    tm, ts = case
+    assert [v.hex() for v in pw._eval_term_map_at(tm, ts)] == \
+        [pw.eval_term_map(tm, t).hex() for t in ts]
+
+
 def test_power_log_evaluation():
     # t**(-1/2) * ln(t) at t = 4: 0.5 * ln 4
     f = pw.power_piece(H, 1.0, INF, 1.0, -0.5, 1)
