@@ -22,21 +22,17 @@ from .errors import TransformUndefinedError
 from .piecewise import INF, PPL, TermMap
 
 
-def _check_integrable_at_zero(f: PPL) -> None:
-    if f.pieces and f.pieces[0].lo == 0.0:
-        for (alpha, _k), _c in f.pieces[0].term_map().items():
-            if alpha <= -1.0:
-                raise TransformUndefinedError(
-                    f"non-integrable singularity at 0 (power {alpha})")
-
-
 def cesaro_transform(f: PPL) -> PPL:
     """Exact C f; requires f integrable near 0.
 
     The result is defined on all of (0, end): past the support the average
     decays like (accumulated mass) / x.
     """
-    _check_integrable_at_zero(f)
+    if f.pieces and f.pieces[0].lo == 0.0:
+        _c, alpha, _k = pw.germ(f.pieces[0].term_map(), "zero")
+        if pw.integral_diverges(alpha, "zero"):
+            raise TransformUndefinedError(
+                f"non-integrable singularity at 0 (power {alpha})")
     out: list[tuple[float, float, TermMap]] = []
     mass = 0.0  # integral of f over [0, current position]
     pos = 0.0

@@ -21,7 +21,6 @@ from . import rearrange as rr
 from .errors import (MethodInapplicableError, RepresentationError,
                      TransformUndefinedError)
 from .piecewise import INF, PPL, DomainSpec, TermMap, TermPairs
-from .rootfind import dominant_key
 from .spaces import OrliczFunctionSpec, SpaceDescriptor
 
 LUXEMBURG_REL_TOL = 1e-10
@@ -37,15 +36,6 @@ class NormResult:
 
     def __repr__(self) -> str:  # keeps test output readable
         return f"NormResult({self.value!r}, {self.method}, err<={self.error_bound:g})"
-
-
-def _power_diverges(tm: TermMap, p: float, at: str) -> bool:
-    """Does the integral of |piece|**p diverge at the given improper end?"""
-    alpha, _k = dominant_key(tm, at == "inf")
-    scaled = alpha * p
-    if at == "inf":
-        return scaled >= -1.0
-    return scaled <= -1.0
 
 
 def _map_pow_int(tm: TermMap, n: int) -> TermMap | None:
@@ -251,9 +241,11 @@ def _lp_ppl(f: PPL, p: float) -> NormResult:
             exact_parts.append((pm, piece.lo, piece.hi))
         else:
             exact = False
-            if piece.lo == 0.0 and _power_diverges(tm, p, "zero"):
-                val = INF
-            elif math.isinf(piece.hi) and _power_diverges(tm, p, "inf"):
+            # |piece|**p has the germ exponent a*p at either end
+            diverges = lambda at: pw.integral_diverges(
+                pw.germ(tm, at)[1] * p, at)
+            if (piece.lo == 0.0 and diverges("zero")) or \
+                    (math.isinf(piece.hi) and diverges("inf")):
                 val = INF
             else:
                 fn = lambda t: abs(pw.eval_term_map(tm, t)) ** p
@@ -288,11 +280,8 @@ def _sum_space_ppl(f: PPL) -> NormResult:
         return NormResult(val, "exact", 0.0)
     # layer-cake split: f*(1) + integral of (|f| - f*(1))_+ stays exact
     lam1 = r.evaluate(1.0)
-    g = pw.absolute(f)
-    shifted = pw.combine(
-        g, pw.step_function(f.domain, [(0.0, f.domain.end, lam1)]), "sub") \
-        if lam1 > 0.0 else g
-    excess = pw.positive_part(shifted) if lam1 > 0.0 else g
+    excess = pw.excess_over(f, lam1, f.domain.end) if lam1 > 0.0 \
+        else pw.absolute(f)
     tail = pw.integrate(excess)
     value = lam1 + tail
     return NormResult(value, "exact", 1e-10 * (1.0 + abs(lam1)))
@@ -326,13 +315,13 @@ def _orlicz_modular(f: PPL, spec: OrliczFunctionSpec
         return step_modular
     g = pw.absolute(f)
     sup = pw.essential_sup_abs(g)
-    # improper-endpoint convergence, decided from dominant exponents
+    # Phi(|f|) has the germ exponent a_f * a_phi where |f| blows up at 0
     endpoint_diverges = False
     if g.pieces and g.pieces[0].lo == 0.0 and math.isinf(sup) \
             and math.isinf(spec.finite_bound) and spec.phi.pieces:
-        a_f, _ = dominant_key(g.pieces[0].term_map(), False)
-        a_phi, _ = dominant_key(spec.phi.pieces[-1].term_map(), True)
-        endpoint_diverges = a_f * a_phi <= -1.0
+        a_f = pw.germ(g.pieces[0].term_map(), "zero")[1]
+        a_phi = pw.germ(spec.phi.pieces[-1].term_map(), "inf")[1]
+        endpoint_diverges = pw.integral_diverges(a_f * a_phi, "zero")
     tail: float | None = None
     lo = g.pieces[0].lo
     hi = g.support_bound()
@@ -673,7 +662,6 @@ def cx_nontrivial(X: SpaceDescriptor) -> bool:
     if base.domain.is_unit:
         return True
     if base.tag in ("lorentz", "marcinkiewicz"):
-        a, _k = dominant_key(base.quasi.phi.pieces[-1].term_map(), True)
-        return a < 1.0
+        return pw.germ(base.quasi.phi.pieces[-1].term_map(), "inf")[1] < 1.0
     tail = pw.power_piece(base.domain, 1.0, INF, 1.0, -1.0)
     return math.isfinite(norm(tail, base).value)

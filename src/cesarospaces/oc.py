@@ -29,7 +29,6 @@ from . import rearrange as rr
 from .errors import (InvalidFamilyError, MethodInapplicableError,
                      NotInSpaceError)
 from .piecewise import INF, PPL, DomainSpec, MeasurableSet
-from .rootfind import dominant_key
 from .spaces import SpaceDescriptor
 
 EPS_LIMIT = 1e-7
@@ -194,15 +193,14 @@ def _peak_limit_at_infinity(g: PPL, spec) -> bool | None:
     """Exact limit test of phi(t)/t * integral of g* over (0, t) at infinity.
 
     The averaged rearrangement of an integrable g behaves like mass/t, so
-    the limit is mass * lim phi(t)/t.  With divergent mass and an
-    eventually nonincreasing final piece, the integral of g* over (0, t)
-    grows like the exact tail antiderivative up to additive constants, and
-    polynomial-log dominance decides the limit of phi(t) * Q(t) / t.
-    Returns None for tail shapes outside this analysis.
+    the limit is mass * lim phi(t)/t.  Mass that diverges at infinity under
+    a positive final piece that does not grow makes the integral Q(t) of g*
+    over (0, t) grow like the integral of that piece's germ, and the germ of
+    phi(t) * Q(t) / t decides.  Other tails return None.
     """
-    dom = g.domain
-    inv_t = pw.power_piece(dom, 0.0, dom.end, 1.0, -1.0)
-    ratio_lim = pw.limit_at_infinity(pw.product(spec.phi, inv_t))
+    phi = pw.germ(spec.phi.pieces[-1].term_map(), "inf")
+    inv_t = (1.0, -1.0, 0)
+    ratio_lim = pw.germ_limit(pw.germ_product(phi, inv_t), "inf")
     mass = pw.integrate(g)
     if mass == 0.0:
         return True
@@ -215,18 +213,14 @@ def _peak_limit_at_infinity(g: PPL, spec) -> bool | None:
     last = g.pieces[-1]
     if not math.isinf(last.hi):
         return None
-    tm = last.term_map()
-    alpha, logpow = dominant_key(tm, True)
-    coeff = tm[(alpha, logpow)]
-    if coeff <= 0.0 or alpha > 0.0 or (alpha == 0.0 and logpow > 0):
+    tail = pw.germ(last.term_map(), "inf")
+    if tail[0] <= 0.0 or math.isinf(pw.germ_limit(tail, "inf")) \
+            or not pw.integral_diverges(tail[1], "inf"):
+        # a negative or growing tail, or mass that diverges at zero
         return None
-    amap = pw.antiderivative_map(tm)
-    shift = pw.eval_term_map(amap, last.lo)
-    qmap = dict(amap)
-    qmap[(0.0, 0)] = qmap.get((0.0, 0), 0.0) - shift
-    q = pw.make_ppl(dom, [(last.lo, INF, qmap)])
-    w = pw.product(spec.phi, pw.product(q, inv_t))
-    return pw.limit_at_infinity(w) == 0.0
+    q = pw.germ_integral(tail)
+    w = pw.germ_product(phi, pw.germ_product(q, inv_t))
+    return pw.germ_limit(w, "inf") == 0.0
 
 
 def _escaping_tail(f: PPL, S: SpaceDescriptor, evidence: dict) -> bool | None:
@@ -241,13 +235,6 @@ def _escaping_tail(f: PPL, S: SpaceDescriptor, evidence: dict) -> bool | None:
     decision, vals = vanishing_sequence(tail)
     evidence["tail_norms"] = vals[-6:]
     return decision
-
-
-def _excess_over(f: PPL, n: float) -> PPL:
-    """(|f| - n)_+ , exact."""
-    g = pw.absolute(f)
-    lvl = pw.step_function(f.domain, [(0.0, f.domain.end, n)])
-    return pw.positive_part(pw.combine(g, lvl, "sub"))
 
 
 def tail_test_point(f: PPL, X: SpaceDescriptor) -> tuple[bool | None, dict]:
@@ -292,7 +279,7 @@ def truncation_core_membership(f: PPL, CX: SpaceDescriptor) -> tuple[bool | None
     evidence: dict = {}
 
     def excess(n: float) -> float:
-        return nm.norm(_excess_over(f, n), CX).value
+        return nm.norm(pw.excess_over(f, n, f.domain.end), CX).value
 
     exc_dec, exc_vals = vanishing_sequence(excess)
     evidence["excess_norms"] = exc_vals[-6:]
@@ -396,14 +383,6 @@ def oc_point_via_characterization(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
 # closed-form rules per base-space family
 
 
-def _truncation_remainder(f: PPL, m: float) -> PPL:
-    """|f| minus its truncation at height m and horizon m, exact."""
-    g = pw.absolute(f)
-    hi = min(m, f.domain.end)
-    cap = pw.step_function(f.domain, [(0.0, hi, m)])
-    return pw.positive_part(pw.combine(g, cap, "sub"))
-
-
 def _vanishing_ends(g: PPL) -> tuple[bool, dict]:
     ev = {"vanishing_average_at_zero": vanishing_average_at_zero(g)}
     if not g.domain.is_unit:
@@ -490,7 +469,8 @@ def oc_point_closed_form(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
                 found = False
                 for j, m in enumerate(horizons):
                     if j == len(modulars):
-                        rem = _truncation_remainder(f, m)
+                        # |f| minus its truncation at height and horizon m
+                        rem = pw.excess_over(f, m, min(m, f.domain.end))
                         modulars.append(None if rem.is_zero else
                                         nm._orlicz_modular(
                                             cz.cesaro_transform(rem), spec))

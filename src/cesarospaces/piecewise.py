@@ -8,7 +8,10 @@ the averaging transform and every norm of a step function stay exact.
 A function is a finite list of disjoint half-open pieces [lo, hi) on the
 unit interval [0, 1] or the half-line [0, inf); off the pieces the function
 is zero.  Improper behavior at the endpoints 0 and inf is decided
-analytically from the dominant monomial, never by sampling.
+analytically from the dominant monomial, never by sampling.  The germ
+helpers (:func:`germ`, :func:`germ_limit`, :func:`integral_diverges`,
+:func:`germ_product`, :func:`germ_integral`) are the one place that makes
+those endpoint decisions; every other module reads them from there.
 """
 
 from __future__ import annotations
@@ -238,36 +241,53 @@ def antiderivative_map(tm: TermMap) -> TermMap:
     return {k: c for k, c in out.items() if c != 0.0}
 
 
+Germ = tuple[float, float, int]  # dominant monomial c * t**a * (ln t)**k
+
+
+def germ(tm: TermView, at: str) -> Germ:
+    """Germ at ``"zero"`` or ``"inf"`` of a map with nonzero coefficients."""
+    if at not in ("zero", "inf"):
+        raise ValueError(f"unknown limit target {at!r}")
+    a, k = rootfind.dominant_key(tm, at == "inf")
+    return tm[(a, k)], a, k
+
+
+def germ_limit(g: Germ, at: str) -> float:
+    """Limit of the germ at its end (may be +-inf)."""
+    c, a, k = g
+    if (a > 0.0 if at == "inf" else a < 0.0) or (a == 0.0 and k > 0):
+        # ln t tends to -inf at zero, where k flips the sign k times
+        return math.copysign(INF, c * (1.0 if at == "inf" else -1.0) ** k)
+    return c if a == 0.0 else 0.0
+
+
+def integral_diverges(a: float, at: str) -> bool:
+    """Is the integral of t**a * (ln t)**k, k >= 0, divergent at the end?"""
+    return a >= -1.0 if at == "inf" else a <= -1.0
+
+
+def germ_product(g: Germ, h: Germ) -> Germ:
+    """Germ of a product, summed as :func:`product` sums keys."""
+    return g[0] * h[0], g[1] + h[1], g[2] + h[2]
+
+
+def germ_integral(g: Germ) -> Germ:
+    """Germ of the integral of g toward an end where it diverges."""
+    c, a, k = g
+    if a == -1.0:
+        return c / (k + 1), 0.0, k + 1
+    return c / (a + 1.0), a + 1.0, k
+
+
 def limit_term_map(tm: TermMap, at: str) -> float:
     """Limit of the monomial sum at ``"zero"`` or ``"inf"`` (may be +-inf)."""
     live = {k: c for k, c in tm.items() if c != 0.0}
-    if not live:
-        return 0.0
-    if at == "inf":
-        alpha, k = rootfind.dominant_key(live, True)
-        c = live[(alpha, k)]
-        if alpha > 0.0 or (alpha == 0.0 and k > 0):
-            return math.copysign(INF, c)
-        if alpha == 0.0:
-            return c
-        return 0.0
-    if at == "zero":
-        alpha, k = rootfind.dominant_key(live, False)
-        c = live[(alpha, k)]
-        sign = c * ((-1.0) ** k)
-        if alpha < 0.0 or (alpha == 0.0 and k > 0):
-            return math.copysign(INF, sign)
-        if alpha == 0.0:
-            return c
-        return 0.0
-    raise ValueError(f"unknown limit target {at!r}")
+    return germ_limit(germ(live, at), at) if live else 0.0
 
 
 def _piece_integral(tm: TermMap, p: float, q: float) -> float:
     """Exact integral over [p, q), +-inf on divergence."""
-    F = antiderivative_map(tm)
-    upper = limit_term_map(F, "inf") if math.isinf(q) else eval_term_map(F, q)
-    lower = limit_term_map(F, "zero") if p == 0.0 else eval_term_map(F, p)
+    lower, upper = segment_end_values(antiderivative_map(tm), p, q)
     if math.isinf(upper) and math.isinf(lower):
         if upper == lower:
             # the two halves diverge with opposite signs
@@ -632,6 +652,12 @@ def absolute(f: PPL) -> PPL:
 def positive_part(f: PPL) -> PPL:
     """max(f, 0), exact."""
     return scale(combine(f, absolute(f), "add"), 0.5)
+
+
+def excess_over(f: PPL, level: float, horizon: float) -> PPL:
+    """(|f| - level)_+ on [0, horizon) and |f| beyond it, exact."""
+    cap = step_function(f.domain, [(0.0, horizon, level)])
+    return positive_part(combine(absolute(f), cap, "sub"))
 
 
 def is_nonnegative(f: PPL) -> bool:

@@ -27,6 +27,14 @@ from .piecewise import INF, PPL, DomainSpec
 _PROBES = [2.0 ** k for k in range(-20, 21)]
 
 
+def _covers(f: PPL, lo: float, hi: float) -> bool:
+    """Do the pieces of f cover [lo, hi) without a gap?"""
+    pieces = pw.MeasurableSet.from_intervals(
+        f.domain, [(p.lo, p.hi) for p in f.pieces])
+    return pieces.contains(pw.MeasurableSet.from_intervals(f.domain,
+                                                           [(lo, hi)]))
+
+
 @dataclass(frozen=True)
 class OrliczFunctionSpec:
     """Convex generator Phi for an Orlicz space.
@@ -68,6 +76,9 @@ class OrliczFunctionSpec:
             raise ValidationError("degeneracy thresholds out of order")
         if self.zero_bound > self.finite_bound:
             raise ValidationError("zero bound exceeds finite bound")
+        if not _covers(self.phi, self.zero_bound, self.finite_bound):
+            raise ValidationError(
+                "generator pieces must cover [zero bound, finite bound)")
         probes = [u for u in _PROBES if u <= self.finite_bound]
         vals = [self.value(u) for u in probes]
         for v, w in zip(vals, vals[1:]):
@@ -135,6 +146,9 @@ class QuasiConcaveSpec:
         return pw.derivative(self.phi)
 
     def validate(self) -> None:
+        if not _covers(self.phi, 0.0, self.domain.end):
+            raise ValidationError(
+                "parameter function pieces must cover the whole domain")
         atom = self.atom_at_zero
         if not (math.isfinite(atom) and atom >= 0.0):
             raise ValidationError("parameter function has no finite limit at 0")

@@ -88,6 +88,22 @@ def test_empty_or_inverted_interval_exits_2(docs, tmp_path, capsys, interval):
     assert "empty or inverted" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pieces", [
+    [(0.0, 3.0, {(0.5, 0): 1.0}), (3.5, INF, {(0.5, 0): 1.0})],
+    [(0.0, 2.0 ** 30, {(0.5, 0): 1.0})]], ids=["gap", "short"])
+def test_gapped_parameter_function_exits_2(docs, tmp_path, capsys, pieces):
+    # built without validation, as a hand-written document would carry it
+    phi = pw.make_ppl(H, pieces)
+    X = sp.SpaceDescriptor("cesaro", H, inner=sp.SpaceDescriptor(
+        "marcinkiewicz", H, quasi=sp.QuasiConcaveSpec(phi)))
+    path = tmp_path / "gapped.json"
+    path.write_text(dc.dump_space(X), encoding="utf-8")
+    code = cli.main(["norm", "--function", docs["chi01"], "--space",
+                     str(path), "--out", docs["out"]])
+    assert code == 2
+    assert "must cover" in capsys.readouterr().err
+
+
 def test_module_entry_point_runs_the_cli(docs):
     src = pathlib.Path(cli.__file__).resolve().parent.parent
     env = dict(os.environ)

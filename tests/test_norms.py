@@ -15,7 +15,8 @@ from cesarospaces import oc
 from cesarospaces import piecewise as pw
 from cesarospaces import rearrange as rr
 from cesarospaces import spaces as sp
-from cesarospaces.errors import MethodInapplicableError, RepresentationError
+from cesarospaces.errors import (MethodInapplicableError, RepresentationError,
+                                 ValidationError)
 from cesarospaces.piecewise import INF
 from support import (HALFLINE as H, UNIT as U, chi, nonzero_step_functions,
                      step_functions)
@@ -547,3 +548,44 @@ def test_cx_nontrivial_reads_phi_exponent_at_infinity(family, phi, member):
     X = family(sp.QuasiConcaveSpec(phi))
     assert nm.cx_nontrivial(X) is member
     assert nm.cx_nontrivial(sp.cesaro_space(X)) is member
+
+
+def _gapped(a):
+    # t**a with a hole at [3, 3.5), where it would read 0
+    return pw.make_ppl(H, [(0.0, 3.0, {(a, 0): 1.0}),
+                           (3.5, INF, {(a, 0): 1.0})])
+
+
+def _short(a):
+    # t**a up to 2**30, whose last piece still reads as growing like t**a
+    return pw.power_piece(H, 0.0, 2.0 ** 30, 1.0, a)
+
+
+@pytest.mark.parametrize("family", [sp.lorentz_space, sp.marcinkiewicz_space])
+@pytest.mark.parametrize("phi", [_gapped(0.5), _short(0.5)],
+                         ids=["gap", "short"])
+def test_parameter_function_must_cover_its_domain(family, phi):
+    with pytest.raises(ValidationError, match="cover"):
+        family(sp.QuasiConcaveSpec(phi))
+
+
+@pytest.mark.parametrize("spec", [
+    sp.OrliczFunctionSpec(_gapped(2.0)),
+    sp.OrliczFunctionSpec(_short(2.0)),
+    # u**2 up to 1/2 under a finite bound of 1
+    sp.OrliczFunctionSpec(pw.power_piece(H, 0.0, 0.5, 1.0, 2.0),
+                          finite_bound=1.0),
+    # 2u - 1 from 3/4 on, above a zero bound of 1/2
+    sp.OrliczFunctionSpec(
+        pw.make_ppl(H, [(0.75, INF, {(1.0, 0): 2.0, (0.0, 0): -1.0})]),
+        zero_bound=0.5),
+], ids=["gap", "short", "short-of-finite-bound", "gap-above-zero-bound"])
+def test_generator_must_cover_zero_to_finite_bound(spec):
+    with pytest.raises(ValidationError, match="cover"):
+        sp.orlicz_space(spec, H)
+
+
+def test_generator_pieces_may_run_past_the_finite_bound():
+    spec = sp.OrliczFunctionSpec(pw.power_piece(H, 0.0, INF, 1.0, 2.0),
+                                 finite_bound=1.0)
+    assert sp.orlicz_space(spec, H).orlicz is spec

@@ -260,6 +260,42 @@ def test_closed_form_point_rules(f, CX, verdict, rule, evidence):
     assert (v.verdict, v.rule, v.evidence) == (verdict, rule, evidence)
 
 
+def _tail(lo, alpha, coeff=1.0, logpow=0):
+    return pw.power_piece(H, lo, INF, coeff, alpha, logpow)
+
+
+PEAK_LIMIT_CASES = [
+    ("zero-mass", pw.zero(H), "sqrt", True),
+    ("finite-mass", chi(H, 0.0, 1.0), "sqrt", True),
+    ("finite-mass-linear-phi", chi(H, 0.0, 1.0), "linear", False),
+    # phi*Q/t ~ t**-0.5 * ln t
+    ("inverse-tail", _tail(1.0, -1.0), "sqrt", True),
+    # phi*Q/t -> 2
+    ("inverse-sqrt-tail", _tail(1.0, -0.5), "sqrt", False),
+    # phi*Q/t ~ t**0.5
+    ("constant-tail", _tail(1.0, 0.0), "sqrt", False),
+    # one piece from 0 to inf: its germ alone decides, with no value at 0
+    ("constant-from-zero", _tail(0.0, 0.0), "sqrt", False),
+    ("negative-tail", _tail(1.0, -1.0, coeff=-1.0), "sqrt", None),
+    ("growing-tail", _tail(1.0, 1.0), "sqrt", None),
+    ("log-growing-tail", _tail(1.0, 0.0, logpow=1), "sqrt", None),
+    ("divergent-mass-bounded-support", pw.power_piece(H, 0.0, 1.0, 1.0, -1.0),
+     "sqrt", None),
+    # the mass diverges at zero, so the integral of g* is infinite at
+    # every t, whatever the integrable tail does
+    ("divergent-head-integrable-tail",
+     pw.make_ppl(H, [(0.0, 1.0, {(-1.0, 0): 1.0}),
+                     (1.0, INF, {(-2.0, 0): 1.0})]), "sqrt", None),
+]
+
+
+@pytest.mark.parametrize("g,phi,want", [c[1:] for c in PEAK_LIMIT_CASES],
+                         ids=[c[0] for c in PEAK_LIMIT_CASES])
+def test_peak_limit_at_infinity(g, phi, want):
+    spec = cat.sqrt_phi(H) if phi == "sqrt" else _unit_slope(H)
+    assert oc._peak_limit_at_infinity(g, spec) is want
+
+
 # ---------------------------------------------------------------------------
 # space verdicts
 

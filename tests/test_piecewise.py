@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 import pickle
 
 import pytest
@@ -248,6 +249,59 @@ def test_limit_term_map_log_dominance():
     tm = {(0.0, 1): 1.0, (0.0, 0): 5.0}
     assert pw.limit_term_map(tm, "inf") == INF
     assert pw.limit_term_map(tm, "zero") == -INF
+
+
+# exponents in quarters from -3 to 2, so the tie a = -1 and exact sums occur
+_GERM_EXPONENTS = [q / 4.0 for q in range(-12, 9)]
+
+
+@st.composite
+def term_maps(draw):
+    """Nonzero term maps of up to four terms with mixed signs."""
+    keys = draw(st.lists(st.tuples(st.sampled_from(_GERM_EXPONENTS),
+                                   st.integers(0, 3)),
+                         min_size=1, max_size=4, unique=True))
+    coeffs = draw(st.lists(
+        st.builds(operator.mul, st.sampled_from([-1.0, 1.0]),
+                  st.floats(0.125, 8.0)),
+        min_size=len(keys), max_size=len(keys)))
+    return dict(zip(keys, coeffs))
+
+
+@given(tm=term_maps())
+@settings(max_examples=200, deadline=None)
+@example(tm={(-1.0, 0): 1.0})
+@example(tm={(-1.0, 3): -2.0, (-2.0, 0): 1.0, (0.5, 1): 1.0})
+def test_germ_divergence_rule_matches_exact_integral(tm):
+    for at, lo, hi in (("inf", 1.0, INF), ("zero", 0.0, 1.0)):
+        g = pw.germ(tm, at)
+        diverges = pw.integral_diverges(g[1], at)
+        assert diverges is math.isinf(pw._piece_integral(tm, lo, hi))
+        if diverges:
+            # the integral grows like the antiderivative's germ
+            c, a, k = pw.germ(pw.antiderivative_map(tm), at)
+            ci, ai, ki = pw.germ_integral(g)
+            assert (a, k) == (ai, ki)
+            assert c == pytest.approx(ci, rel=1e-15)
+
+
+@given(tm1=term_maps(), tm2=term_maps())
+@settings(max_examples=100, deadline=None)
+def test_germ_of_product_is_product_of_germs(tm1, tm2):
+    h = pw.product(pw.make_ppl(H, [(0.0, INF, tm1)]),
+                   pw.make_ppl(H, [(0.0, INF, tm2)]))
+    for at in ("zero", "inf"):
+        assert pw.germ(h.pieces[-1].term_map(), at) == \
+            pw.germ_product(pw.germ(tm1, at), pw.germ(tm2, at))
+
+
+def test_germ_limit_reads_the_sign_of_log_powers_at_zero():
+    assert pw.germ_limit((2.0, 0.0, 3), "zero") == -INF
+    assert pw.germ_limit((2.0, 0.0, 2), "zero") == INF
+    assert pw.germ_limit((-2.0, -0.5, 3), "inf") == 0.0
+    assert pw.germ_limit((-2.0, 0.0, 0), "zero") == -2.0
+    with pytest.raises(ValueError):
+        pw.germ({(0.0, 0): 1.0}, "middle")
 
 
 # ---------------------------------------------------------------------------
