@@ -1,8 +1,9 @@
 """Norm evaluation for the whole space catalog.
 
 Step functions and transform images stay on exact closed-form paths; other
-inputs fall back to adaptive quadrature with tracked error bounds.
-Divergence at the improper endpoints is always decided analytically from
+inputs fall back to adaptive quadrature with tracked error bounds, and a
+Marcinkiewicz sup without an exact rearrangement to a search over levels
+whose error bound brackets the sup.  Divergence at the improper endpoints is always decided analytically from
 dominant monomials before any quadrature runs, so +inf results are exact
 statements, not overflow artifacts.
 """
@@ -10,6 +11,8 @@ statements, not overflow artifacts.
 from __future__ import annotations
 
 import functools
+import heapq
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -21,31 +24,40 @@ from . import rearrange as rr
 from .errors import (MethodInapplicableError, RepresentationError,
                      TransformUndefinedError)
 from .piecewise import INF, PPL, DomainSpec, TermMap, TermPairs
-from .spaces import OrliczFunctionSpec, SpaceDescriptor
+from .spaces import OrliczFunctionSpec, QuasiConcaveSpec, SpaceDescriptor
 
 LUXEMBURG_REL_TOL = 1e-10
 QUAD_TOL = 1e-10
 SUP_SEARCH_TOL = 1e-10
+SUP_SEARCH_MAX_LEVELS = 256
+SUP_SEARCH_FAR = 2.0 ** 40
 
 
 @dataclass(frozen=True)
 class NormResult:
     value: float
-    method: str  # "exact" (closed form, possibly bisection-bracketed) | "quadrature"
+    # "exact" (closed form, possibly bisection-bracketed) | "quadrature"
+    # | "sup-search" (a Marcinkiewicz sup bracketed over sampled levels)
+    method: str
     error_bound: float
 
     def __repr__(self) -> str:  # keeps test output readable
         return f"NormResult({self.value!r}, {self.method}, err<={self.error_bound:g})"
 
 
+def _map_times(tm1: TermMap, tm2: TermMap) -> TermMap:
+    out: TermMap = {}
+    for (a1, k1), c1 in tm1.items():
+        for (a2, k2), c2 in tm2.items():
+            key = (a1 + a2, k1 + k2)
+            out[key] = out.get(key, 0.0) + c1 * c2
+    return out
+
+
 def _map_pow_int(tm: TermMap, n: int) -> TermMap | None:
     out: TermMap = {(0.0, 0): 1.0}
     for _ in range(n):
-        nxt: TermMap = {}
-        for (a1, k1), c1 in out.items():
-            for (a2, k2), c2 in tm.items():
-                key = (a1 + a2, k1 + k2)
-                nxt[key] = nxt.get(key, 0.0) + c1 * c2
+        nxt = _map_times(out, tm)
         if len(nxt) > pw.MAX_TERMS_PER_PIECE:
             return None
         out = nxt
@@ -442,22 +454,71 @@ def _lorentz_ppl(f: PPL, X: SpaceDescriptor) -> NormResult:
     return NormResult(val, "quadrature", err)
 
 
-def _golden_max(fn: Callable[[float], float], a: float, b: float) -> float:
-    """Golden-section refinement for a unimodal bump inside [a, b]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > SUP_SEARCH_TOL * max(1.0, abs(b)):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
+@functools.lru_cache(maxsize=64)
+def _line_breaks(spec: QuasiConcaveSpec) -> tuple[float, ...] | None:
+    """phi's breakpoints when sup phi(t)*(c + K/t), c, K >= 0, over an
+    interval sits at its ends and those breakpoints; None otherwise.
+
+    It does when every piece of phi is a sum of c_j*t**a_j with c_j > 0 and
+    0 <= a_j <= 1: the derivative times t**2 is then a sum whose negative
+    terms all come before its positive ones in exponent order, so it
+    changes sign at most once, from - to + (Descartes' rule of signs).
+    """
+    if all(k == 0 and c > 0.0 and 0.0 <= a <= 1.0
+           for p in spec.phi.pieces for (a, k), c in p.pairs):
+        return tuple(spec.phi.breakpoints())
+    return None
+
+
+def _weighted_sup(spec: QuasiConcaveSpec, extra: TermMap, a: float,
+                  b: float, breaks: tuple[float, ...] | None) -> float:
+    """sup of phi(t)*extra(t) over t in [a, b], limits at 0 and inf included.
+
+    ``breaks`` is ``_line_breaks(spec)`` when extra is c + K/t with c, K >= 0
+    (the keys (0, 0) and (-1, 0)); unless it is None, the ends and those
+    breakpoints stand for the whole interval.  Otherwise the product is
+    split at its stationary points.
+    """
+    extra = {key: c for key, c in extra.items() if c != 0.0}
+    if not extra or b < a:
+        return 0.0
+    if breaks is None:
+        h = pw.product(spec.phi, pw.make_ppl(spec.domain, [(a, b, extra)]))
+        return max((v for lo, hi, tm in pw.monotone_segments(h)
+                    for v in pw.segment_end_values(tm, lo, hi)), default=0.0)
+    c, K = extra.get((0.0, 0), 0.0), extra.get((-1.0, 0), 0.0)
+    best = 0.0
+    for t in (a, b, *(x for x in breaks if a < x < b)):
+        if 0.0 < t < INF:
+            v = spec.value(t) * (c + K / t)
         else:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-    return max(fc, fd)
+            end = spec.phi.pieces[0 if t == 0.0 else -1].term_map()
+            v = pw.limit_term_map(_map_times(end, extra),
+                                  "zero" if t == 0.0 else "inf")
+        best = max(best, v)
+    return best
+
+
+def _peak_limit_at_infinity(spec: QuasiConcaveSpec, tail: TermMap,
+                            mass: float) -> float:
+    """lim of phi(t)*f**(t) at infinity when |f| > 0 tends to 0 along its
+    last piece, whose terms are ``tail``, and mass is the integral of |f|.
+
+    f* has the germ of that piece at infinity, because the tail is only
+    shifted by a finite measure.  An integrable f gives f** ~ mass/t;
+    otherwise the integral of f* grows like the integral of the germ.
+    """
+    phi = pw.germ(spec.phi.pieces[-1].term_map(), "inf")
+    inv_t = (1.0, -1.0, 0)
+    if math.isfinite(mass):
+        return mass * pw.germ_limit(pw.germ_product(phi, inv_t), "inf")
+    grown = pw.germ_product(pw.germ_integral(pw.germ(tail, "inf")), inv_t)
+    return pw.germ_limit(pw.germ_product(phi, grown), "inf")
+
+
+def _split_level(hi: float, lo: float) -> float:
+    """A level between lo and hi: geometric across more than a factor of 4."""
+    return math.sqrt(hi * lo) if lo > 0.0 and hi > 4.0 * lo else 0.5 * (hi + lo)
 
 
 def _marcinkiewicz_ppl(f: PPL, X: SpaceDescriptor) -> NormResult:
@@ -472,27 +533,140 @@ def _marcinkiewicz_ppl(f: PPL, X: SpaceDescriptor) -> NormResult:
             return NormResult(INF, "exact", 0.0)
         w = pw.product(spec.phi, second)
         return NormResult(pw.essential_sup_abs(w), "exact", 0.0)
-    src = pw.absolute(f)
-    levels = rr._level_memo(f)  # every point bisects from the same bracket
-    if math.isinf(r.sup_value) and \
-            rr._layer_cake_average(r, src, 1.0, levels) == INF:
+    return _marcinkiewicz_levels(f, spec, r.sup_value, r.value_at_infinity)
+
+
+def _marcinkiewicz_levels(f: PPL, spec: QuasiConcaveSpec, sup: float,
+                          low: float) -> NormResult:
+    """sup over t of phi(t)*f**(t), searched over levels lam of |f|.
+
+    At t = d(lam) the layer-cake identity has no leftover term: the
+    integral G of f* over [0, t] is the mass M(lam) of |f| above lam, so
+    one pass over the segments of |f| (``rearrange._level_mass``) gives a
+    sample phi(d)*M/d with no bisection.  The samples are points
+    (lam, t, G, value), in decreasing lam and so increasing t:
+
+    - the critical values of |f| between low = f*(inf) and sup are
+      sampled first; between two of them d and M are smooth.
+    - a level c that |f| takes on a set of length L > 0 (a flat piece, a
+      flat top, the level low on [d(low), end]) makes f* = c on
+      [d(c), d(c) + L], where G = M + c*(t - d); the sup of phi*G/t there
+      is taken in closed form (``_weighted_sup``) without any distribution
+      evaluation.
+    - an unbounded |f| is |f|'s first segment near 0, so below t = d(top
+      level) phi*f** is phi times the running average of that segment: an
+      exact power-log sup, its limit at 0 read off the germs.
+    - when |f| > 0 runs to infinity with low = 0, the limit of phi*f** at
+      infinity comes from the germs (``_peak_limit_at_infinity``), and a
+      sample at the level of |f|'s last piece at 2**40*(1 + its start)
+      fixes the last finite point, far past every other part of |f|.
+
+    G is concave with slope lam at d(lam), so on [t_i, t_j] it lies under
+    both tangent lines G_i + lam_i*(t - t_i) and G_j + lam_j*(t - t_j),
+    and the sup of phi times either line over t is in closed form.  That
+    envelope bounds phi*f** on the stretch from above, to second order in
+    its width.  The stretch with the largest envelope is split at a new
+    level until no envelope exceeds the best value by more than
+    ``SUP_SEARCH_TOL`` of it (or ``SUP_SEARCH_MAX_LEVELS`` samples are
+    spent), and the error bound is the largest envelope minus the value.
+    Past the last finite point of an open tail under an unbounded phi no
+    line bounds the sup; there the germ is trusted to run monotonically
+    from that point to its limit.
+    """
+    if low > 0.0 and math.isinf(spec.value_at_end):
+        # f* >= low, so phi(t)*f**(t) >= low*phi(t) grows without bound
         return NormResult(INF, "exact", 0.0)
-    fn = lambda t: spec.value(t) * rr._layer_cake_average(r, src, t, levels)
-    end = f.domain.end
-    grid = [t for t in (2.0 ** k for k in range(-24, 25))
-            if t <= end] + [b for b in spec.phi.breakpoints() if 0 < b <= end]
-    grid = sorted(set(grid))
-    vals = [fn(t) for t in grid]
-    best = max(vals)
+    msegs = rr._mass_segments(f)
+    if math.isinf(sup) and math.isinf(msegs[0].whole):
+        # mass near zero is not locally integrable: f** is infinite
+        return NormResult(INF, "exact", 0.0)
+    flat: dict[float, float] = {}
+    for m in msegs:
+        if m.seg.cross is None and m.seg.vlo > low:
+            flat[m.seg.vlo] = flat.get(m.seg.vlo, 0.0) + (m.seg.hi - m.seg.lo)
+    knots = [v for v in reversed(rr.critical_values(f)) if low < v < sup]
+    last = msegs[-1].seg
+    if low == 0.0 and math.isinf(last.hi):
+        far = pw.eval_term_map(last.terms, SUP_SEARCH_FAR * (1.0 + last.lo))
+        if 0.0 < far < (knots[-1] if knots else sup):
+            knots.append(far)
+    knots = ([sup] if math.isfinite(sup) else []) + knots + [low]
+    breaks = _line_breaks(spec)
+
+    def line(lam: float, t: float, G: float) -> TermMap:
+        # G + lam*(s - t) = lam*s + K, as c + K/s once divided by s
+        return {(0.0, 0): lam, (-1.0, 0): max(G - lam * t, 0.0)}
+
+    def point(lam: float, t: float, G: float) -> tuple[float, ...]:
+        # at t = 0, phi*f** tends to phi(0+)*sup
+        value = spec.value(t) * G / t if t > 0.0 else spec.atom_at_zero * lam
+        return lam, t, G, value
+
+    points = []
+    closed: list[float] = []  # sups of flat stretches and of the head
+    for lam in knots:
+        d, G = (0.0, 0.0) if lam == sup else rr._level_mass(msegs, lam)
+        if math.isinf(d):
+            # only an open tail or a tail above low reaches here
+            limit = _peak_limit_at_infinity(spec, last.terms, G) \
+                if low == 0.0 else low * spec.value_at_end
+            points.append((lam, INF, INF, limit))
+            break
+        points.append(point(lam, d, G))
+        length = flat.get(lam, 0.0) if lam > low else f.domain.end - d
+        if length > 0.0:
+            closed.append(_weighted_sup(spec, line(lam, d, G), d, d + length,
+                                        breaks))
+            if lam > low:
+                points.append(point(lam, d + length, G + lam * length))
+    if math.isinf(sup):
+        head = msegs[0]
+        average = {(a - 1.0, k): c for (a, k), c in head.anti.items()}
+        average[(-1.0, 0)] = average.get((-1.0, 0), 0.0) - head.alo
+        closed.append(_weighted_sup(spec, average, 0.0, points[0][1], None))
+    best = max([p[3] for p in points] + closed)
     if math.isinf(best):
         return NormResult(INF, "exact", 0.0)
-    idx = vals.index(best)
-    lo = grid[max(idx - 1, 0)]
-    hi = grid[min(idx + 1, len(grid) - 1)]
-    refined = _golden_max(fn, lo, hi) if hi > lo else best
-    value = max(best, refined)
-    return NormResult(value, "quadrature",
-                      abs(refined - best) + 1e-8 * (1.0 + value))
+
+    def envelope(A, B) -> float:
+        la, ta, Ga, _ = A
+        lb, tb, Gb, _ = B
+        if math.isinf(tb):
+            return _weighted_sup(spec, line(la, ta, Ga), ta, INF, breaks)
+        ka, kb = line(la, ta, Ga), line(lb, tb, Gb)
+        tc = min(max((kb[(-1.0, 0)] - ka[(-1.0, 0)]) / (la - lb), ta), tb)
+        return max(_weighted_sup(spec, ka, ta, tc, breaks),
+                   _weighted_sup(spec, kb, tc, tb, breaks))
+
+    heap: list = []
+    settled = list(closed)  # envelopes no split can lower
+    order = itertools.count()
+
+    def push(A, B) -> None:
+        top = envelope(A, B)
+        if math.isinf(top) and math.isinf(B[1]):
+            # an open tail under an unbounded phi: trust the germ
+            settled.append(max(A[3], B[3]))
+        else:
+            heapq.heappush(heap, (-top, next(order), A, B))
+
+    for A, B in zip(points, points[1:]):
+        if A[0] != B[0]:
+            push(A, B)
+    for _ in range(SUP_SEARCH_MAX_LEVELS):
+        if not heap or -heap[0][0] <= best * (1.0 + SUP_SEARCH_TOL):
+            break
+        top, _, A, B = heapq.heappop(heap)
+        lam = _split_level(A[0], B[0])
+        if not B[0] < lam < A[0]:
+            settled.append(-top)  # no float left between the two levels
+            continue
+        P = point(lam, *rr._level_mass(msegs, lam))
+        best = max(best, P[3])
+        push(A, P)
+        push(P, B)
+    upper = max(settled + [best] + ([-heap[0][0]] if heap else []))
+    return NormResult(best, "sup-search", upper - best)
 
 
 # ---------------------------------------------------------------------------

@@ -218,9 +218,7 @@ def _peak_limit_at_infinity(g: PPL, spec) -> bool | None:
             or not pw.integral_diverges(tail[1], "inf"):
         # a negative or growing tail, or mass that diverges at zero
         return None
-    q = pw.germ_integral(tail)
-    w = pw.germ_product(phi, pw.germ_product(q, inv_t))
-    return pw.germ_limit(w, "inf") == 0.0
+    return nm._peak_limit_at_infinity(spec, last.term_map(), INF) == 0.0
 
 
 def _escaping_tail(f: PPL, S: SpaceDescriptor, evidence: dict) -> bool | None:

@@ -37,6 +37,14 @@ DIVERGENCE_RATIO = 0.95
 GRID_POINTS = 4096
 GRID_DELTA = 2.0 ** -20
 GRID_TOP = 2.0 ** 10
+# the multi-scale grid of ``_weighted_sorted``: a logarithmic head from
+# GRID_HEAD_START, GRID_BODY_CELLS uniform cells up to GRID_TOP, and a
+# logarithmic tail out to GRID_TAIL_END on the half-line
+GRID_HEAD_START = 2.0 ** -40
+GRID_HEAD_RATIO = 2.0 ** (1.0 / 256)
+GRID_BODY_CELLS = 65536
+GRID_TAIL_RATIO = 2.0 ** (1.0 / 64)
+GRID_TAIL_END = 2.0 ** 40
 
 # default agreement tolerances per space family; sampled-rearrangement
 # oracles are grid-limited, pure quadrature ones are not
@@ -192,22 +200,22 @@ def _weighted_sorted(sample, end: float, cuts=()):
 
     A logarithmic grid resolves integrable singularities at zero, a uniform
     grid resolves the body, a coarser logarithmic extension follows slow
-    tails out to 2^40, and knot clusters straddle the supplied cuts; each
-    sample carries its own cell width.
+    tails out to ``GRID_TAIL_END``, and knot clusters straddle the supplied
+    cuts; each sample carries its own cell width.
     """
     body_top = min(end, GRID_TOP)
     # the head, the body and the tail fill disjoint ranges in increasing
     # order, so the grid is built sorted and repeats only next to itself
-    knots = [0.0, *_geometric(2.0 ** -40, 2.0 ** (1.0 / 256),
+    knots = [0.0, *_geometric(GRID_HEAD_START, GRID_HEAD_RATIO,
                               min(body_top, 0.125))]
-    h = body_top / 65536.0
+    h = body_top / float(GRID_BODY_CELLS)
     i0 = int(0.125 / h) + 1
-    knots += [i0 * h + j * h for j in range(65536 - i0 + 1)]
+    knots += [i0 * h + j * h for j in range(GRID_BODY_CELLS - i0 + 1)]
     _clamp(knots, body_top)
     top = body_top
     if end > GRID_TOP:
-        top = min(end, 2.0 ** 40)
-        knots += _geometric(body_top, 2.0 ** (1.0 / 64), top)
+        top = min(end, GRID_TAIL_END)
+        knots += _geometric(body_top, GRID_TAIL_RATIO, top)
         knots.append(top)
     for c in cuts:
         if not 0.0 < c < top:

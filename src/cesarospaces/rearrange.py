@@ -12,10 +12,15 @@ The rearrangement f*(s) = inf{lam > 0 : d_f(lam) <= s} is returned as an
 exact function whenever f is a step function or is already nonnegative and
 nonincreasing; otherwise it is an evaluation procedure driven by bisection
 over lam.  That bisection starts from the same bracket [f*(inf), sup|f|]
-for every s, so a sweep over many s (the Marcinkiewicz sup search, the
-sampled peak limits) shares its first midpoints; such a sweep keeps one
-level memo (``_level_memo``) for its own duration and measures each
-shared level once, with the same midpoints and comparisons as without it.
+for every s, so a sweep over many s (the sampled peak limits) shares its
+first midpoints; such a sweep keeps one level memo (``_level_memo``) for
+its own duration and measures each shared level once, with the same
+midpoints and comparisons as without it.
+
+A search that can choose its points in level form needs no bisection:
+``_level_mass`` returns d_f(lam) together with the mass of |f| above lam,
+which by the layer-cake identity is the integral of f* over [0, d_f(lam)].
+The Marcinkiewicz sup search of ``norms`` samples f** that way.
 """
 
 from __future__ import annotations
@@ -82,6 +87,7 @@ class _Segment:
     vlo: float
     vhi: float
     cross: _Crossing | None  # None on a flat segment: no level cuts it
+    terms: pw.TermView
 
 
 @lru_cache(maxsize=512)
@@ -91,7 +97,7 @@ def _abs_segments(f: PPL) -> tuple[_Segment, ...]:
     for lo, hi, tm in pw.monotone_segments(g):
         vlo, vhi = pw.segment_end_values(tm, lo, hi)
         cross = _crossing_data(lo, hi, tm) if vlo != vhi else None
-        segs.append(_Segment(lo, hi, vlo, vhi, cross))
+        segs.append(_Segment(lo, hi, vlo, vhi, cross, tm))
     return tuple(segs)
 
 
@@ -168,6 +174,76 @@ def _level_memo(f: PPL) -> Callable[[float], float]:
         return d
 
     return measure
+
+
+@dataclass(frozen=True, eq=False)
+class _MassSegment:
+    """A segment of |f| with what its mass above a level needs, built once:
+    the antiderivative of its terms and that antiderivative at the two ends
+    (limits at 0 and inf), so a cut at x integrates by one evaluation."""
+
+    seg: _Segment
+    anti: TermMap
+    alo: float
+    ahi: float
+    whole: float  # the integral over the segment, inf when it diverges
+
+
+def _mass_segments(f: PPL) -> tuple[_MassSegment, ...]:
+    out = []
+    for seg in _abs_segments(f):
+        anti = pw.antiderivative_map(seg.terms)
+        alo, ahi = pw.segment_end_values(anti, seg.lo, seg.hi)
+        whole = _between(pw._piece_integral(seg.terms, seg.lo, seg.hi),
+                         seg.hi - seg.lo, seg.vlo, seg.vhi)
+        out.append(_MassSegment(seg, anti, alo, ahi, whole))
+    return tuple(out)
+
+
+def _between(mass: float, width: float, v1: float, v2: float) -> float:
+    """mass clamped to width times the range [v1, v2] of the integrand.
+
+    An antiderivative difference over a thin cut cancels to a few ulps of
+    the antiderivative, which can dwarf the cut's own mass; the integrand
+    of a monotone segment stays between its end values, and so does its
+    mean.
+    """
+    if not math.isfinite(width):
+        return mass
+    lo, hi = (v1, v2) if v1 <= v2 else (v2, v1)
+    return min(max(mass, lo * width), hi * width)
+
+
+def _level_mass(msegs: tuple[_MassSegment, ...],
+                lam: float) -> tuple[float, float]:
+    """(d_f(lam), integral of |f| over {|f| > lam}) in one pass over the
+    segments of |f| (``_mass_segments``): each crossing is solved once and
+    serves both the measure and the integral.
+
+    A segment whose values stay >= lam and exceed it somewhere lies above
+    lam up to a null set, so a level that |f| only tends to at 0 or at
+    infinity cuts nothing off there.
+    """
+    d = 0.0
+    parts = []
+    for m in msegs:
+        seg = m.seg
+        if max(seg.vlo, seg.vhi) <= lam:
+            continue
+        if min(seg.vlo, seg.vhi) >= lam:
+            d += seg.hi - seg.lo
+            parts.append(m.whole)
+            continue
+        x = _crossing(seg, lam)
+        if seg.vlo > lam:
+            d += x - seg.lo
+            parts.append(_between(pw.eval_term_map(m.anti, x) - m.alo,
+                                  x - seg.lo, lam, seg.vlo))
+        else:
+            d += seg.hi - x
+            parts.append(_between(m.ahi - pw.eval_term_map(m.anti, x),
+                                  seg.hi - x, lam, seg.vhi))
+    return d, math.fsum(parts)
 
 
 def critical_values(f: PPL) -> list[float]:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cesarospaces import oracle as orc
 from cesarospaces import piecewise as pw
+from cesarospaces import rearrange as rr
 from cesarospaces.piecewise import INF
 
 HALFLINE = pw.DomainSpec("halfline")
@@ -66,19 +67,20 @@ def weighted_sorted_reference(sample, end: float, cuts=()):
     (magnitude, width) pairs and a clamped running sum."""
     body_top = min(end, orc.GRID_TOP)
     knots: set[float] = {0.0}
-    x = 2.0 ** -40
-    step = 2.0 ** (1.0 / 256)
+    x = orc.GRID_HEAD_START
+    step = orc.GRID_HEAD_RATIO
     while x < min(body_top, 0.125):
         knots.add(x)
         x *= step
-    h = body_top / 65536.0
+    cells = orc.GRID_BODY_CELLS
+    h = body_top / float(cells)
     i0 = int(0.125 / h) + 1
-    knots.update(min(i0 * h + j * h, body_top) for j in range(65536 - i0 + 1))
+    knots.update(min(i0 * h + j * h, body_top) for j in range(cells - i0 + 1))
     top = body_top
     if end > orc.GRID_TOP:
-        top = min(end, 2.0 ** 40)
+        top = min(end, orc.GRID_TAIL_END)
         x = body_top
-        tail_step = 2.0 ** (1.0 / 64)
+        tail_step = orc.GRID_TAIL_RATIO
         while x < top:
             knots.add(x)
             x *= tail_step
@@ -178,3 +180,56 @@ def marcinkiewicz_sampled_reference(sample, end: float, spec,
     if best > 1e7:
         return INF
     return best
+
+
+# ---------------------------------------------------------------------------
+# reference for the Marcinkiewicz sup search: the t-grid search that the
+# level-form search replaced
+
+
+def _golden_max(fn, a: float, b: float, tol: float = 1e-10) -> float:
+    """Golden-section refinement for a unimodal bump inside [a, b]."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol * max(1.0, abs(b)):
+        if fc < fd:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+        else:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+    return max(fc, fd)
+
+
+def marcinkiewicz_grid_reference(f: pw.PPL, spec) -> tuple[float, float]:
+    """(value, error bound) of sup_t phi(t)*f**(t) for an f without an
+    exact rearrangement, by the old search: phi * f** on the grid
+    2**-24 .. 2**24 plus phi's breakpoints, each point inverting f* by
+    bisection, then golden-section refinement around the best point.  The
+    bound is the refinement step plus 1e-8*(1 + value); the grid never
+    looks past 2**24, so a sup approached only at infinity reads short."""
+    r = rr.decreasing_rearrangement(f)
+    src = pw.absolute(f)
+    levels = rr._level_memo(f)
+    if math.isinf(r.sup_value) and \
+            rr._layer_cake_average(r, src, 1.0, levels) == INF:
+        return INF, 0.0
+    fn = lambda t: spec.value(t) * rr._layer_cake_average(r, src, t, levels)
+    end = f.domain.end
+    grid = [t for t in (2.0 ** k for k in range(-24, 25))
+            if t <= end] + [b for b in spec.phi.breakpoints() if 0 < b <= end]
+    grid = sorted(set(grid))
+    vals = [fn(t) for t in grid]
+    best = max(vals)
+    if math.isinf(best):
+        return INF, 0.0
+    idx = vals.index(best)
+    lo = grid[max(idx - 1, 0)]
+    hi = grid[min(idx + 1, len(grid) - 1)]
+    refined = _golden_max(fn, lo, hi) if hi > lo else best
+    value = max(best, refined)
+    return value, abs(refined - best) + 1e-8 * (1.0 + value)

@@ -107,7 +107,9 @@ def test_unit_averaged_l1_of_constant():
 # Regression pins for the numeric fallbacks.  Unlike the values above these
 # are not hand-derived: they are what the library returned, repr for repr,
 # so a change to the Luxemburg bisection, the Marcinkiewicz sup search or
-# the rearrangement bisection that moves a single bit shows here.
+# the rearrangement bisection that moves a single bit shows here.  The two
+# Marcinkiewicz sups also check their bound against 30- to 40-digit
+# references computed independently (mpmath).
 
 _QUARTER_THEN_STEP = pw.make_ppl(H, [(0.0, 1.0, {(-0.25, 0): 1.0}),
                                      (1.0, 2.0, {(0.0, 0): -2.0})])
@@ -133,12 +135,14 @@ def test_frozen_averaged_lorentz_norm_by_level_quadrature():
 
 
 def test_frozen_averaged_marcinkiewicz_norm_by_sup_search():
-    # the running average of rising steps rises, so f** has no exact form
+    # the running average of rising steps rises, so f** has no exact form;
+    # the sup brackets a 40-digit reference
     X = sp.cesaro_space(sp.marcinkiewicz_space(cat.sqrt_phi(H)))
     f = pw.step_function(H, [(0.0, 1.0, 1.0), (1.0, 2.0, 3.0)])
     res = nm.norm(f, X)
     assert (res.method, res.value, res.error_bound) == (
-        "quadrature", 2.8851623039902323, 0.0005615652659398774)
+        "sup-search", 2.885162303990178, 2.8047342226500405e-11)
+    assert abs(res.value - 2.88516230399023173) <= res.error_bound
 
 
 # 2*t**0.5*ln(t)**2 on [0, 0.5]: its running average has no exact
@@ -151,7 +155,8 @@ def test_frozen_averaged_marcinkiewicz_norm_through_brent_crossings():
     X = sp.cesaro_space(sp.marcinkiewicz_space(cat.sqrt_phi(H)))
     res = nm.norm(_POWER_LOG_HEAD, X)
     assert (res.method, res.value, res.error_bound) == (
-        "quadrature", 2.32522479261837, 0.005852860688603772)
+        "sup-search", 2.3252247925930254, 1.5647350082304e-10)
+    assert abs(res.value - 2.32522479261836972) <= res.error_bound
 
 
 def test_frozen_averaged_lorentz_norm_through_brent_crossings():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cesarospaces import catalog as cat
@@ -18,7 +18,8 @@ from cesarospaces import spaces as sp
 from cesarospaces.errors import (MethodInapplicableError, RepresentationError,
                                  ValidationError)
 from cesarospaces.piecewise import INF
-from support import (HALFLINE as H, UNIT as U, chi, nonzero_step_functions,
+from support import (HALFLINE as H, UNIT as U, chi,
+                     marcinkiewicz_grid_reference, nonzero_step_functions,
                      step_functions)
 
 L1 = sp.lebesgue(1.0, H)
@@ -163,15 +164,18 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 def test_marcinkiewicz_sup_search_measures_each_level_once(monkeypatch):
     # the running average of 2*t**0.5*ln(t)**2 on [0, 0.5] has no exact
-    # rearrangement, so each of the ~100 points of the sup search bisects
-    # lam from the same bracket; measured point by point that took 4,355
-    # distribution evaluations, and the shared levels must be measured once
+    # rearrangement; the search samples levels, not points t, so no level
+    # is measured twice and no rearrangement is inverted by bisection (the
+    # old t-grid search took 4,355 distribution evaluations here)
     X = sp.cesaro_space(sp.marcinkiewicz_space(cat.sqrt_phi(H)))
     f = pw.make_ppl(H, [(0.0, 0.5, {(0.5, 2): 2.0})])
-    calls = _count_calls(monkeypatch, rr, "_measure_above")
+    bisections = _count_calls(monkeypatch, rr, "_measure_above")
+    samples = _count_calls(monkeypatch, rr, "_level_mass")
     res = nm.norm(f, X)
-    assert res.method == "quadrature"
-    assert len(calls) <= 0.6 * 4355
+    assert res.method == "sup-search"
+    levels = [lam for _segs, lam in samples]
+    assert 0 < len(levels) == len(set(levels)) <= 100
+    assert not bisections
 
 
 def test_luxemburg_bisection_takes_absolute_value_once(monkeypatch):
@@ -293,21 +297,24 @@ def test_power_norm_divergence_read_off_dominant_exponent(monkeypatch, domain,
 
 def test_marcinkiewicz_sup_search_takes_absolute_value_once(monkeypatch):
     # rising steps make the running average rise, so the norm leaves the
-    # exact path for the grid and golden-section search
+    # exact path for the level search; a tighter tolerance samples more
+    # levels, and |f| must not follow the sample count
     X = sp.cesaro_space(sp.marcinkiewicz_space(cat.sqrt_phi(H)))
     calls = _count_calls(monkeypatch, pw, "absolute")
-    steps = _count_calls(monkeypatch, rr, "superlevel_set")
-    counts = []
+    samples = _count_calls(monkeypatch, rr, "_level_mass")
+    counts, levels = [], []
     for k, tol in enumerate((1e-4, 1e-12)):
         monkeypatch.setattr(nm, "SUP_SEARCH_TOL", tol)
         f = pw.step_function(H, [(0.0, 1.0, 1.0 + k), (1.0, 2.0, 5.0)])
         rr._abs_segments.cache_clear()
-        del calls[:], steps[:]
+        del calls[:], samples[:]
         res = nm.norm(f, X)
-        assert res.method == "quadrature"
-        assert len(steps) >= 60
+        assert res.method == "sup-search"
+        assert res.error_bound <= tol * res.value
         counts.append(len(calls))
+        levels.append(len(samples))
     assert counts[0] == counts[1] <= 6
+    assert levels[1] > levels[0] >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +351,129 @@ def test_marcinkiewicz_norm_of_matched_singularity():
     # f* = t**-1/2 gives f**(t) = 2 t**-1/2 and sup phi f** = 2
     f = pw.power_piece(H, 0.0, 1.0, 1.0, -0.5)
     assert nm.norm(f, X).value == pytest.approx(2.0, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the Marcinkiewicz sup search over levels
+
+_SQRT_M = sp.marcinkiewicz_space(cat.sqrt_phi(H))
+
+
+def test_marcinkiewicz_sup_reached_only_at_infinity_reads_its_limit():
+    # sqrt(t) f**(t) = 2 (sqrt(1 + t) - 1) / sqrt(t) rises to 2 and never
+    # gets there; a t-grid that stops at 2**24 read 1.9995 +- 3e-8
+    res = nm.norm(pw.power_piece(H, 1.0, INF, 1.0, -0.5), _SQRT_M)
+    assert res.method == "sup-search"
+    assert res.value <= 2.0 <= res.value + res.error_bound
+
+
+@pytest.mark.parametrize("X", [_SQRT_M, sp.cesaro_space(_SQRT_M)],
+                         ids=["marcinkiewicz", "averaged"])
+def test_marcinkiewicz_sup_growing_at_infinity_is_exactly_infinite(X):
+    # f* ~ s**-0.4 (and C f ~ t**-0.4 / 0.6), so sqrt(t) f**(t) ~ t**0.1;
+    # a t-grid read 8.80 and 14.65
+    res = nm.norm(pw.power_piece(H, 1.0, INF, 1.0, -0.4), X)
+    assert (res.value, res.method, res.error_bound) == (INF, "exact", 0.0)
+
+
+def test_marcinkiewicz_with_linear_phi_is_l1_and_infinite_on_inverse_tail():
+    # phi(t) = t makes the space L1, and the integral of 1/(1+s) diverges;
+    # a t-grid read 16.6
+    X = sp.marcinkiewicz_space(
+        sp.QuasiConcaveSpec(pw.power_piece(H, 0.0, INF, 1.0, 1.0)))
+    res = nm.norm(pw.power_piece(H, 1.0, INF, 1.0, -1.0), X)
+    assert (res.value, res.method, res.error_bound) == (INF, "exact", 0.0)
+
+
+def test_marcinkiewicz_unbounded_f_under_an_atom_is_exactly_infinite():
+    # phi(0+) = 1 gives phi(t) f**(t) >= f**(t), which is unbounded
+    f = pw.make_ppl(H, [(0.0, 1.0, {(-0.3, 0): 1.0}),
+                        (1.0, 2.0, {(0.0, 0): 3.0})])
+    res = nm.norm(f, sp.marcinkiewicz_space(cat.sqrt_plus_atom_phi(H)))
+    assert (res.value, res.method, res.error_bound) == (INF, "exact", 0.0)
+
+
+def test_marcinkiewicz_head_sup_below_every_grid_point():
+    # f = c t**a ln(t)**2 on [0, 2] is unbounded, and near 0 f* = |f|, so
+    # sqrt(t) f**(t) = c t**(a + 1/2) (L**2/b - 2 L/b**2 + 2/b**3) with
+    # L = ln t and b = a + 1; its max sits near t = e**-20, below the old
+    # grid's 2**-24, where that search read 323.14
+    c, a = 2.9636445191632146, -0.40118636597259466
+    f = pw.make_ppl(H, [(0.0, 2.0, {(a, 2): c})])
+    b = a + 1.0
+    peak = lambda u: c * math.exp((a + 0.5) * u) * (
+        u * u / b - 2.0 * u / b ** 2 + 2.0 / b ** 3)
+    lo, hi = -40.0, -5.0
+    for _ in range(200):
+        m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        lo, hi = (m1, hi) if peak(m1) < peak(m2) else (lo, m2)
+    res = nm.norm(f, sp.marcinkiewicz_space(cat.bounded_sqrt_phi(H)))
+    assert res.method == "sup-search"
+    assert res.value == pytest.approx(peak(lo), rel=1e-12)
+    assert res.value <= peak(lo) * (1.0 + 1e-12) <= \
+        res.value + res.error_bound + 1e-12 * res.value
+
+
+_SEARCH_PHIS = [cat.sqrt_phi, cat.bounded_sqrt_phi, cat.sqrt_plus_atom_phi]
+
+
+@st.composite
+def _search_inputs(draw, domain, averaged: bool, bounded: bool):
+    """Rising steps (averaged spaces only: in the base space a step
+    function has an exact rearrangement) or one piece c*t**a*ln(t)**k on
+    [lo, hi).  The exponents keep clear of the windows where root
+    isolation gives up, and keep every peak of phi*f** above 2**-24; no
+    piece reaches infinity.  These are the inputs on which the t-grid
+    search of ``support.marcinkiewicz_grid_reference`` is right."""
+    end = 1.0 if domain.is_unit else 8.0
+    sign = lambda: draw(st.sampled_from([1.0, -1.0]))
+    if averaged and draw(st.booleans()):
+        n = draw(st.integers(2, 4))
+        cuts = sorted(draw(st.lists(
+            st.floats(end / 64.0, end), min_size=n, max_size=n, unique=True)))
+        start = draw(st.sampled_from([0.0, cuts[0] / 2.0]))
+        values = sorted(draw(st.lists(st.floats(0.1, 4.0), min_size=n,
+                                      max_size=n)))
+        knots = [start] + cuts
+        return pw.step_function(domain, [
+            (lo, hi, v * sign())
+            for lo, hi, v in zip(knots, knots[1:], values) if hi > lo])
+    lo = draw(st.sampled_from([0.0, draw(st.floats(end / 64.0, end / 2.0))]))
+    hi = draw(st.floats(lo + end / 16.0, end))
+    k = draw(st.integers(0, 2))
+    a = draw(st.floats(0.2, 2.0) | st.floats(-0.3, -0.05)
+             if not bounded or lo > 0.0 else st.floats(0.2, 2.0))
+    return pw.make_ppl(domain, [(lo, hi, {(a, k): draw(st.floats(0.1, 4.0))
+                                          * sign()})])
+
+
+@pytest.mark.parametrize("averaged", [False, True],
+                         ids=["marcinkiewicz", "averaged"])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_level_search_inside_the_grid_search_bound(averaged, data):
+    domain = data.draw(st.sampled_from([H, U]))
+    spec = data.draw(st.sampled_from(_SEARCH_PHIS))(domain)
+    X = sp.marcinkiewicz_space(spec)
+    # an atom at zero makes every unbounded f infinite, which the t-grid
+    # search cannot see
+    f = data.draw(_search_inputs(domain, averaged,
+                                 bounded=spec.atom_at_zero > 0.0))
+    g = cz.cesaro_transform(pw.absolute(f)) if averaged else f
+    r = rr.decreasing_rearrangement(g)
+    assume(r.exact is None)
+    res = nm.norm(f, sp.cesaro_space(X) if averaged else X)
+    old, old_bound = marcinkiewicz_grid_reference(g, spec)
+    assert res.method == "sup-search"
+    assert abs(res.value - old) <= old_bound, (res, old, old_bound)
+    # no point t beats value + bound; second_maximal bisects f*(t) to
+    # BISECT_TOL and so reads f**(t) high by at most that much
+    for u in data.draw(st.lists(st.floats(-14.0, 7.0), min_size=3,
+                                max_size=3)):
+        t = min(math.exp(u), domain.end)
+        peak = spec.value(t) * rr.second_maximal(g, t)
+        slack = 2.0 * rr.BISECT_TOL * max(1.0, peak)
+        assert peak <= res.value + res.error_bound + slack, (t, peak, res)
 
 
 # ---------------------------------------------------------------------------

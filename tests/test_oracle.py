@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import pytest
@@ -315,13 +316,35 @@ SAMPLE_SORT_EXAMPLES = [
 ]
 
 
+# a grid with the default's structure (head, body, tail, cut clusters) and
+# about 1/30 of its knots: the generated cases run on it, and one case per
+# oracle runs on the default grid below
+SMALL_GRID = {"GRID_HEAD_START": 2.0 ** -20, "GRID_HEAD_RATIO": 2.0 ** (1.0 / 16),
+              "GRID_BODY_CELLS": 2048, "GRID_TAIL_RATIO": 2.0 ** (1.0 / 8),
+              "GRID_TAIL_END": 2.0 ** 24}
+
+
+@contextlib.contextmanager
+def _small_grid():
+    saved = {name: getattr(orc, name) for name in SMALL_GRID}
+    for name, value in SMALL_GRID.items():
+        setattr(orc, name, value)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(orc, name, value)
+
+
 @given(case=sample_sort_cases())
 @settings(max_examples=8, deadline=None)
 @example(case=SAMPLE_SORT_EXAMPLES[0])
 @example(case=SAMPLE_SORT_EXAMPLES[1])
 def test_weighted_sorted_is_the_per_cell_loop_bit_for_bit(case):
-    values, reference = _both(orc._weighted_sorted,
-                              support.weighted_sorted_reference, case, False)
+    with _small_grid():
+        values, reference = _both(orc._weighted_sorted,
+                                  support.weighted_sorted_reference, case,
+                                  False)
     assert values == reference
 
 
@@ -331,8 +354,9 @@ def test_weighted_sorted_is_the_per_cell_loop_bit_for_bit(case):
 @example(case=SAMPLE_SORT_EXAMPLES[2])
 @example(case=SAMPLE_SORT_EXAMPLES[3])
 def test_lorentz_sampled_is_the_per_cell_loop_bit_for_bit(case):
-    value, reference = _both(orc._lorentz_sampled,
-                             support.lorentz_sampled_reference, case, True)
+    with _small_grid():
+        value, reference = _both(orc._lorentz_sampled,
+                                 support.lorentz_sampled_reference, case, True)
     assert value == reference
 
 
@@ -342,10 +366,25 @@ def test_lorentz_sampled_is_the_per_cell_loop_bit_for_bit(case):
 @example(case=SAMPLE_SORT_EXAMPLES[3])
 @example(case=SAMPLE_SORT_EXAMPLES[4])
 def test_marcinkiewicz_sampled_is_the_per_cell_loop_bit_for_bit(case):
-    value, reference = _both(orc._marcinkiewicz_sampled,
-                             support.marcinkiewicz_sampled_reference, case,
-                             True)
+    with _small_grid():
+        value, reference = _both(orc._marcinkiewicz_sampled,
+                                 support.marcinkiewicz_sampled_reference,
+                                 case, True)
     assert value == reference
+
+
+@pytest.mark.parametrize("fn,reference,case,with_spec", [
+    (orc._weighted_sorted, support.weighted_sorted_reference,
+     SAMPLE_SORT_EXAMPLES[1], False),
+    (orc._lorentz_sampled, support.lorentz_sampled_reference,
+     SAMPLE_SORT_EXAMPLES[2], True),
+    (orc._marcinkiewicz_sampled, support.marcinkiewicz_sampled_reference,
+     SAMPLE_SORT_EXAMPLES[4], True),
+], ids=["weighted-sorted", "lorentz", "marcinkiewicz"])
+def test_sample_sort_is_the_per_cell_loop_on_the_default_grid(
+        fn, reference, case, with_spec):
+    value, expected = _both(fn, reference, case, with_spec)
+    assert value == expected
 
 
 def _powers_of_two_and_neighbours():
