@@ -20,7 +20,7 @@ from .errors import (CesaroSpacesError, DomainMismatchError,
                      ValidationError)
 from .norms import (BoundednessVerdict, BoydIndices, NormResult,
                     boyd_indices, cesaro_bounded, cx_nontrivial,
-                    dilation_norm_estimate, fundamental_function, norm)
+                    fundamental_function, norm)
 from .oc import (DirectCheckReport, FamilySearchReport, OCVerdict,
                  adversarial_family_search, direct_oc_check, oc_point,
                  oc_point_closed_form, oc_point_via_characterization,
@@ -61,8 +61,7 @@ __all__ = [
     "lebesgue_inf", "l1_cap_linf", "l1_plus_linf", "orlicz_space",
     "lorentz_space", "marcinkiewicz_space", "cesaro_space", "NormResult",
     "norm", "fundamental_function", "BoydIndices", "boyd_indices",
-    "dilation_norm_estimate", "BoundednessVerdict", "cesaro_bounded",
-    "cx_nontrivial",
+    "BoundednessVerdict", "cesaro_bounded", "cx_nontrivial",
     # order continuity
     "OCVerdict", "oc_point", "oc_point_closed_form",
     "oc_point_via_characterization", "oc_space", "oc_space_via_transfer",

@@ -13,16 +13,15 @@ from .spaces import (OrliczFunctionSpec, QuasiConcaveSpec, SpaceDescriptor,
                      orlicz_space)
 
 
-def orlicz_square(domain: DomainSpec) -> OrliczFunctionSpec:
-    """u**2: doubling everywhere, growth exponents (2, 2)."""
+def orlicz_square() -> OrliczFunctionSpec:
+    """u**2: doubling everywhere."""
     phi = pw.make_ppl(domain_u(), [(0.0, INF, {(2.0, 0): 1.0})])
     return OrliczFunctionSpec(phi, zero_bound=0.0, finite_bound=INF,
                               delta2_zero=True, delta2_infty=True,
-                              delta2_all=True, growth_lower=2.0,
-                              growth_upper=2.0)
+                              delta2_all=True)
 
 
-def orlicz_square_capped(domain: DomainSpec) -> OrliczFunctionSpec:
+def orlicz_square_capped() -> OrliczFunctionSpec:
     """u**2 up to 1, then +inf: small-argument doubling only."""
     phi = pw.make_ppl(domain_u(), [(0.0, 1.0, {(2.0, 0): 1.0})])
     return OrliczFunctionSpec(phi, zero_bound=0.0, finite_bound=1.0,
@@ -30,7 +29,7 @@ def orlicz_square_capped(domain: DomainSpec) -> OrliczFunctionSpec:
                               delta2_all=False)
 
 
-def orlicz_flat_capped(domain: DomainSpec) -> OrliczFunctionSpec:
+def orlicz_flat_capped() -> OrliczFunctionSpec:
     """0 up to 1/2, then 2u-1 up to 1, then +inf."""
     phi = pw.make_ppl(domain_u(), [(0.5, 1.0, {(1.0, 0): 2.0, (0.0, 0): -1.0})])
     return OrliczFunctionSpec(phi, zero_bound=0.5, finite_bound=1.0,
@@ -45,7 +44,7 @@ def domain_u() -> DomainSpec:
 
 def sqrt_phi(domain: DomainSpec) -> QuasiConcaveSpec:
     phi = pw.power_piece(domain, 0.0, domain.end, 1.0, 0.5)
-    return QuasiConcaveSpec(phi, boyd_lower=2.0, boyd_upper=2.0)
+    return QuasiConcaveSpec(phi)
 
 
 def sqrt_plus_atom_phi(domain: DomainSpec) -> QuasiConcaveSpec:
@@ -83,7 +82,7 @@ def default_catalog(domain: DomainSpec) -> list[SpaceDescriptor]:
         lebesgue(4.0, domain),
         lebesgue_inf(domain),
         l1_plus_linf(domain),
-        orlicz_space(orlicz_square(domain), domain),
+        orlicz_space(orlicz_square(), domain),
         lorentz_space(sqrt_phi(domain)),
         marcinkiewicz_space(sqrt_phi(domain)),
     ]
@@ -152,17 +151,17 @@ def default_battery() -> list[BatteryEntry]:
     cessum_h = ces(l1_plus_linf(H))
     ceslam_h = ces(lorentz_space(sqrt_phi(H)))
     cesm_h = ces(marcinkiewicz_space(sqrt_phi(H)))
-    cesorl_h = ces(orlicz_space(orlicz_square(H), H))
-    cescap_h = ces(orlicz_space(orlicz_square_capped(H), H))
-    cesflat_h = ces(orlicz_space(orlicz_flat_capped(H), H))
+    cesorl_h = ces(orlicz_space(orlicz_square(), H))
+    cescap_h = ces(orlicz_space(orlicz_square_capped(), H))
+    cesflat_h = ces(orlicz_space(orlicz_flat_capped(), H))
     cesatomlam_h = ces(lorentz_space(sqrt_plus_atom_phi(H)))
     ces2_u = ces(lebesgue(2.0, U))
     ces1_u = ces(lebesgue(1.0, U))
     cesinf_u = ces(lebesgue_inf(U))
     cesatomlam_u = ces(lorentz_space(sqrt_plus_atom_phi(U)))
     cesatomm_u = ces(marcinkiewicz_space(atom_phi(U)))
-    cescap_u = ces(orlicz_space(orlicz_square_capped(U), U))
-    cesorl_u = ces(orlicz_space(orlicz_square(U), U))
+    cescap_u = ces(orlicz_space(orlicz_square_capped(), U))
+    cesorl_u = ces(orlicz_space(orlicz_square(), U))
 
     E = BatteryEntry
     return [

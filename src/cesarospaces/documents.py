@@ -12,6 +12,7 @@ import json
 import math
 from typing import Any
 
+from . import norms as nm
 from . import piecewise as pw
 from . import spaces as sp
 from .errors import ParseError, RepresentationError, ValidationError
@@ -195,6 +196,21 @@ def _opt_num(value: Any, field: str) -> float | None:
     return _num(value, field)
 
 
+def _check_indices(X: SpaceDescriptor, fields: Any, lower_key: str,
+                   upper_key: str) -> SpaceDescriptor:
+    """X, once the dilation indices an older document declares agree with
+    those read off its generator or parameter function (null: none)."""
+    idx = nm.boyd_indices(X)
+    for key, computed in ((lower_key, idx.lower), (upper_key, idx.upper)):
+        declared = _opt_num(fields.get(key), key)
+        if declared is not None and not math.isclose(declared, computed,
+                                                     rel_tol=1e-9):
+            raise ValidationError(
+                f"field {key!r}: declared {declared!r}, but the index is "
+                f"{computed!r}")
+    return X
+
+
 def space_to_doc(X: SpaceDescriptor) -> dict:
     doc: dict[str, Any] = {"schema": SPACE_SCHEMA, "tag": X.tag,
                            "domain": _domain_name(X.domain)}
@@ -210,16 +226,9 @@ def space_to_doc(X: SpaceDescriptor) -> dict:
             "delta2_zero": g.delta2_zero,
             "delta2_infty": g.delta2_infty,
             "delta2_all": g.delta2_all,
-            "growth_lower": g.growth_lower,
-            "growth_upper": g.growth_upper,
         }
     elif X.tag in ("lorentz", "marcinkiewicz"):
-        q = X.quasi
-        doc["parameter"] = {
-            "pieces": _pieces_to_doc(q.phi),
-            "boyd_lower": q.boyd_lower,
-            "boyd_upper": q.boyd_upper,
-        }
+        doc["parameter"] = {"pieces": _pieces_to_doc(X.quasi.phi)}
     elif X.tag == "cesaro":
         inner = space_to_doc(X.inner)
         inner.pop("schema")
@@ -254,20 +263,16 @@ def _space_from_fields(doc: Any) -> SpaceDescriptor:
                 delta2_zero=_flag(g.get("delta2_zero"), "delta2_zero"),
                 delta2_infty=_flag(g.get("delta2_infty"), "delta2_infty"),
                 delta2_all=_flag(g.get("delta2_all"), "delta2_all"),
-                growth_lower=_opt_num(g.get("growth_lower"), "growth_lower"),
-                growth_upper=_opt_num(g.get("growth_upper"), "growth_upper"),
             )
-            return sp.orlicz_space(spec, domain)
+            return _check_indices(sp.orlicz_space(spec, domain), g,
+                                  "growth_lower", "growth_upper")
         if tag in ("lorentz", "marcinkiewicz"):
             q = _require(doc, "parameter")
             phi = _pieces_from_doc(_require(q, "pieces"), domain, "parameter")
-            spec = QuasiConcaveSpec(
-                phi=phi,
-                boyd_lower=_opt_num(q.get("boyd_lower"), "boyd_lower"),
-                boyd_upper=_opt_num(q.get("boyd_upper"), "boyd_upper"),
-            )
-            return sp.lorentz_space(spec) if tag == "lorentz" \
+            spec = QuasiConcaveSpec(phi)
+            X = sp.lorentz_space(spec) if tag == "lorentz" \
                 else sp.marcinkiewicz_space(spec)
+            return _check_indices(X, q, "boyd_lower", "boyd_upper")
         if tag == "cesaro":
             inner_doc = dict(_require(doc, "inner"))
             inner_doc.setdefault("domain", _require(doc, "domain"))

@@ -23,7 +23,7 @@ from . import piecewise as pw
 from . import rearrange as rr
 from .errors import (MethodInapplicableError, RepresentationError,
                      TransformUndefinedError)
-from .piecewise import INF, PPL, DomainSpec, TermMap, TermPairs
+from .piecewise import INF, PPL, TermMap, TermPairs
 from .spaces import OrliczFunctionSpec, QuasiConcaveSpec, SpaceDescriptor
 
 LUXEMBURG_REL_TOL = 1e-10
@@ -744,80 +744,69 @@ def fundamental_function(X: SpaceDescriptor, t: float) -> float:
 class BoydIndices:
     lower: float
     upper: float
-    method: str  # "closed-form" | "declared" | "estimate"
+    method: str  # "closed-form"
 
 
 @dataclass(frozen=True)
 class BoundednessVerdict:
-    bounded: bool | None  # None = inconclusive
+    bounded: bool
     lower_index: float
     method: str
 
 
-def _dilation_probes(domain: DomainSpec) -> list[PPL]:
-    if domain.is_unit:
-        probes = [
-            pw.indicator(domain, 0.0, 0.5),
-            pw.step_function(domain, [(0.0, 0.25, 1.0), (0.25, 0.5, 0.5),
-                                      (0.5, 1.0, 0.25)]),
-            pw.power_piece(domain, 0.0, 1.0, 1.0, -0.25),
-            pw.power_piece(domain, 0.0, 1.0, 1.0, -0.5),
-        ]
-    else:
-        probes = [
-            pw.indicator(domain, 0.0, 1.0),
-            pw.step_function(domain, [(0.0, 1.0, 1.0), (1.0, 2.0, 0.5),
-                                      (2.0, 4.0, 0.25)]),
-            pw.power_piece(domain, 1.0, INF, 1.0, -0.75),
-            pw.make_ppl(domain, [(0.0, 1.0, {(-0.25, 0): 1.0}),
-                                 (1.0, INF, {(-0.75, 0): 1.0})]),
-        ]
-    return probes
+def _reciprocal(a: float) -> float:
+    return 1.0 / a if a > 0.0 else INF
 
 
-def dilation_norm_estimate(X: SpaceDescriptor, s: float) -> float:
-    """Lower bound for the dilation operator norm, from a probe family."""
-    best = 0.0
-    for f in _dilation_probes(X.domain):
-        base = norm(f, X).value
-        if not (0.0 < base < INF):
-            continue
-        moved = norm(rr.dilation(f, s), X).value
-        if math.isfinite(moved):
-            best = max(best, moved / base)
-    return best
+def _end_indices(X: SpaceDescriptor) -> tuple[float, float]:
+    """(index on small sets, index on large sets) of a symmetric space.
+
+    A Lorentz or Marcinkiewicz parameter phi ~ t**a (log factors aside)
+    gives the index 1/a: phi's first piece at 0 rules small sets and its
+    last piece at infinity large ones.  An Orlicz generator Phi ~ u**b
+    gives the index b: large values (small sets) read Phi at infinity,
+    where a finite bound makes it inf, and small values (large sets) read
+    Phi at 0, where a zero bound > 0 makes it inf.
+    """
+    if X.tag == "Lp":
+        return X.p, X.p
+    if X.tag == "L1capLinf":
+        return INF, 1.0
+    if X.tag == "L1plusLinf":
+        return 1.0, INF
+    if X.tag in ("lorentz", "marcinkiewicz"):
+        pieces = X.quasi.phi.pieces
+        return (_reciprocal(pw.germ(pieces[0].term_map(), "zero")[1]),
+                _reciprocal(pw.germ(pieces[-1].term_map(), "inf")[1]))
+    if X.tag == "orlicz":
+        spec = X.orlicz
+        pieces = spec.phi.pieces
+        small = INF if math.isfinite(spec.finite_bound) \
+            else pw.germ(pieces[-1].term_map(), "inf")[1]
+        large = INF if spec.zero_bound > 0.0 \
+            else pw.germ(pieces[0].term_map(), "zero")[1]
+        return small, large
+    if X.tag == "cesaro":
+        raise MethodInapplicableError(
+            "dilation indices are computed for the symmetric base space")
+    raise MethodInapplicableError(f"unknown space tag {X.tag!r}")
 
 
 def boyd_indices(X: SpaceDescriptor) -> BoydIndices:
-    if X.tag == "Lp":
-        return BoydIndices(X.p, X.p, "closed-form")
-    if X.tag in ("L1capLinf", "L1plusLinf"):
-        return BoydIndices(1.0, INF, "closed-form")
-    if X.tag == "orlicz":
-        spec = X.orlicz
-        if spec.growth_lower is not None and spec.growth_upper is not None:
-            return BoydIndices(spec.growth_lower, spec.growth_upper, "declared")
-    elif X.tag in ("lorentz", "marcinkiewicz"):
-        spec = X.quasi
-        if spec.boyd_lower is not None and spec.boyd_upper is not None:
-            return BoydIndices(spec.boyd_lower, spec.boyd_upper, "declared")
-    elif X.tag == "cesaro":
-        raise MethodInapplicableError(
-            "dilation indices are computed for the symmetric base space")
-    s_hi = 2.0 ** 10
-    s_lo = 2.0 ** -10
-    n_hi = dilation_norm_estimate(X, s_hi)
-    n_lo = dilation_norm_estimate(X, s_lo)
-    lower = math.log(s_hi) / math.log(n_hi) if n_hi > 1.0 else INF
-    upper = math.log(s_lo) / math.log(n_lo) if 0.0 < n_lo < 1.0 else INF
-    return BoydIndices(lower, upper, "estimate")
+    """Lower and upper dilation (Boyd) indices in p-units, so Lp has (p, p).
+
+    On the half-line they are the smaller and the larger of the indices on
+    small and on large sets; the unit interval has only small sets.
+    """
+    small, large = _end_indices(X)
+    if X.domain.is_unit:
+        return BoydIndices(small, small, "closed-form")
+    return BoydIndices(min(small, large), max(small, large), "closed-form")
 
 
 def cesaro_bounded(X: SpaceDescriptor) -> BoundednessVerdict:
     """Is the averaging operator bounded on X (lower dilation index > 1)?"""
     idx = boyd_indices(X)
-    if idx.method == "estimate" and abs(idx.lower - 1.0) < 0.05:
-        return BoundednessVerdict(None, idx.lower, idx.method)
     return BoundednessVerdict(idx.lower > 1.0, idx.lower, idx.method)
 
 

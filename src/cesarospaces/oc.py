@@ -508,8 +508,7 @@ def oc_point_closed_form(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
         atom = spec.atom_at_zero
         unbounded_weight = (not unit) and math.isinf(spec.value_at_end)
         if atom == 0.0:
-            declared = spec.boyd_lower
-            if declared is not None and declared > 1.0:
+            if nm.boyd_indices(X).lower > 1.0:
                 r_g = rr.decreasing_rearrangement(g)
                 if r_g.exact is not None:
                     w = pw.product(spec.phi, cz.cesaro_transform(r_g.exact))
@@ -593,11 +592,13 @@ def _oc_space_symmetric(X: SpaceDescriptor) -> OCVerdict:
         if _phi_is_linear(spec.phi):
             return OCVerdict("space", VERDICT_OC, "weighted-l1-identity",
                              {"note": "the weak space collapses to the integrable class"})
-        if spec.boyd_lower is not None and spec.boyd_lower > 1.0:
+        lower = nm.boyd_indices(X).lower
+        if lower > 1.0:
             return OCVerdict("space", VERDICT_NOT, "marcinkiewicz-extremal",
-                             {"lower_index": spec.boyd_lower})
+                             {"lower_index": lower})
         return OCVerdict("space", VERDICT_UNDECIDED, "marcinkiewicz-extremal",
-                         {"note": "no declared dilation index separates the cases"})
+                         {"lower_index": lower,
+                          "note": "the rule needs a lower dilation index above 1"})
     raise MethodInapplicableError(f"no space rule for {X.tag!r}")
 
 
@@ -643,11 +644,10 @@ def _oc_space_averaged(CX: SpaceDescriptor) -> OCVerdict:
         if flag is True:
             return OCVerdict("space", VERDICT_OC, "averaged-orlicz/space",
                              {"doubling": True})
-        if flag is False and spec.growth_lower is not None \
-                and spec.growth_lower > 1.0:
+        lower = nm.boyd_indices(X).lower
+        if flag is False and lower > 1.0:
             return OCVerdict("space", VERDICT_NOT, "averaged-orlicz/space",
-                             {"doubling": False,
-                              "growth_lower": spec.growth_lower})
+                             {"doubling": False, "lower_index": lower})
         return OCVerdict("space", VERDICT_UNDECIDED, "averaged-orlicz/space",
                          {"doubling": flag})
     if X.tag == "lorentz":
@@ -663,10 +663,11 @@ def _oc_space_averaged(CX: SpaceDescriptor) -> OCVerdict:
         if _phi_is_linear(spec.phi):
             # collapses to the weighted integrable class on the unit interval
             return OCVerdict("space", VERDICT_OC, "weighted-l1-identity", {})
-        if spec.boyd_lower is not None and spec.boyd_lower > 1.0:
+        lower = nm.boyd_indices(X).lower
+        if lower > 1.0:
             return OCVerdict("space", VERDICT_NOT,
                              "averaged-marcinkiewicz/space",
-                             {"lower_index": spec.boyd_lower})
+                             {"lower_index": lower})
         return OCVerdict("space", VERDICT_UNDECIDED,
                          "averaged-marcinkiewicz/space", {})
     raise MethodInapplicableError(f"no averaged-space rule for {X.tag!r}")
@@ -691,7 +692,7 @@ def oc_space_via_transfer(CX: SpaceDescriptor) -> OCVerdict:
     X = CX.inner
     verdict = nm.cesaro_bounded(X)
     ev = {"lower_index": verdict.lower_index, "index_method": verdict.method}
-    if verdict.bounded is not True:
+    if not verdict.bounded:
         ev["note"] = "transfer needs a bounded averaging operator"
         return OCVerdict("space", VERDICT_UNDECIDED,
                          "oc-transfer/bounded-averaging", ev)

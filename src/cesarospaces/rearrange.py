@@ -140,17 +140,19 @@ def distribution(f, lam: float) -> float:
 
 
 def _measure_above(segs: tuple[_Segment, ...], lam: float) -> float:
-    """m({|f| > lam}) from the segments of |f|, for lam >= 0."""
+    """m({|f| > lam}) from the segments of |f|, for lam >= 0.
+
+    As in ``_level_mass``, a segment whose values stay >= lam and exceed it
+    somewhere lies above lam up to a null set.
+    """
     total = 0.0
     for seg in segs:
-        if lam == 0.0:
-            total += seg.hi - seg.lo
-            continue
         above_lo = seg.vlo > lam
-        above_hi = seg.vhi > lam
-        if above_lo and above_hi:
+        if not (above_lo or seg.vhi > lam):
+            continue
+        if seg.vlo >= lam and seg.vhi >= lam:
             total += seg.hi - seg.lo
-        elif above_lo or above_hi:
+        else:
             x = _crossing(seg, lam)
             total += (x - seg.lo) if above_lo else (seg.hi - x)
         if math.isinf(total):

@@ -6,9 +6,11 @@ degeneracy thresholds and doubling flags); Lorentz and Marcinkiewicz spaces
 carry a declared quasi-concave parameter function.  The averaged space is a
 wrapper around any symmetric descriptor.
 
-Declared structural facts (doubling flags, growth indices) are trusted but
-sanity-checked on probe grids at construction; hard violations raise
-ValidationError, soft contradictions emit a warning.
+Declared doubling flags are trusted; the generator and the parameter
+function are sanity-checked on probe grids at construction, where hard
+violations raise ValidationError and soft contradictions emit a warning.
+Dilation indices are not declared: ``norms.boyd_indices`` reads them off
+the germs of the generator and the parameter function.
 """
 
 from __future__ import annotations
@@ -42,9 +44,7 @@ class OrliczFunctionSpec:
     ``phi`` holds the finite part of Phi as an exact piecewise function of
     the value u; above ``finite_bound`` (b) the generator is +inf, below
     ``zero_bound`` (a) it vanishes.  Doubling flags describe Phi(2u)/Phi(u)
-    boundedness near zero, near infinity, and globally; growth indices are
-    the declared power-type exponents used for boundedness of the averaging
-    operator.
+    boundedness near zero, near infinity, and globally.
     """
 
     phi: PPL
@@ -53,8 +53,6 @@ class OrliczFunctionSpec:
     delta2_zero: bool | None = None
     delta2_infty: bool | None = None
     delta2_all: bool | None = None
-    growth_lower: float | None = None
-    growth_upper: float | None = None
 
     def value(self, u: float) -> float:
         if u < 0.0:
@@ -106,12 +104,9 @@ class QuasiConcaveSpec:
 
     ``phi`` is the exact function on the space's own domain; the value at 0
     is 0 by convention, with the jump recorded by the limit ``atom_at_zero``.
-    Optional declared dilation growth indices feed the boundedness checks.
     """
 
     phi: PPL
-    boyd_lower: float | None = None
-    boyd_upper: float | None = None
 
     @property
     def domain(self) -> DomainSpec:

@@ -117,7 +117,7 @@ def test_criterion_05_averaging_operator_bounds():
 def test_criterion_06_norms_are_rearrangement_invariant():
     rng = random.Random(SEED + 3)
     spaces = [sp.lebesgue(2.0, H), sp.l1_plus_linf(H),
-              sp.orlicz_space(cat.orlicz_square(H), H),
+              sp.orlicz_space(cat.orlicz_square(), H),
               sp.lorentz_space(cat.sqrt_phi(H)),
               sp.marcinkiewicz_space(cat.sqrt_phi(H))]
     for f in nonzero_steps(rng, H, 50, signed=True):
@@ -172,15 +172,15 @@ def test_criterion_08_verdict_tables():
          "averaged-lorentz/space"),
         (ces(sp.lorentz_space(cat.atom_phi(H))), "not-OC",
          "averaged-lorentz/space"),
-        # averaged weak space with a declared lower dilation index above 1
+        # averaged weak space whose lower dilation index is above 1
         (ces(sp.marcinkiewicz_space(cat.sqrt_phi(H))), "not-OC",
          "averaged-marcinkiewicz/space"),
         # averaged Orlicz: unbounded, capped, degenerate generators
-        (ces(sp.orlicz_space(cat.orlicz_square(H), H)), "OC",
+        (ces(sp.orlicz_space(cat.orlicz_square(), H)), "OC",
          "averaged-orlicz/space"),
-        (ces(sp.orlicz_space(cat.orlicz_square_capped(H), H)), "not-OC",
+        (ces(sp.orlicz_space(cat.orlicz_square_capped(), H)), "not-OC",
          "averaged-orlicz/space"),
-        (ces(sp.orlicz_space(cat.orlicz_flat_capped(H), H)), "not-OC",
+        (ces(sp.orlicz_space(cat.orlicz_flat_capped(), H)), "not-OC",
          "averaged-orlicz/space"),
     ]
     for X, want_verdict, want_rule in space_rows:
@@ -198,11 +198,11 @@ def test_criterion_08_verdict_tables():
     # point rows: averaged Orlicz generator shapes, by rule tag
     head = chi(H, 0.0, 1.0)
     point_rows = [
-        (head, ces(sp.orlicz_space(cat.orlicz_square(H), H)), "OC",
+        (head, ces(sp.orlicz_space(cat.orlicz_square(), H)), "OC",
          "averaged-orlicz/unbounded-generator"),
-        (head, ces(sp.orlicz_space(cat.orlicz_square_capped(H), H)),
+        (head, ces(sp.orlicz_space(cat.orlicz_square_capped(), H)),
          "not-OC", "averaged-orlicz/capped-generator"),
-        (head, ces(sp.orlicz_space(cat.orlicz_flat_capped(H), H)),
+        (head, ces(sp.orlicz_space(cat.orlicz_flat_capped(), H)),
          "not-OC", "averaged-orlicz/degenerate-generator"),
         # averaged sum space: the tail average of the transform decides
         (head, ces(sp.l1_plus_linf(H)), "OC",

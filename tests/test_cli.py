@@ -104,6 +104,24 @@ def test_gapped_parameter_function_exits_2(docs, tmp_path, capsys, pieces):
     assert "must cover" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("declared,code", [
+    (None, 0), (2.0, 0), (2.0 + 1e-12, 0), (3.0, 2), ("inf", 2)])
+def test_declared_boyd_index_must_match_phi(docs, tmp_path, capsys,
+                                            declared, code):
+    # older documents carry boyd_lower; the index read off sqrt(t) is 2
+    doc = dc.space_to_doc(sp.cesaro_space(sp.marcinkiewicz_space(
+        sp.QuasiConcaveSpec(pw.power_piece(H, 0.0, INF, 1.0, 0.5)))))
+    doc["inner"]["parameter"].update(boyd_lower=declared, boyd_upper=None)
+    path = tmp_path / "declared.json"
+    path.write_text(dc.dumps(doc), encoding="utf-8")
+    got = cli.main(["oc-space", "--space", str(path), "--out", docs["out"]])
+    assert got == code
+    if code:
+        assert "boyd_lower" in capsys.readouterr().err
+    else:
+        assert '"verdict": "not-OC"' in read_out(docs)
+
+
 def test_module_entry_point_runs_the_cli(docs):
     src = pathlib.Path(cli.__file__).resolve().parent.parent
     env = dict(os.environ)

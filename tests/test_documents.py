@@ -68,9 +68,9 @@ ALL_SPACES = (
     + cat.default_catalog(U)
     + [sp.cesaro_space(sp.lebesgue(2.0, H)),
        sp.cesaro_space(sp.lebesgue_inf(H)),
-       sp.cesaro_space(sp.orlicz_space(cat.orlicz_square_capped(H), H)),
+       sp.cesaro_space(sp.orlicz_space(cat.orlicz_square_capped(), H)),
        sp.cesaro_space(sp.lorentz_space(cat.sqrt_plus_atom_phi(U))),
-       sp.orlicz_space(cat.orlicz_flat_capped(H), H),
+       sp.orlicz_space(cat.orlicz_flat_capped(), H),
        sp.marcinkiewicz_space(cat.atom_phi(H))]
 )
 
@@ -168,3 +168,21 @@ def test_unit_domain_space_round_trip_keeps_domain():
     Y = dc.load_space(dc.dump_space(X))
     assert Y.domain.is_unit
     assert Y.inner.domain.is_unit
+
+
+def test_space_documents_write_no_index_keys():
+    for X in ALL_SPACES:
+        text = dc.dump_space(X)
+        assert "boyd_" not in text and "growth_" not in text, X.describe()
+
+
+def test_declared_growth_indices_are_checked_against_the_generator():
+    X = sp.orlicz_space(cat.orlicz_square_capped(), H)
+    doc = dc.space_to_doc(X)
+    doc["generator"].update(growth_lower=2.0, growth_upper="inf")
+    assert dc.space_from_doc(doc) == X
+    doc["generator"]["growth_upper"] = None
+    assert dc.space_from_doc(doc) == X
+    doc["generator"]["growth_lower"] = 1.5
+    with pytest.raises(ParseError, match="growth_lower"):
+        dc.space_from_doc(doc)

@@ -80,7 +80,7 @@ def test_hardy_bound_is_not_tight_for_indicator():
 def test_capped_generator_norm_collapses_to_sup_scale():
     # 3 chi_(0,1): modular is finite only for lam >= 3, where it equals
     # (3/lam)**2 <= 1, so the infimum sits exactly at 3
-    X = sp.orlicz_space(cat.orlicz_square_capped(H), H)
+    X = sp.orlicz_space(cat.orlicz_square_capped(), H)
     assert nm.norm(pw.scale(chi(H, 0.0, 1.0), 3.0), X).value == \
         pytest.approx(3.0, rel=1e-9)
 

@@ -110,7 +110,7 @@ def test_sum_norm_on_spread_out_mass():
 
 
 def test_orlicz_square_matches_l2():
-    X = sp.orlicz_space(cat.orlicz_square(H), H)
+    X = sp.orlicz_space(cat.orlicz_square(), H)
     for f in (chi(H, 0.0, 4.0),
               pw.step_function(H, [(0.0, 1.0, 2.0), (3.0, 5.0, 0.5)]),
               pw.power_piece(H, 0.0, 1.0, 1.0, -0.25)):
@@ -119,21 +119,21 @@ def test_orlicz_square_matches_l2():
 
 
 def test_orlicz_capped_norm_tracks_sup_for_small_support():
-    X = sp.orlicz_space(cat.orlicz_square_capped(H), H)
+    X = sp.orlicz_space(cat.orlicz_square_capped(), H)
     f = pw.scale(chi(H, 0.0, 1.0), 3.0)
     # modular jumps to +inf as soon as |f|/lam exceeds the cap at 1
     assert nm.norm(f, X).value == pytest.approx(3.0, rel=1e-9)
 
 
 def test_orlicz_capped_norm_keeps_integral_term_for_large_support():
-    X = sp.orlicz_space(cat.orlicz_square_capped(H), H)
+    X = sp.orlicz_space(cat.orlicz_square_capped(), H)
     f = chi(H, 0.0, 9.0)
     # lam must satisfy 9 / lam**2 <= 1 once the cap is respected
     assert nm.norm(f, X).value == pytest.approx(3.0, rel=1e-9)
 
 
 def test_orlicz_degenerate_generator_ignores_low_values():
-    X = sp.orlicz_space(cat.orlicz_flat_capped(H), H)
+    X = sp.orlicz_space(cat.orlicz_flat_capped(), H)
     f = pw.scale(chi(H, 0.0, 2.0), 0.25)
     # modular(lam) = 2 * (0.5/lam - 1) once 0.25/lam passes 1/2, so the
     # smallest admissible lam solves 2 * (0.5/lam - 1) = 1
@@ -144,7 +144,7 @@ def test_orlicz_degenerate_generator_ignores_low_values():
 
 
 def test_orlicz_exact_path_used_for_power_functions():
-    X = sp.orlicz_space(cat.orlicz_square(H), H)
+    X = sp.orlicz_space(cat.orlicz_square(), H)
     f = pw.power_piece(H, 0.0, 1.0, 1.0, -0.25)
     res = nm.norm(f, X)
     assert res.method == "exact"
@@ -181,7 +181,7 @@ def test_marcinkiewicz_sup_search_measures_each_level_once(monkeypatch):
 def test_luxemburg_bisection_takes_absolute_value_once(monkeypatch):
     # loose and tight tolerances differ by about 26 bisection steps; the
     # lam-free work (|f|, its sup and tail) must not follow the step count
-    X = sp.orlicz_space(cat.orlicz_square(H), H)
+    X = sp.orlicz_space(cat.orlicz_square(), H)
     calls = _count_calls(monkeypatch, pw, "absolute")
     counts = []
     for k, tol in enumerate((1e-4, 1e-12)):
@@ -199,7 +199,7 @@ def test_luxemburg_bisection_on_dead_zone_generator_takes_absolute_value_once(
         monkeypatch):
     # the generator vanishes below 1/2, so it has no closed form and the
     # norm still bisects; the same count as above must hold there
-    X = sp.orlicz_space(cat.orlicz_flat_capped(H), H)
+    X = sp.orlicz_space(cat.orlicz_flat_capped(), H)
     calls = _count_calls(monkeypatch, pw, "absolute")
     counts = []
     for k, tol in enumerate((1e-4, 1e-12)):
@@ -214,7 +214,7 @@ def test_luxemburg_bisection_on_dead_zone_generator_takes_absolute_value_once(
     assert counts[0] == counts[1] <= 3
 
 
-POWER_GENERATOR_SPACES = [sp.orlicz_space(gen(dom), dom)
+POWER_GENERATOR_SPACES = [sp.orlicz_space(gen(), dom)
                           for gen in (cat.orlicz_square, cat.orlicz_square_capped)
                           for dom in (H, U)]
 
@@ -254,18 +254,18 @@ def test_generators_off_the_closed_form():
     # the bisection
     two_terms = pw.make_ppl(H, [(0.0, INF, {(2.0, 0): 1.0, (3.0, 0): 1.0})])
     fractional = pw.make_ppl(H, [(0.0, INF, {(1.5, 0): 1.0})])
-    for spec in (cat.orlicz_flat_capped(H), sp.OrliczFunctionSpec(two_terms),
+    for spec in (cat.orlicz_flat_capped(), sp.OrliczFunctionSpec(two_terms),
                  sp.OrliczFunctionSpec(fractional)):
         assert nm._power_generator(spec) is None
-    assert nm._power_generator(cat.orlicz_square(H)) == (1.0, 2)
-    assert nm._power_generator(cat.orlicz_square_capped(H)) == (1.0, 2)
+    assert nm._power_generator(cat.orlicz_square()) == (1.0, 2)
+    assert nm._power_generator(cat.orlicz_square_capped()) == (1.0, 2)
 
 
 @pytest.mark.parametrize("s", [1e31, 1e-31, 1e300, 1e308, 5e-324])
 def test_bisected_norm_brackets_the_whole_float_range(s):
     # the dead-zone generator still bisects, and the norm of s chi_[0,1) is
     # exactly s at every scale, far above 1e30 and below 1e-30 included
-    X = sp.orlicz_space(cat.orlicz_flat_capped(H), H)
+    X = sp.orlicz_space(cat.orlicz_flat_capped(), H)
     res = nm.norm(pw.step_function(H, [(0.0, 1.0, s)]), X)
     assert res.method == "exact"
     assert res.value - res.error_bound <= s <= res.value, res
@@ -274,7 +274,7 @@ def test_bisected_norm_brackets_the_whole_float_range(s):
 def test_bisected_norm_is_inf_only_past_the_largest_float():
     # t**-0.5 is unbounded, so Phi(|f|/lam) is +inf on a set of positive
     # measure at every lam: the doubling runs to the largest float
-    X = sp.orlicz_space(cat.orlicz_flat_capped(H), H)
+    X = sp.orlicz_space(cat.orlicz_flat_capped(), H)
     res = nm.norm(pw.power_piece(H, 0.0, 1.0, 1.0, -0.5), X)
     assert (res.value, res.method, res.error_bound) == (INF, "exact", 0.0)
 
@@ -519,7 +519,7 @@ def test_undefined_transform_reads_as_nonmembership():
 SPACES_H = [
     L1, L2, LINF,
     sp.l1_cap_linf(H), sp.l1_plus_linf(H),
-    sp.orlicz_space(cat.orlicz_square(H), H),
+    sp.orlicz_space(cat.orlicz_square(), H),
     sp.lorentz_space(cat.sqrt_phi(H)),
     sp.marcinkiewicz_space(cat.sqrt_phi(H)),
     sp.cesaro_space(L2),
@@ -617,23 +617,17 @@ def test_fundamental_function_agrees_with_indicator_norm():
 
 
 def test_boyd_indices_closed_form_and_declared():
+    # no family declares its indices: every one is read in closed form
     b = nm.boyd_indices(L2)
     assert (b.lower, b.upper) == (2.0, 2.0)
     assert b.method == "closed-form"
     b = nm.boyd_indices(sp.l1_cap_linf(H))
     assert b.lower == 1.0 and math.isinf(b.upper)
-    b = nm.boyd_indices(sp.orlicz_space(cat.orlicz_square(H), H))
-    assert (b.lower, b.upper) == (2.0, 2.0)
-    assert b.method == "declared"
-    b = nm.boyd_indices(sp.lorentz_space(cat.sqrt_phi(H)))
-    assert (b.lower, b.upper) == (2.0, 2.0)
-
-
-def test_boyd_indices_estimate_path():
-    X = sp.orlicz_space(cat.orlicz_square_capped(H), H)
-    b = nm.boyd_indices(X)
-    assert b.method == "estimate"
-    assert 1.0 <= b.lower <= b.upper + 1e-9
+    for X in (sp.orlicz_space(cat.orlicz_square(), H),
+              sp.lorentz_space(cat.sqrt_phi(H)),
+              sp.marcinkiewicz_space(cat.sqrt_phi(H))):
+        b = nm.boyd_indices(X)
+        assert (b.lower, b.upper, b.method) == (2.0, 2.0, "closed-form")
 
 
 def test_boyd_indices_reject_averaged_spaces():
@@ -648,11 +642,67 @@ def test_cesaro_bounded_catalog_row():
     assert nm.cesaro_bounded(sp.lorentz_space(cat.sqrt_phi(H))).bounded is True
 
 
-def test_dilation_norm_estimate_for_l2():
-    # the dilation operator on L2 scales like sqrt(s)
-    for s in (0.25, 4.0):
-        assert nm.dilation_norm_estimate(L2, s) == pytest.approx(
-            math.sqrt(s), rel=1e-6)
+@pytest.mark.parametrize("make", [sp.lorentz_space, sp.marcinkiewicz_space])
+@pytest.mark.parametrize("a", [0.5, 0.9, 1.0])
+def test_capped_power_parameter_has_lower_index_one_over_a(make, a):
+    # phi = min(t**a, 1); at a = 1 the space is L1 + Linf, where the
+    # averaging operator is unbounded
+    phi = pw.make_ppl(H, [(0.0, 1.0, {(a, 0): 1.0}),
+                          (1.0, INF, {(0.0, 0): 1.0})])
+    X = make(sp.QuasiConcaveSpec(phi))
+    b = nm.boyd_indices(X)
+    assert (b.lower, b.upper, b.method) == (1.0 / a, INF, "closed-form")
+    v = nm.cesaro_bounded(X)
+    assert (v.bounded, v.lower_index) == (a < 1.0, 1.0 / a)
+
+
+@pytest.mark.parametrize("make", [sp.lorentz_space, sp.marcinkiewicz_space])
+def test_linear_parameter_on_unit_interval_is_l1(make):
+    X = make(sp.QuasiConcaveSpec(pw.power_piece(U, 0.0, 1.0, 1.0, 1.0)))
+    b = nm.boyd_indices(X)
+    assert (b.lower, b.upper) == (1.0, 1.0)
+    assert nm.cesaro_bounded(X).bounded is False
+
+
+def test_sum_and_intersection_indices_follow_the_domain():
+    # on [0, 1] the intersection is Linf and the sum is L1
+    for X, want in ((sp.l1_cap_linf(H), (1.0, INF)),
+                    (sp.l1_plus_linf(H), (1.0, INF)),
+                    (sp.l1_cap_linf(U), (INF, INF)),
+                    (sp.l1_plus_linf(U), (1.0, 1.0))):
+        b = nm.boyd_indices(X)
+        assert (b.lower, b.upper) == want, X.describe()
+    assert nm.cesaro_bounded(sp.l1_cap_linf(U)).bounded is True
+    assert nm.cesaro_bounded(sp.l1_plus_linf(U)).bounded is False
+
+
+def _indices(X):
+    b = nm.boyd_indices(X)
+    return b.lower, b.upper
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.floats(1.0, 8.0), c=st.floats(0.1, 10.0),
+       unit=st.booleans())
+def test_parameter_and_generator_indices_match_coinciding_spaces(p, c, unit):
+    dom = U if unit else H
+    end = dom.end
+    power = sp.QuasiConcaveSpec(pw.power_piece(dom, 0.0, end, c, 1.0 / p))
+    capped = sp.QuasiConcaveSpec(pw.make_ppl(dom, [
+        (0.0, 1.0, {(1.0, 0): c}), (1.0, end, {(0.0, 0): c})]))
+    floored = sp.QuasiConcaveSpec(pw.make_ppl(dom, [
+        (0.0, 1.0, {(0.0, 0): c}), (1.0, end, {(1.0, 0): c})]))
+    for make in (sp.lorentz_space, sp.marcinkiewicz_space):
+        lower, upper = _indices(make(power))
+        assert lower == pytest.approx(p, rel=1e-12)
+        assert upper == pytest.approx(p, rel=1e-12)
+        assert _indices(make(capped)) == _indices(sp.l1_plus_linf(dom))
+        assert _indices(make(floored)) == _indices(sp.l1_cap_linf(dom))
+    generator = sp.OrliczFunctionSpec(pw.power_piece(cat.domain_u(), 0.0, INF,
+                                                     c, p))
+    assert _indices(sp.orlicz_space(generator, dom)) == (p, p)
+    assert _indices(sp.orlicz_space(cat.orlicz_square_capped(), U)) \
+        == _indices(sp.lebesgue_inf(U))
 
 
 def test_cx_nontrivial_catalog():

@@ -83,7 +83,7 @@ _SQUARE_PLUS_CUBE = sp.OrliczFunctionSpec(
     pw.make_ppl(H, [(0.0, INF, {(2.0, 0): 1.0, (3.0, 0): 1.0})]))
 
 
-@pytest.mark.parametrize("spec", [cat.orlicz_square(H), _SQUARE_PLUS_CUBE],
+@pytest.mark.parametrize("spec", [cat.orlicz_square(), _SQUARE_PLUS_CUBE],
                          ids=["power", "two-terms"])
 def test_unbounded_generator_evidence(spec):
     # u**2 is decided by one finiteness check of ||C|f| ||_2, u**2 + u**3 by
@@ -99,7 +99,7 @@ def test_capped_generator_builds_one_transform_per_horizon(monkeypatch):
     # 3 chi_(0,1) needs horizons 1 and 2 at each of the 21 scales: two
     # transforms for them, plus the averaged modulus and the membership
     # norm; rebuilt per scale it would be 44
-    CX = sp.cesaro_space(sp.orlicz_space(cat.orlicz_square_capped(H), H))
+    CX = sp.cesaro_space(sp.orlicz_space(cat.orlicz_square_capped(), H))
     calls = []
     original = cz.cesaro_transform
 
@@ -133,9 +133,9 @@ CROSS_CASES = [
     (pw.power_piece(H, 0.0, 1.0, 1.0, -0.5),
      sp.cesaro_space(sp.marcinkiewicz_space(cat.sqrt_phi(H))), False),
     (chi(H, 0.0, 1.0),
-     sp.cesaro_space(sp.orlicz_space(cat.orlicz_square_capped(H), H)), False),
+     sp.cesaro_space(sp.orlicz_space(cat.orlicz_square_capped(), H)), False),
     (chi(H, 1.0, 2.0),
-     sp.cesaro_space(sp.orlicz_space(cat.orlicz_square_capped(H), H)), True),
+     sp.cesaro_space(sp.orlicz_space(cat.orlicz_square_capped(), H)), True),
 ]
 
 
@@ -238,12 +238,11 @@ POINT_RULE_CASES = [
      "averaged-lorentz/bounded-weight", {"rearranged_tail_value": 0.0}),
     (_ONE_H, _LORENTZ_BOUNDED, "not-OC",
      "averaged-lorentz/bounded-weight", {"rearranged_tail_value": 1.0}),
+    # min(sqrt(t), 1) has lower dilation index 2
     (chi(H, 0.0, 1.0), _MARCINKIEWICZ_BOUNDED, "OC",
-     "averaged-marcinkiewicz/truncation-core",
-     {"excess_norms": [0.0, 0.0], "tail_norms": [0.0, 0.0]}),
+     "averaged-marcinkiewicz/vanishing-peak", {"peak_limits_exact": True}),
     (_ONE_H, _MARCINKIEWICZ_BOUNDED, "not-OC",
-     "averaged-marcinkiewicz/truncation-core",
-     {"excess_norms": [0.0, 0.0], "tail_norms": [1.0] * 6}),
+     "averaged-marcinkiewicz/vanishing-peak", {"peak_limits_exact": True}),
     (_ONE_U, _SUM_U, "OC", "averaged-sum-space/all-points", {}),
     (chi(U, 0.5, 1.0), _CAP_U, "OC", "averaged-power/vanishing-average",
      {"vanishing_average_at_zero": True}),
@@ -304,12 +303,8 @@ def _unit_slope(domain):
     return sp.QuasiConcaveSpec(pw.power_piece(domain, 0.0, domain.end, 1.0, 1.0))
 
 
-def _undeclared_sqrt(domain):
-    return sp.QuasiConcaveSpec(pw.power_piece(domain, 0.0, domain.end, 1.0, 0.5))
-
-
-def _flagless_square(domain):
-    return sp.OrliczFunctionSpec(cat.orlicz_square(domain).phi)
+def _flagless_square():
+    return sp.OrliczFunctionSpec(cat.orlicz_square().phi)
 
 
 SYMMETRIC_SPACE_CASES = [
@@ -320,7 +315,7 @@ SYMMETRIC_SPACE_CASES = [
      "marcinkiewicz-extremal", {"lower_index": 2.0}),
     (sp.lorentz_space(cat.sqrt_plus_atom_phi(U)), "not-OC", "fundamental-atom",
      {"atom_at_zero": 1.0}),
-    (sp.orlicz_space(cat.orlicz_square(H), H), "OC", "orlicz-doubling",
+    (sp.orlicz_space(cat.orlicz_square(), H), "OC", "orlicz-doubling",
      {"doubling": True, "scope": "global"}),
     (sp.l1_cap_linf(H), "not-OC", "intersection-space", {}),
     (sp.l1_plus_linf(U), "OC", "sum-space",
@@ -330,10 +325,14 @@ SYMMETRIC_SPACE_CASES = [
      {"note": "the weak space collapses to the integrable class"}),
     (sp.marcinkiewicz_space(cat.atom_phi(H)), "not-OC", "fundamental-atom",
      {"atom_at_zero": 1.0}),
-    (sp.marcinkiewicz_space(_undeclared_sqrt(H)), "inconclusive",
-     "marcinkiewicz-extremal",
-     {"note": "no declared dilation index separates the cases"}),
-    (sp.orlicz_space(_flagless_square(U), U), "inconclusive",
+    (sp.marcinkiewicz_space(cat.bounded_sqrt_phi(H)), "not-OC",
+     "marcinkiewicz-extremal", {"lower_index": 2.0}),
+    (sp.marcinkiewicz_space(sp.QuasiConcaveSpec(pw.make_ppl(H, [
+        (0.0, 1.0, {(1.0, 0): 1.0}), (1.0, INF, {(0.5, 0): 1.0})]))),
+     "inconclusive", "marcinkiewicz-extremal",
+     {"lower_index": 1.0,
+      "note": "the rule needs a lower dilation index above 1"}),
+    (sp.orlicz_space(_flagless_square(), U), "inconclusive",
      "orlicz-doubling", {"doubling": None, "scope": "large-argument"}),
 ]
 
@@ -363,9 +362,12 @@ AVERAGED_SPACE_CASES = [
      "trivial-space/tail-membership", {"domain": "halfline"}),
     (sp.cesaro_space(sp.marcinkiewicz_space(cat.atom_phi(H))), "not-OC",
      "averaged-marcinkiewicz/space", {"atom_at_zero": 1.0}),
-    (sp.cesaro_space(sp.marcinkiewicz_space(_undeclared_sqrt(H))),
-     "inconclusive", "averaged-marcinkiewicz/space", {}),
-    (sp.cesaro_space(sp.orlicz_space(_flagless_square(U), U)), "inconclusive",
+    # sqrt(t) declares no index: it is read off phi
+    (sp.cesaro_space(sp.marcinkiewicz_space(cat.sqrt_phi(H))),
+     "not-OC", "averaged-marcinkiewicz/space", {"lower_index": 2.0}),
+    (sp.cesaro_space(sp.marcinkiewicz_space(cat.bounded_sqrt_phi(H))),
+     "not-OC", "averaged-marcinkiewicz/space", {"lower_index": 2.0}),
+    (sp.cesaro_space(sp.orlicz_space(_flagless_square(), U)), "inconclusive",
      "averaged-orlicz/space", {"doubling": None}),
 ]
 
@@ -379,7 +381,9 @@ def test_averaged_space_verdicts():
 
 def test_transfer_route_matches_family_rules():
     for X in (sp.lebesgue(2.0, H), sp.lebesgue_inf(H),
-              sp.lorentz_space(cat.sqrt_phi(H))):
+              sp.lorentz_space(cat.sqrt_phi(H)),
+              sp.marcinkiewicz_space(cat.bounded_sqrt_phi(H)),
+              sp.l1_cap_linf(U)):
         direct = oc.oc_space(sp.cesaro_space(X))
         transfer = oc.oc_space_via_transfer(sp.cesaro_space(X))
         assert transfer.rule == "oc-transfer/bounded-averaging"

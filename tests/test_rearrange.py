@@ -38,6 +38,14 @@ def test_distribution_of_power_tail():
     assert rr.distribution(f, 0.0) == INF
 
 
+@pytest.mark.parametrize("alpha", [-1.0, -0.5])
+def test_level_reached_only_at_infinity_cuts_nothing_off(alpha):
+    # 1 + t**alpha on [1, inf) exceeds 1 everywhere: {|f| > 1} is the
+    # whole unbounded piece, not a crossing solved near t = e**700
+    f = pw.make_ppl(H, [(1.0, INF, {(0.0, 0): 1.0, (alpha, 0): 1.0})])
+    assert rr.distribution(f, 1.0) == INF
+
+
 def test_critical_values_are_distinct_magnitudes():
     f = two_level_step()
     assert rr.critical_values(f) == [1.0, 2.0]
