@@ -1,11 +1,13 @@
 """Norm evaluation for the whole space catalog.
 
-Step functions and transform images stay on exact closed-form paths; other
-inputs fall back to adaptive quadrature with tracked error bounds, and a
-Marcinkiewicz sup without an exact rearrangement to a search over levels
-whose error bound brackets the sup.  Divergence at the improper endpoints is always decided analytically from
-dominant monomials before any quadrature runs, so +inf results are exact
-statements, not overflow artifacts.
+Membership comes before magnitude: ``in_space`` decides from the germs of
+f and of the space's parameter at 0 and at infinity whether the norm is
+finite, and ``norm`` returns an exact +inf from that rule before any
+closed form or quadrature runs.  Finite norms of step functions and
+transform images stay on exact closed-form paths; other inputs fall back to
+adaptive quadrature with tracked error bounds, and a Marcinkiewicz sup
+without an exact rearrangement to a search over levels whose error bound
+brackets the sup.
 """
 
 from __future__ import annotations
@@ -198,10 +200,7 @@ def _orlicz_modular_exact(g: PPL, spec: OrliczFunctionSpec,
                     pm = _compose_band(piece, terms, lam)
                     if pm is None:
                         return None
-                val = pw._piece_integral(pm, a, b) if pm else 0.0
-                if math.isinf(val):
-                    return INF
-                total += val
+                total += pw._piece_integral(pm, a, b) if pm else 0.0
     return total
 
 
@@ -238,6 +237,7 @@ def _antiderivative_magnitude(tm: TermMap, lo: float, hi: float) -> float:
 
 
 def _lp_ppl(f: PPL, p: float) -> NormResult:
+    """The Lp norm of an f that ``in_space`` admits to Lp."""
     g = pw.absolute(f)
     if g.is_zero:
         return NormResult(0.0, "exact", 0.0)
@@ -253,18 +253,9 @@ def _lp_ppl(f: PPL, p: float) -> NormResult:
             exact_parts.append((pm, piece.lo, piece.hi))
         else:
             exact = False
-            # |piece|**p has the germ exponent a*p at either end
-            diverges = lambda at: pw.integral_diverges(
-                pw.germ(tm, at)[1] * p, at)
-            if (piece.lo == 0.0 and diverges("zero")) or \
-                    (math.isinf(piece.hi) and diverges("inf")):
-                val = INF
-            else:
-                fn = lambda t: abs(pw.eval_term_map(tm, t)) ** p
-                val, e = cz._quad(fn, piece.lo, piece.hi, (), QUAD_TOL)
-                err += e
-        if math.isinf(val):
-            return NormResult(INF, "exact" if pm is not None else "quadrature", 0.0)
+            fn = lambda t: abs(pw.eval_term_map(tm, t)) ** p
+            val, e = cz._quad(fn, piece.lo, piece.hi, (), QUAD_TOL)
+            err += e
         total += val
     if total < 0.0:
         # an exact piece integral is a difference of antiderivative values
@@ -301,11 +292,12 @@ def _sum_space_ppl(f: PPL) -> NormResult:
 
 def _orlicz_modular(f: PPL, spec: OrliczFunctionSpec
                     ) -> Callable[[float], tuple[float, float]]:
-    """lam -> (integral of Phi(|f|/lam), error).
+    """lam -> (integral of Phi(|f|/lam), error), for an f in the space.
 
     Everything that does not depend on lam is worked out once here.  The
     tail limit of |f| is taken only when some lam gets past the sup test,
-    so a modular that is +inf by the sup test never needs the tail.
+    so a modular that is +inf by the sup test never needs the tail.  A
+    divergence at 0 does not depend on lam, so membership rules it out.
     """
     if f.is_step:
         steps = [(abs(piece.term_map()[(0.0, 0)]), piece.hi - piece.lo)
@@ -327,13 +319,6 @@ def _orlicz_modular(f: PPL, spec: OrliczFunctionSpec
         return step_modular
     g = pw.absolute(f)
     sup = pw.essential_sup_abs(g)
-    # Phi(|f|) has the germ exponent a_f * a_phi where |f| blows up at 0
-    endpoint_diverges = False
-    if g.pieces and g.pieces[0].lo == 0.0 and math.isinf(sup) \
-            and math.isinf(spec.finite_bound) and spec.phi.pieces:
-        a_f = pw.germ(g.pieces[0].term_map(), "zero")[1]
-        a_phi = pw.germ(spec.phi.pieces[-1].term_map(), "inf")[1]
-        endpoint_diverges = pw.integral_diverges(a_f * a_phi, "zero")
     tail: float | None = None
     lo = g.pieces[0].lo
     hi = g.support_bound()
@@ -348,8 +333,6 @@ def _orlicz_modular(f: PPL, spec: OrliczFunctionSpec
                 tail = rr._tail_limit(g)
             if tail / lam > spec.zero_bound:
                 return INF, 0.0
-        if endpoint_diverges:
-            return INF, 0.0
         exact = _orlicz_modular_exact(g, spec, lam)
         if exact is not None:
             return exact, 0.0
@@ -420,18 +403,12 @@ def _orlicz_power_norm(f: PPL, spec: OrliczFunctionSpec, c: float,
 
 
 def _lorentz_ppl(f: PPL, X: SpaceDescriptor) -> NormResult:
+    """atom*sup|f| plus the integral of f* dphi, for an f in the space."""
     spec = X.quasi
     atom = spec.atom_at_zero
     r = rr.decreasing_rearrangement(f)
-    atom_part = 0.0
-    if atom > 0.0:
-        sup = r.sup_value
-        if math.isinf(sup):
-            return NormResult(INF, "exact", 0.0)
-        atom_part = atom * sup
-    if not f.domain.is_unit and r.value_at_infinity > 0.0 \
-            and math.isinf(spec.value_at_end):
-        return NormResult(INF, "exact", 0.0)
+    # an f in the space is bounded wherever phi jumps at zero
+    atom_part = atom * r.sup_value if atom > 0.0 else 0.0
     density = spec.density()
     if r.exact is not None:
         integral = pw.integrate(pw.product(r.exact, density))
@@ -522,23 +499,19 @@ def _split_level(hi: float, lo: float) -> float:
 
 
 def _marcinkiewicz_ppl(f: PPL, X: SpaceDescriptor) -> NormResult:
+    """sup of phi*f**, for an f in the space."""
     spec = X.quasi
     r = rr.decreasing_rearrangement(f)
     if r.exact is not None:
-        try:
-            second = cz.cesaro_transform(r.exact)
-        except TransformUndefinedError:
-            # mass near zero is not locally integrable: the running average
-            # is identically infinite
-            return NormResult(INF, "exact", 0.0)
-        w = pw.product(spec.phi, second)
+        w = pw.product(spec.phi, cz.cesaro_transform(r.exact))
         return NormResult(pw.essential_sup_abs(w), "exact", 0.0)
     return _marcinkiewicz_levels(f, spec, r.sup_value, r.value_at_infinity)
 
 
 def _marcinkiewicz_levels(f: PPL, spec: QuasiConcaveSpec, sup: float,
                           low: float) -> NormResult:
-    """sup over t of phi(t)*f**(t), searched over levels lam of |f|.
+    """sup over t of phi(t)*f**(t), searched over levels lam of |f|, for
+    an f in the space (so every limit below is finite).
 
     At t = d(lam) the layer-cake identity has no leftover term: the
     integral G of f* over [0, t] is the mass M(lam) of |f| above lam, so
@@ -573,13 +546,7 @@ def _marcinkiewicz_levels(f: PPL, spec: QuasiConcaveSpec, sup: float,
     line bounds the sup; there the germ is trusted to run monotonically
     from that point to its limit.
     """
-    if low > 0.0 and math.isinf(spec.value_at_end):
-        # f* >= low, so phi(t)*f**(t) >= low*phi(t) grows without bound
-        return NormResult(INF, "exact", 0.0)
     msegs = rr._mass_segments(f)
-    if math.isinf(sup) and math.isinf(msegs[0].whole):
-        # mass near zero is not locally integrable: f** is infinite
-        return NormResult(INF, "exact", 0.0)
     flat: dict[float, float] = {}
     for m in msegs:
         if m.seg.cross is None and m.seg.vlo > low:
@@ -625,8 +592,6 @@ def _marcinkiewicz_levels(f: PPL, spec: QuasiConcaveSpec, sup: float,
         average[(-1.0, 0)] = average.get((-1.0, 0), 0.0) - head.alo
         closed.append(_weighted_sup(spec, average, 0.0, points[0][1], None))
     best = max([p[3] for p in points] + closed)
-    if math.isinf(best):
-        return NormResult(INF, "exact", 0.0)
 
     def envelope(A, B) -> float:
         la, ta, Ga, _ = A
@@ -670,6 +635,126 @@ def _marcinkiewicz_levels(f: PPL, spec: QuasiConcaveSpec, sup: float,
 
 
 # ---------------------------------------------------------------------------
+# membership
+
+
+def _lp_member(head: pw.Germ | None, tail: pw.Germ | None, p: float) -> bool:
+    """Is |f|**p integrable at both ends?  It has the germ exponents a*p."""
+    return not ((head is not None and pw.integral_diverges(head[1] * p, "zero"))
+                or (tail is not None and pw.integral_diverges(tail[1] * p, "inf")))
+
+
+def _orlicz_member(head: pw.Germ | None, blows_up: bool,
+                   tail: pw.Germ | None, at_inf: float,
+                   spec: OrliczFunctionSpec) -> bool:
+    """Is the modular of f/lam finite for some lam?
+
+    Large values read Phi at its finite bound or its germ u**b at infinity,
+    where Phi(|f|/lam) ~ t**(a_f*b) near 0; values on the infinite tail read
+    Phi's zero bound or its germ u**c at 0, where Phi(|f|/lam) ~ t**(a_f*c).
+    """
+    gen = spec.phi.pieces
+    if blows_up:
+        if math.isfinite(spec.finite_bound):
+            return False
+        b = pw.germ(gen[-1].term_map(), "inf")[1]
+        if pw.integral_diverges(head[1] * b, "zero"):
+            return False
+    if tail is None or spec.zero_bound > 0.0:
+        return True
+    if at_inf > 0.0:
+        return False
+    c = pw.germ(gen[0].term_map(), "zero")[1]
+    return not pw.integral_diverges(tail[1] * c, "inf")
+
+
+def _quasi_member(head: pw.Germ | None, blows_up: bool, last: pw.Piece,
+                  tail: pw.Germ | None, at_inf: float,
+                  X: SpaceDescriptor) -> bool:
+    """Is the Lorentz integral or the Marcinkiewicz sup of f finite?
+
+    Where |f| blows up at 0, f* has f's germ t**a there, and phi's first
+    piece has a germ t**b with b > 0 unless phi jumps at zero (then
+    atom*sup|f| is infinite).  The Lorentz integrand f*phi' ~ t**(a+b-1)
+    converges iff a + b > 0; phi*f** ~ t**(a+b) needs a > -1 and a finite
+    germ limit.  At infinity f* tends to f*(inf): a positive limit is
+    finite exactly under a bounded phi, and a vanishing one keeps f's
+    germ.  The Lorentz integrand then converges iff a + b < 0 or phi is
+    bounded, and phi*f** has the limit of ``_peak_limit_at_infinity``.
+    A validated phi has 0 <= b <= 1 and a finite limit at 0, so it jumps
+    at zero, or is bounded at infinity, exactly where its germ there is a
+    constant.
+    """
+    spec = X.quasi
+    lorentz = X.tag == "lorentz"
+    if blows_up:
+        phi = pw.germ(spec.phi.pieces[0].term_map(), "zero")
+        if phi[1:] == (0.0, 0):
+            return False
+        if lorentz:
+            if head[1] + phi[1] <= 0.0:
+                return False
+        elif pw.integral_diverges(head[1], "zero"):
+            return False
+        else:
+            average = pw.germ_product(pw.germ_integral(head), (1.0, -1.0, 0))
+            if math.isinf(pw.germ_limit(pw.germ_product(phi, average), "zero")):
+                return False
+    if tail is None:
+        return True
+    phi = pw.germ(spec.phi.pieces[-1].term_map(), "inf")
+    bounded_phi = phi[1:] == (0.0, 0)
+    if at_inf > 0.0 or bounded_phi:
+        return bounded_phi
+    if lorentz:
+        return tail[1] + phi[1] < 0.0
+    # any finite mass gives the limit the same finiteness
+    mass = INF if pw.integral_diverges(tail[1], "inf") else 1.0
+    return math.isfinite(_peak_limit_at_infinity(spec, last.term_map(), mass))
+
+
+def in_space(f: PPL, X: SpaceDescriptor) -> bool:
+    """Is the norm of f in X finite?  Exact, and no norm is computed.
+
+    f lives on X's domain.  A piecewise power-log function is bounded
+    between its ends, so the germs of its first piece at 0 and of its last
+    piece at infinity, the limit of |f| at infinity and the germs of phi or
+    Phi at their ends decide: integrals converge by
+    ``piecewise.integral_diverges`` and sups are finite by
+    ``piecewise.germ_limit``.  A limit of |f| at infinity that is infinite
+    leaves f outside every space.  An averaged space holds f exactly when
+    the running average of |f| is defined and lies in the base space.
+    """
+    if X.tag == "cesaro":
+        try:
+            g = cz.cesaro_transform(pw.absolute(f))
+        except TransformUndefinedError:
+            return False
+        return in_space(g, X.inner)
+    if f.is_zero:
+        return True
+    first, last = f.pieces[0], f.pieces[-1]
+    head = pw.germ(first.term_map(), "zero") if first.lo == 0.0 else None
+    tail = pw.germ(last.term_map(), "inf") if math.isinf(last.hi) else None
+    blows_up = head is not None and math.isinf(pw.germ_limit(head, "zero"))
+    at_inf = 0.0 if tail is None else abs(pw.germ_limit(tail, "inf"))
+    if math.isinf(at_inf):
+        return False
+    if X.tag == "Lp":
+        return not blows_up if math.isinf(X.p) else _lp_member(head, tail, X.p)
+    if X.tag == "L1capLinf":
+        return not blows_up and _lp_member(head, tail, 1.0)
+    if X.tag == "L1plusLinf":
+        # the integral of f* over [0, 1]: f* is bounded past the head
+        return _lp_member(head, None, 1.0)
+    if X.tag == "orlicz":
+        return _orlicz_member(head, blows_up, tail, at_inf, X.orlicz)
+    if X.tag in ("lorentz", "marcinkiewicz"):
+        return _quasi_member(head, blows_up, last, tail, at_inf, X)
+    raise MethodInapplicableError(f"unknown space tag {X.tag!r}")
+
+
+# ---------------------------------------------------------------------------
 # dispatcher
 
 
@@ -680,7 +765,8 @@ def norm(f, X: SpaceDescriptor) -> NormResult:
     closed forms wherever the space's defining formula stays inside the
     representation family.  A rearrangement is measured through its exact
     form; without one, a symmetric X gives the norm of the source (there
-    ||f*|| = ||f||) and any other X raises MethodInapplicableError.
+    ||f*|| = ||f||) and any other X raises MethodInapplicableError.  An f
+    outside X (``in_space``) has the exact norm +inf.
     """
     if isinstance(f, rr.RearrangedFunction):
         if f.exact is not None:
@@ -695,6 +781,14 @@ def norm(f, X: SpaceDescriptor) -> NormResult:
         raise MethodInapplicableError("function and space domains differ")
     if f.is_zero:
         return NormResult(0.0, "exact", 0.0)
+    if X.tag == "cesaro":
+        try:
+            transformed = cz.cesaro_transform(pw.absolute(f))
+        except TransformUndefinedError:
+            return NormResult(INF, "exact", 0.0)
+        return norm(transformed, X.inner)
+    if not in_space(f, X):
+        return NormResult(INF, "exact", 0.0)
 
     if X.tag == "Lp":
         if math.isinf(X.p):
@@ -717,15 +811,7 @@ def norm(f, X: SpaceDescriptor) -> NormResult:
         return _luxemburg(_orlicz_modular(f, spec), exact_modular)
     if X.tag == "lorentz":
         return _lorentz_ppl(f, X)
-    if X.tag == "marcinkiewicz":
-        return _marcinkiewicz_ppl(f, X)
-    if X.tag == "cesaro":
-        try:
-            transformed = cz.cesaro_transform(pw.absolute(f))
-        except TransformUndefinedError:
-            return NormResult(INF, "exact", 0.0)
-        return norm(transformed, X.inner)
-    raise MethodInapplicableError(f"unknown space tag {X.tag!r}")
+    return _marcinkiewicz_ppl(f, X)
 
 
 def fundamental_function(X: SpaceDescriptor, t: float) -> float:
@@ -814,17 +900,10 @@ def cx_nontrivial(X: SpaceDescriptor) -> bool:
     """Is the averaged space over X nonzero?
 
     Always true on the unit interval; on the half-line it holds exactly when
-    the decaying tail 1/x beyond 1 belongs to X.  For Lorentz and
-    Marcinkiewicz spaces that is read off the dominant exponent a of phi's
-    last piece at infinity, phi(t) ~ c*t**a*(ln t)**k with a <= 1: the
-    tail, whose rearrangement is 1/(1+s), belongs iff a < 1, the exponents
-    for which the integral of phi'(s)/(1+s) and the sup of
-    phi(t)*ln(1+t)/t are finite.  Other spaces measure the tail.
+    the decaying tail 1/x beyond 1 belongs to X (``in_space``).  For Lorentz
+    and Marcinkiewicz spaces that is when phi(t) ~ c*t**a*(ln t)**k at
+    infinity has a < 1.
     """
     base = X.inner if X.tag == "cesaro" else X
-    if base.domain.is_unit:
-        return True
-    if base.tag in ("lorentz", "marcinkiewicz"):
-        return pw.germ(base.quasi.phi.pieces[-1].term_map(), "inf")[1] < 1.0
-    tail = pw.power_piece(base.domain, 1.0, INF, 1.0, -1.0)
-    return math.isfinite(norm(tail, base).value)
+    return base.domain.is_unit or in_space(
+        pw.power_piece(base.domain, 1.0, INF, 1.0, -1.0), base)

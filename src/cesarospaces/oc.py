@@ -311,15 +311,14 @@ def xa_trivial(X: SpaceDescriptor) -> bool:
 def _constants_in_space(X: SpaceDescriptor) -> bool:
     """Does the constant 1 have finite norm (half-line domains)?"""
     one = pw.step_function(X.domain, [(0.0, X.domain.end, 1.0)])
-    return math.isfinite(nm.norm(one, X).value)
+    return nm.in_space(one, X)
 
 
-def _require_membership(f: PPL, CX: SpaceDescriptor) -> float:
-    val = nm.norm(f, CX).value
-    if not math.isfinite(val):
+def _require_membership(f: PPL, CX: SpaceDescriptor) -> None:
+    """Every point route asks the one membership rule first."""
+    if not nm.in_space(f, CX):
         raise NotInSpaceError(
-            "the averaged norm of the function is infinite")
-    return val
+            f"the function has infinite norm in {CX.describe()}")
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +339,8 @@ def oc_point_via_characterization(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
     X = CX.inner
     if not nm.cx_nontrivial(CX):
         return _trivial_point(CX)
-    norm_val = _require_membership(f, CX)
-    evidence: dict = {"norm_in_space": norm_val}
+    _require_membership(f, CX)
+    evidence: dict = {"norm_in_space": nm.norm(f, CX).value}
     if f.is_zero:
         return OCVerdict("point", VERDICT_OC, "transform-image-of-core",
                          {"zero": True})
@@ -441,13 +440,9 @@ def oc_point_closed_form(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
         scales = [2.0 ** k for k in range(21)]
         if not math.isfinite(spec.finite_bound):
             first_bad = None
-            power = nm._power_generator(spec)
-            if power is not None:
-                # the modular of g at 1/lam is c * lam**n * ||g||_n**n:
-                # finite at every scale or at none
-                if not math.isfinite(nm._lp_ppl(g, float(power[1])).value):
-                    first_bad = scales[0]
-            else:
+            # for a power generator the modular of g at 1/lam is
+            # c * lam**n * ||g||_n**n: finite at every scale, as g is in X
+            if nm._power_generator(spec) is None:
                 modular = nm._orlicz_modular(g, spec)
                 for lam in scales:
                     val, _ = modular(1.0 / lam)
@@ -829,6 +824,7 @@ def oc_point(f: PPL, CX: SpaceDescriptor, method: str = "closed-form") -> OCVerd
     if method == "direct":
         if CX.tag == "cesaro" and not nm.cx_nontrivial(CX):
             return _trivial_point(CX)
+        _require_membership(f, CX)
         report = direct_oc_check(f, CX)
         ev = {"norms": list(report.norms[-6:]), "family": report.family}
         return _verdict_from_flag(report.decision, "point",

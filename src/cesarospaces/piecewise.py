@@ -630,7 +630,16 @@ def _segment_sign(tm: TermMap, lo: float, hi: float) -> int:
         if abs(v) > abs(best):
             best = v
     if best == 0.0:
-        raise RepresentationError("could not determine a segment sign")
+        if lo == 0.0 or math.isinf(hi):
+            # every probe underflowed: the germ at the open end decides
+            at = "zero" if lo == 0.0 else "inf"
+            c, _a, k = germ(tm, at)
+            best = c * (-1.0) ** k if at == "zero" else c
+        else:
+            # every probe rounds to 0, as between two roots a few ulps
+            # apart: the segment is zero to working precision, and either
+            # sign gives the same |f|
+            best = 1.0
     return 1 if best > 0.0 else -1
 
 

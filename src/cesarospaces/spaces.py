@@ -7,7 +7,8 @@ carry a declared quasi-concave parameter function.  The averaged space is a
 wrapper around any symmetric descriptor.
 
 Declared doubling flags are trusted; the generator and the parameter
-function are sanity-checked on probe grids at construction, where hard
+function are sanity-checked on probe grids at construction, and the
+parameter function's germ exponents at its ends are checked exactly; hard
 violations raise ValidationError and soft contradictions emit a warning.
 Dilation indices are not declared: ``norms.boyd_indices`` reads them off
 the germs of the generator and the parameter function.
@@ -147,6 +148,16 @@ class QuasiConcaveSpec:
         atom = self.atom_at_zero
         if not (math.isfinite(atom) and atom >= 0.0):
             raise ValidationError("parameter function has no finite limit at 0")
+        # a quasi-concave phi ~ t**a at an end has 0 <= a <= 1; the
+        # membership rule and the dilation indices read these exponents
+        pieces = self.phi.pieces
+        ends = [pw.germ(pieces[0].term_map(), "zero")[1]]
+        if not self.domain.is_unit:
+            ends.append(pw.germ(pieces[-1].term_map(), "inf")[1])
+        if not all(0.0 <= a <= 1.0 for a in ends):
+            raise ValidationError(
+                "parameter function must grow like t**a with 0 <= a <= 1 "
+                "at 0 and at infinity")
         end = self.domain.end
         probes = [t for t in _PROBES if t < end] or [0.5]
         last = atom

@@ -104,6 +104,21 @@ def test_gapped_parameter_function_exits_2(docs, tmp_path, capsys, pieces):
     assert "must cover" in capsys.readouterr().err
 
 
+def test_parameter_function_growing_faster_than_t_exits_2(docs, tmp_path,
+                                                          capsys):
+    # t, then 2**-21 t**2: quasi-concave at every probe, t**2 at infinity
+    phi = pw.make_ppl(H, [(0.0, 2.0 ** 21, {(1.0, 0): 1.0}),
+                          (2.0 ** 21, INF, {(2.0, 0): 2.0 ** -21})])
+    X = sp.SpaceDescriptor("cesaro", H, inner=sp.SpaceDescriptor(
+        "lorentz", H, quasi=sp.QuasiConcaveSpec(phi)))
+    path = tmp_path / "steep.json"
+    path.write_text(dc.dump_space(X), encoding="utf-8")
+    code = cli.main(["norm", "--function", docs["chi01"], "--space",
+                     str(path), "--out", docs["out"]])
+    assert code == 2
+    assert "0 <= a <= 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("declared,code", [
     (None, 0), (2.0, 0), (2.0 + 1e-12, 0), (3.0, 2), ("inf", 2)])
 def test_declared_boyd_index_must_match_phi(docs, tmp_path, capsys,

@@ -15,8 +15,8 @@ from cesarospaces import oc
 from cesarospaces import piecewise as pw
 from cesarospaces import rearrange as rr
 from cesarospaces import spaces as sp
-from cesarospaces.errors import (MethodInapplicableError, RepresentationError,
-                                 ValidationError)
+from cesarospaces.errors import (MethodInapplicableError, NotInSpaceError,
+                                 RepresentationError, ValidationError)
 from cesarospaces.piecewise import INF
 from support import (HALFLINE as H, UNIT as U, chi,
                      marcinkiewicz_grid_reference, nonzero_step_functions,
@@ -286,13 +286,14 @@ def test_bisected_norm_is_inf_only_past_the_largest_float():
 def test_power_norm_divergence_read_off_dominant_exponent(monkeypatch, domain,
                                                           lo, hi, tm):
     # two monomials have no exact 1.5th power; the dominant one decides
-    # divergence at the improper end before any quadrature could run
+    # divergence at the improper end before any quadrature could run, and
+    # the membership rule makes that +inf exact
     def no_quadrature(*args):
         raise AssertionError("quadrature ran on a divergent integral")
 
     monkeypatch.setattr(cz, "_quad", no_quadrature)
     res = nm.norm(pw.make_ppl(domain, [(lo, hi, tm)]), sp.lebesgue(1.5, domain))
-    assert (res.value, res.method) == (INF, "quadrature")
+    assert (res.value, res.method, res.error_bound) == (INF, "exact", 0.0)
 
 
 def test_marcinkiewicz_sup_search_takes_absolute_value_once(monkeypatch):
@@ -769,3 +770,158 @@ def test_generator_pieces_may_run_past_the_finite_bound():
     spec = sp.OrliczFunctionSpec(pw.power_piece(H, 0.0, INF, 1.0, 2.0),
                                  finite_bound=1.0)
     assert sp.orlicz_space(spec, H).orlicz is spec
+
+
+@pytest.mark.parametrize("family", [sp.lorentz_space, sp.marcinkiewicz_space])
+@pytest.mark.parametrize("pieces", [
+    # t, then 2**-21 t**2: phi(t)/t rises past the last probe at 2**20
+    [(0.0, 2.0 ** 21, {(1.0, 0): 1.0}), (2.0 ** 21, INF, {(2.0, 0): 2.0 ** -21})],
+    # 2**21 t**2, then t: phi(t)/t rises below the first probe at 2**-20
+    [(0.0, 2.0 ** -21, {(2.0, 0): 2.0 ** 21}), (2.0 ** -21, INF, {(1.0, 0): 1.0})],
+], ids=["infinity", "zero"])
+def test_parameter_function_exponents_must_lie_in_zero_one(family, pieces):
+    # a quasi-concave phi ~ t**a has 0 <= a <= 1 at both ends; the probes
+    # alone let t**2 past 2**21 through, with a lower index of 0.5
+    with pytest.raises(ValidationError, match="0 <= a <= 1"):
+        family(sp.QuasiConcaveSpec(pw.make_ppl(H, pieces)))
+
+
+# ---------------------------------------------------------------------------
+# membership before magnitude
+
+_SQRT_L = sp.lorentz_space(cat.sqrt_phi(H))
+
+
+@pytest.mark.parametrize("f, X", [
+    # f* ~ s**-0.4 and phi' ~ s**-0.5: the level quadrature read -4.27
+    (pw.power_piece(H, 1.0, INF, 1.0, -0.4), _SQRT_L),
+    # C f ~ t**-0.4 / 0.6: it read -9.40
+    (pw.power_piece(H, 1.0, INF, 1.0, -0.4), sp.cesaro_space(_SQRT_L)),
+    # logarithmic divergence at the tie a + b = 0: it read 144.6 and 22,758.7
+    (pw.power_piece(H, 1.0, INF, 1.0, -0.5), _SQRT_L),
+    (pw.make_ppl(H, [(1.0, INF, {(-0.5, 0): 1.0, (-0.5, 1): 1.0})]), _SQRT_L),
+    # phi(t) = t makes the space L1, where 1/x is not integrable: 144.6
+    (pw.power_piece(H, 1.0, INF, 1.0, -1.0), sp.lorentz_space(
+        sp.QuasiConcaveSpec(pw.power_piece(H, 0.0, INF, 1.0, 1.0)))),
+], ids=["t^-0.4", "averaged-t^-0.4", "t^-0.5", "log-t^-0.5", "linear-phi"])
+def test_lorentz_norm_outside_the_space_is_exactly_infinite(f, X):
+    assert nm.in_space(f, X) is False
+    res = nm.norm(f, X)
+    assert (res.value, res.method, res.error_bound) == (INF, "exact", 0.0)
+
+
+_QUARTERS = [i / 4.0 for i in range(-12, 9)]
+
+
+def _single_pieces(domain):
+    """(lo, hi) of the pieces c*t**a*ln(t)**k on (0, 1] and [1, inf)."""
+    return [(0.0, 1.0)] + ([] if domain.is_unit else [(1.0, INF)])
+
+
+@st.composite
+def _membership_inputs(draw, domain):
+    """A step function, on the half-line possibly with a constant tail, or
+    one piece c*t**a*ln(t)**k on (0, 1] or [1, inf), a a multiple of 1/4
+    in [-3, 2] (so every tie of the germ rules comes up) and k in 0..3."""
+    if draw(st.booleans()):
+        f = draw(step_functions(domain=domain))
+        if domain.is_unit or draw(st.booleans()):
+            return f
+        tail = draw(st.floats(0.1, 4.0)) * draw(st.sampled_from([1.0, -1.0]))
+        return pw.make_ppl(domain, [(p.lo, p.hi, p.term_map())
+                                    for p in f.pieces]
+                           + [(16.0, INF, {(0.0, 0): tail})])
+    lo, hi = draw(st.sampled_from(_single_pieces(domain)))
+    a = draw(st.sampled_from(_QUARTERS))
+    c = draw(st.floats(0.1, 4.0)) * draw(st.sampled_from([1.0, -1.0]))
+    return pw.make_ppl(domain, [(lo, hi, {(a, draw(st.integers(0, 3))): c})])
+
+
+_CATALOG = [X for dom in (H, U) for base in cat.default_catalog(dom)
+            for X in (base, sp.cesaro_space(base))]
+
+
+@pytest.mark.parametrize("X", _CATALOG, ids=lambda X: X.describe())
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_membership_rule_is_the_finiteness_of_the_norm(X, data):
+    f = data.draw(_membership_inputs(X.domain))
+    res = nm.norm(f, X)
+    assert nm.in_space(f, X) is math.isfinite(res.value), res
+    assert not res.value < 0.0, res
+    if X.tag == "cesaro" and nm.cx_nontrivial(X):
+        # a point verdict exists exactly for the functions of finite norm
+        try:
+            oc.oc_point(f, X)
+        except NotInSpaceError:
+            assert math.isinf(res.value), res
+        else:
+            assert math.isfinite(res.value), res
+
+
+def _germ_rule(lorentz: bool, b: float, lo: float, a: float, k: int) -> bool:
+    """Membership of c*t**a*ln(t)**k on (0, 1] (lo = 0) or [1, inf) in the
+    Lorentz or the Marcinkiewicz space of phi = t**b, 0 < b <= 1.
+
+    f* is the piece's germ at its improper end, where it is unbounded at 0
+    or decays at infinity (a bounded head, or a tail that does not decay,
+    is decided at once).  The Lorentz integrand f* phi' ~ t**(a+b-1)
+    converges at 0 iff a + b > 0 and at infinity iff a + b < 0.  phi f**
+    ~ t**(a+b) ln(t)**k needs a > -1 at 0, and is t**(b-1) ln(t)**(k+1)
+    at infinity when a = -1 and b/t times the mass when a < -1.
+    """
+    if lo == 0.0:
+        if a > 0.0 or a == k == 0:
+            return True
+        if lorentz:
+            return a + b > 0.0
+        return a > -1.0 and (a + b > 0.0 or a + b == k == 0)
+    if a >= 0.0:
+        return False
+    if lorentz:
+        return a + b < 0.0
+    if a < -1.0:
+        return True
+    if a == -1.0:
+        return b < 1.0
+    return a + b < 0.0 or a + b == k == 0
+
+
+_POWER_PHIS = [0.25, 0.5, 0.75, 1.0]
+
+
+@pytest.mark.parametrize("domain", [H, U], ids=["halfline", "unit"])
+@pytest.mark.parametrize("b", _POWER_PHIS)
+@pytest.mark.parametrize("lorentz", [True, False],
+                         ids=["lorentz", "marcinkiewicz"])
+def test_membership_rule_matches_the_germ_rule(lorentz, b, domain):
+    make = sp.lorentz_space if lorentz else sp.marcinkiewicz_space
+    X = make(sp.QuasiConcaveSpec(pw.power_piece(domain, 0.0, domain.end,
+                                                1.0, b)))
+    for lo, hi in _single_pieces(domain):
+        for a in _QUARTERS:
+            for k in range(4):
+                f = pw.make_ppl(domain, [(lo, hi, {(a, k): -1.5})])
+                assert nm.in_space(f, X) is _germ_rule(lorentz, b, lo, a, k), \
+                    (lo, a, k)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_norm_is_infinite_exactly_where_the_germ_rule_says(data):
+    lorentz = data.draw(st.booleans())
+    b = data.draw(st.sampled_from(_POWER_PHIS))
+    domain = data.draw(st.sampled_from([H, U]))
+    make = sp.lorentz_space if lorentz else sp.marcinkiewicz_space
+    X = make(sp.QuasiConcaveSpec(pw.power_piece(domain, 0.0, domain.end,
+                                                1.0, b)))
+    lo, hi = data.draw(st.sampled_from(_single_pieces(domain)))
+    a = data.draw(st.sampled_from(_QUARTERS))
+    k = data.draw(st.integers(0, 3))
+    f = pw.make_ppl(domain, [(lo, hi, {(a, k): data.draw(st.floats(0.1, 4.0))})])
+    res = nm.norm(f, X)
+    assert math.isfinite(res.value) is _germ_rule(lorentz, b, lo, a, k), res
+    if math.isinf(res.value):
+        assert (res.method, res.error_bound) == ("exact", 0.0)
+    else:
+        assert res.value >= 0.0, res

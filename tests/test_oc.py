@@ -8,6 +8,7 @@ import pytest
 
 from cesarospaces import catalog as cat
 from cesarospaces import cesaro as cz
+from cesarospaces import norms as nm
 from cesarospaces import oc
 from cesarospaces import piecewise as pw
 from cesarospaces import spaces as sp
@@ -69,6 +70,51 @@ def test_membership_is_required():
     c = pw.step_function(H, [(0.0, INF, 1.0)])
     with pytest.raises(NotInSpaceError):
         oc.oc_point(c, CM)
+
+
+@pytest.mark.parametrize("method", ["closed-form", "theorem", "direct"])
+@pytest.mark.parametrize("f, CX", [
+    # C f ~ t**-0.4 / 0.6 and phi' ~ t**-0.5: every route answered OC
+    (pw.power_piece(H, 1.0, INF, 1.0, -0.4),
+     sp.cesaro_space(sp.lorentz_space(cat.sqrt_phi(H)))),
+    # the battery's "cesm-h constant": the direct route answered not-OC
+    (pw.step_function(H, [(0.0, INF, 1.0)]),
+     sp.cesaro_space(sp.marcinkiewicz_space(cat.sqrt_phi(H)))),
+], ids=["averaged-lorentz", "averaged-marcinkiewicz"])
+def test_every_point_route_requires_membership(f, CX, method):
+    with pytest.raises(NotInSpaceError):
+        oc.oc_point(f, CX, method=method)
+
+
+@pytest.mark.parametrize("family", [sp.lorentz_space, sp.marcinkiewicz_space])
+def test_closed_form_membership_runs_no_numeric_norm(monkeypatch, family):
+    # C|f| of sqrt(t) on [0, 1] rises, then decays like mass/t, so it has
+    # no exact rearrangement: a norm would run the level quadrature or the
+    # level search; the membership rule reads germs instead
+    calls = []
+    for name in ("_lorentz_ppl", "_marcinkiewicz_levels"):
+        original = getattr(nm, name)
+
+        def counted(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(nm, name, counted)
+    CX = sp.cesaro_space(family(cat.sqrt_phi(H)))
+    v = oc.oc_point(pw.power_piece(H, 0.0, 1.0, 1.0, 0.5), CX)
+    assert v.verdict == "OC"
+    assert calls == []
+
+
+def test_constants_in_space_asks_the_membership_rule(monkeypatch):
+    def no_norm(*args):
+        raise AssertionError("a norm was computed")
+
+    monkeypatch.setattr(nm, "norm", no_norm)
+    assert oc._constants_in_space(sp.l1_plus_linf(H)) is True
+    assert oc._constants_in_space(sp.lebesgue(2.0, H)) is False
+    assert oc._constants_in_space(
+        sp.marcinkiewicz_space(cat.bounded_sqrt_phi(H))) is True
 
 
 def test_unit_sup_space_boundary_cases():

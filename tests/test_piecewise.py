@@ -406,6 +406,31 @@ def test_absolute_splits_at_interior_root():
     assert pw.is_nonnegative(a)
 
 
+def test_absolute_of_a_segment_that_rounds_to_zero():
+    # the running average of 1.7*t**-2.25*ln(t)**2 on [1, inf) has a triple
+    # root at 1; root isolation leaves a sliver [1, 1 + 5e-13] on which
+    # every probe rounds to 0, and either sign gives the same |f| there
+    g = pw.make_ppl(H, [(1.0, INF, {(-2.25, 0): -1.7408, (-2.25, 1): -2.176,
+                                    (-2.25, 2): -1.36, (-1.0, 0): 1.7408})])
+    a = pw.absolute(g)
+    for t in (1.0, 1.0 + 1e-13, 1.5, 10.0, 1e6):
+        assert a(t) == pytest.approx(abs(g(t)), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("lo, hi, tm, sign", [
+    (0.0, 1e-300, {(2.0, 0): -1.0}, -1.0),
+    (0.0, 1e-200, {(3.0, 1): 1.0}, -1.0),   # ln t < 0 near 0
+    (0.0, 1e-200, {(3.0, 2): 1.0}, 1.0),
+    (1e300, INF, {(-2.0, 1): -1.0}, -1.0),
+    (1e300, INF, {(-2.0, 1): 1.0}, 1.0),
+])
+def test_absolute_reads_the_germ_where_every_probe_underflows(lo, hi, tm,
+                                                              sign):
+    # |f| is sign*f on a piece whose three probes all underflow to 0
+    a = pw.absolute(pw.make_ppl(H, [(lo, hi, tm)]))
+    assert a.pieces[0].term_map() == {key: sign * c for key, c in tm.items()}
+
+
 def test_positive_part():
     f = pw.step_function(H, [(0.0, 1.0, 2.0), (1.0, 2.0, -3.0)])
     p = pw.positive_part(f)
