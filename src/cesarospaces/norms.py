@@ -478,12 +478,14 @@ def _weighted_sup(spec: QuasiConcaveSpec, extra: TermMap, a: float,
 
 def _peak_limit_at_infinity(spec: QuasiConcaveSpec, tail: TermMap,
                             mass: float) -> float:
-    """lim of phi(t)*f**(t) at infinity when |f| > 0 tends to 0 along its
-    last piece, whose terms are ``tail``, and mass is the integral of |f|.
+    """lim of phi(t)*f**(t) at infinity, where ``tail`` holds the terms of
+    |f|'s last piece and mass is the integral of |f|, infinite only
+    through that piece.
 
-    f* has the germ of that piece at infinity, because the tail is only
-    shifted by a finite measure.  An integrable f gives f** ~ mass/t;
-    otherwise the integral of f* grows like the integral of the germ.
+    Where the piece tends to 0 at infinity, f* has its germ there, because
+    the tail is only shifted by a finite measure; otherwise f* tends to
+    the piece's limit.  An integrable f gives f** ~ mass/t; otherwise the
+    integral of f* grows like the integral of the germ.
     """
     phi = pw.germ(spec.phi.pieces[-1].term_map(), "inf")
     inv_t = (1.0, -1.0, 0)
@@ -668,49 +670,68 @@ def _orlicz_member(head: pw.Germ | None, blows_up: bool,
     return not pw.integral_diverges(tail[1] * c, "inf")
 
 
-def _quasi_member(head: pw.Germ | None, blows_up: bool, last: pw.Piece,
+def peak_limits(g: PPL, spec: QuasiConcaveSpec) -> tuple[float, float]:
+    """Limits of phi(t)*g**(t) at 0 and at infinity, read off the germs.
+
+    A bounded g has g** -> sup|g| at 0, where phi tends to its atom; sup|g|
+    is taken only under an atom.  Where |g| blows up at 0, g* has the germ
+    of g's first piece there and g** its running average, which must
+    converge (otherwise g** is infinite everywhere).  The limit at
+    infinity is ``_peak_limit_at_infinity`` of g's last piece and the
+    integral of g, which is the mass of |g| for a g >= 0 such as C|f|; a
+    signed g keeps the finiteness of both limits.  On [0, 1] only the limit
+    at 0 exists, and the second entry is 0.0.
+    """
+    if g.is_zero:
+        return 0.0, 0.0
+    first = g.pieces[0]
+    head = pw.germ(first.term_map(), "zero") if first.lo == 0.0 else None
+    if head is not None and math.isinf(pw.germ_limit(head, "zero")):
+        phi = pw.germ(spec.phi.pieces[0].term_map(), "zero")
+        average = pw.germ_product(pw.germ_integral(head), (1.0, -1.0, 0))
+        # the germ's sign follows g's, and ln t < 0 near 0
+        at_zero = abs(pw.germ_limit(pw.germ_product(phi, average), "zero"))
+    else:
+        atom = spec.atom_at_zero
+        at_zero = atom * pw.essential_sup_abs(g) if atom > 0.0 else 0.0
+    if g.domain.is_unit:
+        return at_zero, 0.0
+    return at_zero, abs(_peak_limit_at_infinity(
+        spec, g.pieces[-1].term_map(), pw.integrate(g)))
+
+
+def _quasi_member(f: PPL, head: pw.Germ | None, blows_up: bool,
                   tail: pw.Germ | None, at_inf: float,
                   X: SpaceDescriptor) -> bool:
     """Is the Lorentz integral or the Marcinkiewicz sup of f finite?
 
-    Where |f| blows up at 0, f* has f's germ t**a there, and phi's first
-    piece has a germ t**b with b > 0 unless phi jumps at zero (then
-    atom*sup|f| is infinite).  The Lorentz integrand f*phi' ~ t**(a+b-1)
-    converges iff a + b > 0; phi*f** ~ t**(a+b) needs a > -1 and a finite
-    germ limit.  At infinity f* tends to f*(inf): a positive limit is
-    finite exactly under a bounded phi, and a vanishing one keeps f's
-    germ.  The Lorentz integrand then converges iff a + b < 0 or phi is
-    bounded, and phi*f** has the limit of ``_peak_limit_at_infinity``.
-    A validated phi has 0 <= b <= 1 and a finite limit at 0, so it jumps
-    at zero, or is bounded at infinity, exactly where its germ there is a
-    constant.
+    The Marcinkiewicz sup is finite exactly when f is integrable at 0 and
+    both ``peak_limits`` are finite.  For Lorentz, where |f| blows up at
+    0, f* has f's germ t**a there, and phi's first piece has a germ t**b
+    with b > 0 unless phi jumps at zero (then atom*sup|f| is infinite);
+    the integrand f*phi' ~ t**(a+b-1) converges iff a + b > 0.  At
+    infinity f* tends to f*(inf): a positive limit is finite exactly under
+    a bounded phi, and a vanishing one keeps f's germ, so the integrand
+    converges iff a + b < 0 or phi is bounded.  A validated phi has
+    0 <= b <= 1 and a finite limit at 0, so it jumps at zero, or is
+    bounded at infinity, exactly where its germ there is a constant.
     """
     spec = X.quasi
-    lorentz = X.tag == "lorentz"
+    if X.tag == "marcinkiewicz":
+        if blows_up and pw.integral_diverges(head[1], "zero"):
+            return False
+        return all(math.isfinite(v) for v in peak_limits(f, spec))
     if blows_up:
         phi = pw.germ(spec.phi.pieces[0].term_map(), "zero")
-        if phi[1:] == (0.0, 0):
+        if phi[1:] == (0.0, 0) or head[1] + phi[1] <= 0.0:
             return False
-        if lorentz:
-            if head[1] + phi[1] <= 0.0:
-                return False
-        elif pw.integral_diverges(head[1], "zero"):
-            return False
-        else:
-            average = pw.germ_product(pw.germ_integral(head), (1.0, -1.0, 0))
-            if math.isinf(pw.germ_limit(pw.germ_product(phi, average), "zero")):
-                return False
     if tail is None:
         return True
     phi = pw.germ(spec.phi.pieces[-1].term_map(), "inf")
     bounded_phi = phi[1:] == (0.0, 0)
     if at_inf > 0.0 or bounded_phi:
         return bounded_phi
-    if lorentz:
-        return tail[1] + phi[1] < 0.0
-    # any finite mass gives the limit the same finiteness
-    mass = INF if pw.integral_diverges(tail[1], "inf") else 1.0
-    return math.isfinite(_peak_limit_at_infinity(spec, last.term_map(), mass))
+    return tail[1] + phi[1] < 0.0
 
 
 def in_space(f: PPL, X: SpaceDescriptor) -> bool:
@@ -750,7 +771,7 @@ def in_space(f: PPL, X: SpaceDescriptor) -> bool:
     if X.tag == "orlicz":
         return _orlicz_member(head, blows_up, tail, at_inf, X.orlicz)
     if X.tag in ("lorentz", "marcinkiewicz"):
-        return _quasi_member(head, blows_up, last, tail, at_inf, X)
+        return _quasi_member(f, head, blows_up, tail, at_inf, X)
     raise MethodInapplicableError(f"unknown space tag {X.tag!r}")
 
 

@@ -34,8 +34,6 @@ from .spaces import SpaceDescriptor
 EPS_LIMIT = 1e-7
 SEQ_K_INIT = 20
 SEQ_K_MAX = 200
-GRID_K_INIT = 40
-GRID_K_MAX = 400
 
 VERDICT_OC = "OC"
 VERDICT_NOT = "not-OC"
@@ -57,14 +55,6 @@ class OCVerdict:
         if self.verdict in (VERDICT_NOT, VERDICT_TRIVIAL):
             return False
         return None
-
-
-@dataclass(frozen=True)
-class LimitEstimate:
-    tends_to_zero: bool | None
-    value: float | None
-    samples: tuple[float, ...]
-    note: str = ""
 
 
 def _verdict_from_flag(flag: bool | None, subject: str, rule: str,
@@ -144,28 +134,6 @@ def vanishing_sequence(value_at: Callable[[float], float],
     return decision, vals
 
 
-def limit_estimate(fn: Callable[[float], float], end: str,
-                   k_init: int = GRID_K_INIT,
-                   k_max: int = GRID_K_MAX) -> LimitEstimate:
-    """Sampled one-sided limit at 0+ (end="zero") or infinity (end="inf")."""
-    sign = -1.0 if end == "zero" else 1.0
-    vals: list[float] = []
-    for k in range(1, k_init + 1):
-        vals.append(fn(2.0 ** (sign * k)))
-    decision = _decide_vanishing(vals)
-    k = k_init
-    while decision is None and k < k_max and _still_decaying(vals):
-        k += 1
-        vals.append(fn(2.0 ** (sign * k)))
-        decision = _decide_vanishing(vals)
-    if decision is True:
-        return LimitEstimate(True, 0.0, tuple(vals[-6:]))
-    if decision is False:
-        return LimitEstimate(False, vals[-1], tuple(vals[-6:]))
-    return LimitEstimate(None, None, tuple(vals[-6:]),
-                         note="samples stabilized below resolution or kept drifting")
-
-
 # ---------------------------------------------------------------------------
 # building blocks on exact inputs
 
@@ -187,38 +155,6 @@ def vanishing_average_at_infinity(g: PPL) -> bool:
     if g.domain.is_unit:
         raise MethodInapplicableError("no infinite end on the unit interval")
     return pw.limit_at_infinity(g) == 0.0
-
-
-def _peak_limit_at_infinity(g: PPL, spec) -> bool | None:
-    """Exact limit test of phi(t)/t * integral of g* over (0, t) at infinity.
-
-    The averaged rearrangement of an integrable g behaves like mass/t, so
-    the limit is mass * lim phi(t)/t.  Mass that diverges at infinity under
-    a positive final piece that does not grow makes the integral Q(t) of g*
-    over (0, t) grow like the integral of that piece's germ, and the germ of
-    phi(t) * Q(t) / t decides.  Other tails return None.
-    """
-    phi = pw.germ(spec.phi.pieces[-1].term_map(), "inf")
-    inv_t = (1.0, -1.0, 0)
-    ratio_lim = pw.germ_limit(pw.germ_product(phi, inv_t), "inf")
-    mass = pw.integrate(g)
-    if mass == 0.0:
-        return True
-    if math.isfinite(mass):
-        return ratio_lim == 0.0
-    if ratio_lim != 0.0:
-        # phi(t)/t stays above its positive limit, so the peak dominates
-        # ratio_lim times a divergent integral
-        return False
-    last = g.pieces[-1]
-    if not math.isinf(last.hi):
-        return None
-    tail = pw.germ(last.term_map(), "inf")
-    if tail[0] <= 0.0 or math.isinf(pw.germ_limit(tail, "inf")) \
-            or not pw.integral_diverges(tail[1], "inf"):
-        # a negative or growing tail, or mass that diverges at zero
-        return None
-    return nm._peak_limit_at_infinity(spec, last.term_map(), INF) == 0.0
 
 
 def _escaping_tail(f: PPL, S: SpaceDescriptor, evidence: dict) -> bool | None:
@@ -340,7 +276,7 @@ def oc_point_via_characterization(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
     if not nm.cx_nontrivial(CX):
         return _trivial_point(CX)
     _require_membership(f, CX)
-    evidence: dict = {"norm_in_space": nm.norm(f, CX).value}
+    evidence: dict = {}
     if f.is_zero:
         return OCVerdict("point", VERDICT_OC, "transform-image-of-core",
                          {"zero": True})
@@ -504,40 +440,10 @@ def oc_point_closed_form(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
         unbounded_weight = (not unit) and math.isinf(spec.value_at_end)
         if atom == 0.0:
             if nm.boyd_indices(X).lower > 1.0:
-                r_g = rr.decreasing_rearrangement(g)
-                if r_g.exact is not None:
-                    w = pw.product(spec.phi, cz.cesaro_transform(r_g.exact))
-                    z0: bool | None = pw.limit_at_zero(w) == 0.0
-                    zi: bool | None = True if unit \
-                        else pw.limit_at_infinity(w) == 0.0
-                    ev = {"peak_limits_exact": True}
-                else:
-                    ev = {"peak_limits_exact": False}
-                    abs_g = pw.absolute(g)
-                    levels = rr._level_memo(g)
-                    peak = lambda t: spec.value(t) * \
-                        rr._layer_cake_average(r_g, abs_g, t, levels)
-                    sup_g = pw.essential_sup_abs(g)
-                    if math.isfinite(sup_g):
-                        # peak is squeezed under sup * phi(t) and the weight
-                        # has no atom at zero in this branch
-                        z0 = True
-                        ev["head_squeeze_sup"] = sup_g
-                    else:
-                        est0 = limit_estimate(peak, "zero")
-                        z0 = est0.tends_to_zero
-                        ev["peak_samples_zero"] = list(est0.samples)
-                    zi = True
-                    if not unit:
-                        zi = _peak_limit_at_infinity(g, spec)
-                        ev["tail_limit_exact"] = zi is not None
-                        if zi is None:
-                            esti = limit_estimate(peak, "inf")
-                            zi = esti.tends_to_zero
-                            ev["peak_samples_inf"] = list(esti.samples)
-                return _verdict_from_flag(_all_of([z0, zi]), "point",
+                z0, zi = nm.peak_limits(g, spec)
+                return _verdict_from_flag(z0 == zi == 0.0, "point",
                                           "averaged-marcinkiewicz/vanishing-peak",
-                                          ev)
+                                          {"peak_limits_exact": True})
             member, ev = truncation_core_membership(f, CX)
             return _verdict_from_flag(member, "point",
                                       "averaged-marcinkiewicz/truncation-core",
@@ -755,8 +661,12 @@ def direct_oc_check(f: PPL, S: SpaceDescriptor,
     Decides straight from the definition; used as an oracle against the
     characterization and closed-form routes.
     """
-    fam = family if family is not None else default_null_family(f)
-    _validate_family(fam, f.domain)
+    if family is None:
+        # nested and null by construction
+        fam = default_null_family(f)
+    else:
+        _validate_family(family, f.domain)
+        fam = family
 
     def val(n: float) -> float:
         return nm.norm(pw.restrict(f, fam(n)), S).value

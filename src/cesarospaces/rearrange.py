@@ -9,10 +9,10 @@ level (which closed form applies, the ends in u, the terms in summation
 order) is built once per segment that is not flat.
 
 The rearrangement f*(s) = inf{lam > 0 : d_f(lam) <= s} is returned as an
-exact function whenever f is a step function or is already nonnegative and
-nonincreasing; otherwise it is an evaluation procedure driven by bisection
-over lam.  That bisection starts from the same bracket [f*(inf), sup|f|]
-for every s, so a sweep over many s (the sampled peak limits) shares its
+exact function whenever f is a step function or |f| is already
+nonincreasing (then f* = |f|); otherwise it is an evaluation procedure
+driven by bisection over lam.  That bisection starts from the same
+bracket [f*(inf), sup|f|] for every s, so a sweep over many s shares its
 first midpoints; such a sweep keeps one level memo (``_level_memo``) for
 its own duration and measures each shared level once, with the same
 midpoints and comparisons as without it.
@@ -271,8 +271,9 @@ class RearrangedFunction:
     """The decreasing rearrangement f* of a piecewise function.
 
     ``exact`` is populated when f* stays in the representation family
-    (step functions; functions already nonincreasing).  ``evaluate`` always
-    works, via exact evaluation or lam-bisection on the distribution.
+    (step functions; functions whose modulus is already nonincreasing).
+    ``evaluate`` always works, via exact evaluation or lam-bisection on the
+    distribution.
     """
 
     source: PPL
@@ -359,9 +360,9 @@ def decreasing_rearrangement(f: PPL) -> RearrangedFunction:
             pos += length
         return RearrangedFunction(
             f, f.domain, pw.make_ppl(f.domain, out), sup, tail)
-    if pw.is_nonnegative(f) and pw.is_nonincreasing(f):
-        return RearrangedFunction(f, f.domain, f, sup, tail)
-    return RearrangedFunction(f, f.domain, None, sup, tail)
+    g = pw.absolute(f)
+    exact = g if pw.is_nonincreasing(g) else None
+    return RearrangedFunction(f, f.domain, exact, sup, tail)
 
 
 @dataclass(frozen=True)

@@ -354,6 +354,17 @@ def test_marcinkiewicz_norm_of_matched_singularity():
     assert nm.norm(f, X).value == pytest.approx(2.0, rel=1e-9)
 
 
+def test_negative_piece_with_a_falling_modulus_takes_the_exact_paths():
+    # f* = |f| exactly; the Lorentz level quadrature read 13.600000000017934
+    # and the Marcinkiewicz norm came from the level search
+    f = pw.make_ppl(H, [(0.0, 1.0, {(-0.25, 1): 1.7})])
+    lorentz = nm.norm(f, sp.lorentz_space(cat.sqrt_phi(H)))
+    assert (lorentz.value, lorentz.method) == (13.6, "exact")
+    marcinkiewicz = nm.norm(f, sp.marcinkiewicz_space(cat.sqrt_phi(H)))
+    assert (marcinkiewicz.value, marcinkiewicz.method) == (
+        4.654981879228834, "exact")
+
+
 # ---------------------------------------------------------------------------
 # the Marcinkiewicz sup search over levels
 
@@ -925,3 +936,47 @@ def test_norm_is_infinite_exactly_where_the_germ_rule_says(data):
         assert (res.method, res.error_bound) == ("exact", 0.0)
     else:
         assert res.value >= 0.0, res
+
+
+@st.composite
+def _falling_moduli(draw, domain):
+    """An f whose |f| does not rise, so that C|f| has an exact g*: falling
+    steps from 0, one piece c*t**a*ln(t)**k on (0, 1] with a <= 0, or, on
+    the half-line, c*t**a on (0, 1] continued by c*t**b on [1, inf)."""
+    c = draw(st.floats(0.1, 4.0)) * draw(st.sampled_from([1.0, -1.0]))
+    a = draw(st.sampled_from([-0.75, -0.5, -0.25, 0.0]))
+    kind = draw(st.sampled_from(["steps", "piece"] if domain.is_unit
+                                else ["steps", "piece", "tail"]))
+    if kind == "steps":
+        end = domain.end if domain.is_unit else 16.0
+        cuts = sorted(set(draw(st.lists(st.floats(end / 64.0, end),
+                                        min_size=1, max_size=5))))
+        sizes = sorted(draw(st.lists(st.floats(0.1, 4.0), min_size=len(cuts),
+                                     max_size=len(cuts))), reverse=True)
+        return pw.step_function(domain, [
+            (lo, hi, v * draw(st.sampled_from([1.0, -1.0])))
+            for lo, hi, v in zip([0.0] + cuts, cuts, sizes)])
+    if kind == "piece":
+        return pw.make_ppl(domain, [(0.0, 1.0,
+                                     {(a, draw(st.integers(0, 3))): c})])
+    b = draw(st.sampled_from([q for q in _QUARTERS if q < 0.0]))
+    return pw.make_ppl(domain, [(0.0, 1.0, {(a, 0): c}),
+                                (1.0, INF, {(b, 0): c})])
+
+
+@pytest.mark.parametrize("domain", [H, U], ids=["halfline", "unit"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_peak_limits_match_the_exact_rearrangement(domain, data):
+    # where g = C|f| has an exact g*, phi*C(g*) is phi*g** itself, and its
+    # limits at the ends are the ones the germs give
+    g = cz.cesaro_transform(pw.absolute(data.draw(_falling_moduli(domain))))
+    r = rr.decreasing_rearrangement(g)
+    assume(r.exact is not None)
+    spec = cat.sqrt_phi(domain)
+    w = pw.product(spec.phi, cz.cesaro_transform(r.exact))
+    want = (pw.limit_at_zero(w),
+            0.0 if domain.is_unit else pw.limit_at_infinity(w))
+    assert nm.peak_limits(g, spec) == pytest.approx(want, rel=1e-12)
+    # g** is the maximal function of |g|
+    assert nm.peak_limits(pw.scale(g, -1.0), spec) == nm.peak_limits(g, spec)

@@ -72,6 +72,13 @@ def test_rearrangement_keeps_nonincreasing_functions():
     assert r.exact == g
 
 
+def test_rearrangement_of_a_falling_modulus_is_the_modulus():
+    # 1.7 t**-0.25 ln t is negative on (0, 1) and |f| falls there
+    f = pw.make_ppl(H, [(0.0, 1.0, {(-0.25, 1): 1.7})])
+    r = rr.decreasing_rearrangement(f)
+    assert r.exact == pw.absolute(f)
+
+
 def test_constant_on_halfline_rearranges_to_itself():
     c = pw.step_function(H, [(0.0, INF, 1.0)])
     r = rr.decreasing_rearrangement(c)
