@@ -20,11 +20,11 @@ from .errors import (CesaroSpacesError, DomainMismatchError,
                      ValidationError)
 from .norms import (BoundednessVerdict, BoydIndices, NormResult,
                     boyd_indices, cesaro_bounded, cx_nontrivial,
-                    fundamental_function, norm)
+                    fundamental_function, norm, xa_trivial)
 from .oc import (DirectCheckReport, FamilySearchReport, OCVerdict,
                  adversarial_family_search, direct_oc_check, oc_point,
                  oc_point_closed_form, oc_point_via_characterization,
-                 oc_space, oc_space_via_transfer, xa_trivial)
+                 oc_space, oc_space_via_transfer)
 from .oracle import OracleReport, quadrature_norm_oracle, rearrangement_oracle
 from .piecewise import (INF, PPL, DomainSpec, MeasurableSet, Piece,
                         PiecewisePowerLog, Term, absolute, combine,
@@ -61,11 +61,11 @@ __all__ = [
     "lebesgue_inf", "l1_cap_linf", "l1_plus_linf", "orlicz_space",
     "lorentz_space", "marcinkiewicz_space", "cesaro_space", "NormResult",
     "norm", "fundamental_function", "BoydIndices", "boyd_indices",
-    "BoundednessVerdict", "cesaro_bounded", "cx_nontrivial",
+    "BoundednessVerdict", "cesaro_bounded", "cx_nontrivial", "xa_trivial",
     # order continuity
     "OCVerdict", "oc_point", "oc_point_closed_form",
     "oc_point_via_characterization", "oc_space", "oc_space_via_transfer",
-    "xa_trivial", "DirectCheckReport", "FamilySearchReport",
+    "DirectCheckReport", "FamilySearchReport",
     "direct_oc_check", "adversarial_family_search",
     # oracles
     "OracleReport", "rearrangement_oracle", "quadrature_norm_oracle",

@@ -16,25 +16,19 @@ from .spaces import (OrliczFunctionSpec, QuasiConcaveSpec, SpaceDescriptor,
 def orlicz_square() -> OrliczFunctionSpec:
     """u**2: doubling everywhere."""
     phi = pw.make_ppl(domain_u(), [(0.0, INF, {(2.0, 0): 1.0})])
-    return OrliczFunctionSpec(phi, zero_bound=0.0, finite_bound=INF,
-                              delta2_zero=True, delta2_infty=True,
-                              delta2_all=True)
+    return OrliczFunctionSpec(phi, zero_bound=0.0, finite_bound=INF)
 
 
 def orlicz_square_capped() -> OrliczFunctionSpec:
     """u**2 up to 1, then +inf: small-argument doubling only."""
     phi = pw.make_ppl(domain_u(), [(0.0, 1.0, {(2.0, 0): 1.0})])
-    return OrliczFunctionSpec(phi, zero_bound=0.0, finite_bound=1.0,
-                              delta2_zero=True, delta2_infty=False,
-                              delta2_all=False)
+    return OrliczFunctionSpec(phi, zero_bound=0.0, finite_bound=1.0)
 
 
 def orlicz_flat_capped() -> OrliczFunctionSpec:
     """0 up to 1/2, then 2u-1 up to 1, then +inf."""
     phi = pw.make_ppl(domain_u(), [(0.5, 1.0, {(1.0, 0): 2.0, (0.0, 0): -1.0})])
-    return OrliczFunctionSpec(phi, zero_bound=0.5, finite_bound=1.0,
-                              delta2_zero=True, delta2_infty=False,
-                              delta2_all=False)
+    return OrliczFunctionSpec(phi, zero_bound=0.5, finite_bound=1.0)
 
 
 def domain_u() -> DomainSpec:

@@ -211,6 +211,18 @@ def _check_indices(X: SpaceDescriptor, fields: Any, lower_key: str,
     return X
 
 
+def _check_doubling(spec: OrliczFunctionSpec, fields: Any) -> None:
+    """Do the doubling flags an older document declares agree with those
+    read off its generator (null: none)?"""
+    for key in ("delta2_zero", "delta2_infty", "delta2_all"):
+        declared = _flag(fields.get(key), key)
+        computed = getattr(spec, key)
+        if declared is not None and declared != computed:
+            raise ValidationError(
+                f"field {key!r}: declared {declared!r}, but the generator "
+                f"gives {computed!r}")
+
+
 def space_to_doc(X: SpaceDescriptor) -> dict:
     doc: dict[str, Any] = {"schema": SPACE_SCHEMA, "tag": X.tag,
                            "domain": _domain_name(X.domain)}
@@ -223,9 +235,6 @@ def space_to_doc(X: SpaceDescriptor) -> dict:
             "zero_bound": g.zero_bound,
             "finite_bound": "inf" if math.isinf(g.finite_bound)
             else g.finite_bound,
-            "delta2_zero": g.delta2_zero,
-            "delta2_infty": g.delta2_infty,
-            "delta2_all": g.delta2_all,
         }
     elif X.tag in ("lorentz", "marcinkiewicz"):
         doc["parameter"] = {"pieces": _pieces_to_doc(X.quasi.phi)}
@@ -260,12 +269,10 @@ def _space_from_fields(doc: Any) -> SpaceDescriptor:
                 zero_bound=_num(g.get("zero_bound", 0.0), "zero_bound"),
                 finite_bound=_num(g.get("finite_bound", "inf"),
                                   "finite_bound"),
-                delta2_zero=_flag(g.get("delta2_zero"), "delta2_zero"),
-                delta2_infty=_flag(g.get("delta2_infty"), "delta2_infty"),
-                delta2_all=_flag(g.get("delta2_all"), "delta2_all"),
             )
-            return _check_indices(sp.orlicz_space(spec, domain), g,
-                                  "growth_lower", "growth_upper")
+            X = sp.orlicz_space(spec, domain)
+            _check_doubling(spec, g)
+            return _check_indices(X, g, "growth_lower", "growth_upper")
         if tag in ("lorentz", "marcinkiewicz"):
             q = _require(doc, "parameter")
             phi = _pieces_from_doc(_require(q, "pieces"), domain, "parameter")

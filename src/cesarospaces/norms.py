@@ -3,11 +3,12 @@
 Membership comes before magnitude: ``in_space`` decides from the germs of
 f and of the space's parameter at 0 and at infinity whether the norm is
 finite, and ``norm`` returns an exact +inf from that rule before any
-closed form or quadrature runs.  Finite norms of step functions and
-transform images stay on exact closed-form paths; other inputs fall back to
-adaptive quadrature with tracked error bounds, and a Marcinkiewicz sup
-without an exact rearrangement to a search over levels whose error bound
-brackets the sup.
+closed form or quadrature runs; ``in_core`` reads the same germs to decide
+membership in the order-continuous part of a symmetric space.  Finite
+norms of step functions and transform images stay on exact closed-form
+paths; other inputs fall back to adaptive quadrature with tracked error
+bounds, and a Marcinkiewicz sup without an exact rearrangement to a search
+over levels whose error bound brackets the sup.
 """
 
 from __future__ import annotations
@@ -773,6 +774,55 @@ def in_space(f: PPL, X: SpaceDescriptor) -> bool:
     if X.tag in ("lorentz", "marcinkiewicz"):
         return _quasi_member(f, head, blows_up, tail, at_inf, X)
     raise MethodInapplicableError(f"unknown space tag {X.tag!r}")
+
+
+def xa_trivial(X: SpaceDescriptor) -> bool:
+    """Is the core (order-continuous part) of the symmetric space zero?
+
+    Read off the descriptor for every symmetric family.
+    """
+    if X.tag == "Lp":
+        return math.isinf(X.p)
+    if X.tag == "L1capLinf":
+        return True
+    if X.tag == "L1plusLinf":
+        return False
+    if X.tag == "orlicz":
+        return math.isfinite(X.orlicz.finite_bound)
+    if X.tag in ("lorentz", "marcinkiewicz"):
+        return X.quasi.atom_at_zero > 0.0
+    if X.tag == "cesaro":
+        raise MethodInapplicableError(
+            "core triviality applies to the symmetric base space")
+    raise MethodInapplicableError(f"unknown space tag {X.tag!r}")
+
+
+def in_core(g: PPL, X: SpaceDescriptor) -> bool:
+    """Is g in the core X_a, the order-continuous part of the symmetric X?
+
+    Exact; no norm is computed, and an averaged X raises
+    MethodInapplicableError.  Only mass at the ends keeps a g in X out of
+    X_a, so the germs that ``in_space`` reads decide.  A trivial core
+    (``xa_trivial``) holds only 0, and Lp with p < inf is its own core.  In
+    M_phi both ``peak_limits`` must vanish, the one at infinity only where
+    phi is not ~ c*t there (then M_phi is L1 on large sets).  Otherwise X_a
+    holds every g in X on [0, 1], as a power-log Phi is doubling at both
+    ends, and on the half-line every g in X that tends to 0 at infinity,
+    as a g in an Orlicz space with zero bound 0 already does.
+    """
+    if xa_trivial(X):
+        return g.is_zero
+    if not in_space(g, X):
+        return False
+    if X.tag == "Lp":
+        return True
+    if X.tag == "marcinkiewicz":
+        at_zero, at_inf = peak_limits(g, X.quasi)
+        linear = pw.germ(X.quasi.phi.pieces[-1].term_map(), "inf")[1] == 1.0
+        return at_zero == 0.0 and (at_inf == 0.0 or linear)
+    if X.domain.is_unit or (X.tag == "orlicz" and X.orlicz.zero_bound == 0.0):
+        return True
+    return pw.limit_at_infinity(g) == 0.0
 
 
 # ---------------------------------------------------------------------------

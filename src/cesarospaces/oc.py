@@ -171,43 +171,6 @@ def _escaping_tail(f: PPL, S: SpaceDescriptor, evidence: dict) -> bool | None:
     return decision
 
 
-def tail_test_point(f: PPL, X: SpaceDescriptor) -> tuple[bool | None, dict]:
-    """Is f in the core of the symmetric space X?
-
-    Tests the two canonical nested null families: shrinking head sets of the
-    rearrangement (captures small-measure concentration) and escaping tails
-    of the domain.  Together they decide membership.
-    """
-    evidence: dict = {}
-    if f.is_zero:
-        return True, {"zero": True}
-
-    sup = pw.essential_sup_abs(f)
-    if math.isfinite(sup):
-        # bounded function: restriction norms over shrinking heads are
-        # squeezed between sup * phi(s) and (sup - eps) * phi(s), so the
-        # head condition reduces to whether the fundamental function of X
-        # vanishes at zero
-        if xa_trivial(X):
-            evidence["head"] = "fundamental function stays positive at zero"
-            return False, evidence
-        head_dec: bool | None = True
-        evidence["head"] = "bounded, fundamental function vanishes at zero"
-    else:
-        # unbounded: sweep restrictions to the superlevel sets, which are
-        # equimeasurable with shrinking left cuts of the rearrangement
-        def head(lam: float) -> float:
-            piece = pw.restrict(pw.absolute(f), rr.superlevel_set(f, lam))
-            return nm.norm(piece, X).value
-
-        head_dec, head_vals = vanishing_sequence(head)
-        evidence["head_norms"] = head_vals[-6:]
-    flags = [head_dec]
-    if not f.domain.is_unit:
-        flags.append(_escaping_tail(f, X, evidence))
-    return _all_of(flags), evidence
-
-
 def truncation_core_membership(f: PPL, CX: SpaceDescriptor) -> tuple[bool | None, dict]:
     """Do the canonical truncations of f converge to f in the averaged norm?"""
     evidence: dict = {}
@@ -221,27 +184,6 @@ def truncation_core_membership(f: PPL, CX: SpaceDescriptor) -> tuple[bool | None
     if not f.domain.is_unit:
         flags.append(_escaping_tail(f, CX, evidence))
     return _all_of(flags), evidence
-
-
-def xa_trivial(X: SpaceDescriptor) -> bool:
-    """Is the core (order-continuous part) of the symmetric space zero?
-
-    Read off the descriptor for every symmetric family.
-    """
-    if X.tag == "Lp":
-        return math.isinf(X.p)
-    if X.tag == "L1capLinf":
-        return True
-    if X.tag == "L1plusLinf":
-        return False
-    if X.tag == "orlicz":
-        return math.isfinite(X.orlicz.finite_bound)
-    if X.tag in ("lorentz", "marcinkiewicz"):
-        return X.quasi.atom_at_zero > 0.0
-    if X.tag == "cesaro":
-        raise MethodInapplicableError(
-            "core triviality applies to the symmetric base space")
-    raise MethodInapplicableError(f"unknown space tag {X.tag!r}")
 
 
 def _constants_in_space(X: SpaceDescriptor) -> bool:
@@ -265,8 +207,12 @@ def oc_point_via_characterization(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
     """Decide order continuity of f in the averaged space over X.
 
     Route (a): when the base space has a nonzero core that the canonical
-    decaying tail belongs to, f is order continuous exactly when its
-    averaged modulus lies in that core.
+    decaying tail 1/t on [1, inf) belongs to, f is order continuous exactly
+    when its averaged modulus lies in that core (``norms.in_core``).  With
+    no negative log power, a power-log phi of exponent 1 at infinity is
+    ~ c*t there, so the tail lies in every nonzero core over a nonzero
+    averaged space.  This route then reads the same germs as the closed
+    form; the direct route and the adversarial search are the checks.
     Route (b): when the core is zero, order continuity is equivalent to
     truncation-core membership plus vanishing averages at the ends.
     """
@@ -280,7 +226,7 @@ def oc_point_via_characterization(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
     if f.is_zero:
         return OCVerdict("point", VERDICT_OC, "transform-image-of-core",
                          {"zero": True})
-    triv = xa_trivial(X)
+    triv = nm.xa_trivial(X)
     evidence["core_trivial"] = triv
     g = averaged_modulus(f)
     if triv:
@@ -296,20 +242,8 @@ def oc_point_via_characterization(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
         return _verdict_from_flag(_all_of(checks), "point",
                                   "truncation-core-and-vanishing-average",
                                   evidence)
-    if X.domain.is_unit:
-        probe_ok: bool | None = True
-    else:
-        probe = pw.power_piece(X.domain, 1.0, INF, 1.0, -1.0)
-        probe_ok, _ = tail_test_point(probe, X)
-        evidence["decaying_tail_in_core"] = probe_ok
-    if probe_ok is True:
-        flag, ev = tail_test_point(g, X)
-        evidence.update(ev)
-        return _verdict_from_flag(flag, "point", "transform-image-of-core",
-                                  evidence)
-    evidence["note"] = "canonical decaying tail not in the core"
-    return OCVerdict("point", VERDICT_UNDECIDED, "transform-image-of-core",
-                     evidence)
+    return _verdict_from_flag(nm.in_core(g, X), "point",
+                              "transform-image-of-core", evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -373,22 +307,12 @@ def oc_point_closed_form(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
 
     if X.tag == "orlicz":
         spec = X.orlicz
-        scales = [2.0 ** k for k in range(21)]
         if not math.isfinite(spec.finite_bound):
-            first_bad = None
-            # for a power generator the modular of g at 1/lam is
-            # c * lam**n * ||g||_n**n: finite at every scale, as g is in X
-            if nm._power_generator(spec) is None:
-                modular = nm._orlicz_modular(g, spec)
-                for lam in scales:
-                    val, _ = modular(1.0 / lam)
-                    if not math.isfinite(val):
-                        first_bad = lam
-                        break
-            ev = {"scales_tested": len(scales), "first_failing_scale": first_bad}
-            return _verdict_from_flag(first_bad is None, "point",
-                                      "averaged-orlicz/unbounded-generator", ev)
+            return _verdict_from_flag(nm.in_core(g, X), "point",
+                                      "averaged-orlicz/unbounded-generator",
+                                      {"core_membership_exact": True})
         if spec.zero_bound == 0.0:
+            scales = [2.0 ** k for k in range(21)]
             horizons = [2.0 ** j for j in range(21)]
             # one modular per horizon, built on first use and shared by
             # every scale; None once the truncation remainder vanishes

@@ -2,16 +2,16 @@
 
 Power spaces need only an exponent; Orlicz spaces carry a declared convex
 generator (an exact piecewise function of the value variable, plus its
-degeneracy thresholds and doubling flags); Lorentz and Marcinkiewicz spaces
-carry a declared quasi-concave parameter function.  The averaged space is a
-wrapper around any symmetric descriptor.
+degeneracy thresholds); Lorentz and Marcinkiewicz spaces carry a declared
+quasi-concave parameter function.  The averaged space is a wrapper around
+any symmetric descriptor.
 
-Declared doubling flags are trusted; the generator and the parameter
-function are sanity-checked on probe grids at construction, and the
-parameter function's germ exponents at its ends are checked exactly; hard
-violations raise ValidationError and soft contradictions emit a warning.
-Dilation indices are not declared: ``norms.boyd_indices`` reads them off
-the germs of the generator and the parameter function.
+The generator and the parameter function are sanity-checked on probe grids
+at construction, and their germ exponents at their ends are checked
+exactly; violations raise ValidationError.  Neither doubling nor dilation
+indices are declared: the doubling properties are read off the generator's
+bounds, and ``norms.boyd_indices`` reads the indices off the germs of the
+generator and the parameter function.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,16 +43,25 @@ class OrliczFunctionSpec:
 
     ``phi`` holds the finite part of Phi as an exact piecewise function of
     the value u; above ``finite_bound`` (b) the generator is +inf, below
-    ``zero_bound`` (a) it vanishes.  Doubling flags describe Phi(2u)/Phi(u)
-    boundedness near zero, near infinity, and globally.
+    ``zero_bound`` (a) it vanishes.  A power-log Phi is doubling (Phi(2u)
+    <= C*Phi(u)) near each end where it is finite, and vacuously near 0.
     """
 
     phi: PPL
     zero_bound: float = 0.0
     finite_bound: float = INF
-    delta2_zero: bool | None = None
-    delta2_infty: bool | None = None
-    delta2_all: bool | None = None
+
+    @property
+    def delta2_zero(self) -> bool:
+        return True
+
+    @property
+    def delta2_infty(self) -> bool:
+        return math.isinf(self.finite_bound)
+
+    @property
+    def delta2_all(self) -> bool:
+        return self.delta2_infty and self.zero_bound == 0.0
 
     def value(self, u: float) -> float:
         if u < 0.0:
@@ -95,8 +103,17 @@ class OrliczFunctionSpec:
             if u > self.zero_bound and self.value(u) == 0.0 \
                     and u < self.finite_bound:
                 raise ValidationError("generator zero above its zero bound")
-        if self.delta2_all and (self.finite_bound < INF):
-            warnings.warn("global doubling declared for a capped generator")
+        # a convex Phi ~ u**b where it is finite and positive has b >= 1;
+        # the membership rule and the dilation indices read b
+        first, last = self.phi.pieces[0], self.phi.pieces[-1]
+        low = pw.germ(first.term_map(), "zero")[1] \
+            if self.zero_bound == 0.0 else 1.0
+        high = pw.germ(last.term_map(), "inf")[1] \
+            if math.isinf(self.finite_bound) else 1.0
+        if min(low, high) < 1.0:
+            raise ValidationError(
+                "generator must grow like u**b with b >= 1 at 0 (zero bound "
+                "0) and at infinity (no finite bound)")
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,12 @@ import math
 
 from hypothesis import strategies as st
 
+from cesarospaces import norms as nm
+from cesarospaces import oc
 from cesarospaces import oracle as orc
 from cesarospaces import piecewise as pw
 from cesarospaces import rearrange as rr
+from cesarospaces import spaces as sp
 from cesarospaces.piecewise import INF
 
 HALFLINE = pw.DomainSpec("halfline")
@@ -18,6 +21,12 @@ UNIT = pw.DomainSpec("unit")
 
 def chi(domain: pw.DomainSpec, lo: float, hi: float) -> pw.PPL:
     return pw.indicator(domain, lo, hi)
+
+
+# (u - 1)_+**2, which vanishes below its zero bound 1
+SHIFTED_SQUARE = sp.OrliczFunctionSpec(
+    pw.make_ppl(HALFLINE, [(1.0, INF, {(2.0, 0): 1.0, (1.0, 0): -2.0,
+                                       (0.0, 0): 1.0})]), zero_bound=1.0)
 
 
 @st.composite
@@ -233,3 +242,39 @@ def marcinkiewicz_grid_reference(f: pw.PPL, spec) -> tuple[float, float]:
     refined = _golden_max(fn, lo, hi) if hi > lo else best
     value = max(best, refined)
     return value, abs(refined - best) + 1e-8 * (1.0 + value)
+
+
+# ---------------------------------------------------------------------------
+# reference for core membership: the sampled test that ``norms.in_core``
+# replaced
+
+
+def tail_test_point(f: pw.PPL, X) -> tuple[bool | None, dict]:
+    """Is f in the core of the symmetric space X, by sampling?
+
+    Tests the two canonical nested null families: shrinking head sets of
+    the rearrangement (small-measure concentration) and escaping tails of
+    the domain, each by ``oc.vanishing_sequence``.  A bounded f has head
+    norms squeezed between (sup - eps)*phi(s) and sup*phi(s), so its head
+    leg is the triviality of the core.
+    """
+    evidence: dict = {}
+    if f.is_zero:
+        return True, {"zero": True}
+    if math.isfinite(pw.essential_sup_abs(f)):
+        if nm.xa_trivial(X):
+            return False, {"head": "fundamental function stays positive at 0"}
+        head_dec: bool | None = True
+    else:
+        # superlevel sets are equimeasurable with shrinking left cuts of
+        # the rearrangement
+        def head(lam: float) -> float:
+            piece = pw.restrict(pw.absolute(f), rr.superlevel_set(f, lam))
+            return nm.norm(piece, X).value
+
+        head_dec, head_vals = oc.vanishing_sequence(head)
+        evidence["head_norms"] = head_vals[-6:]
+    flags = [head_dec]
+    if not f.domain.is_unit:
+        flags.append(oc._escaping_tail(f, X, evidence))
+    return oc._all_of(flags), evidence

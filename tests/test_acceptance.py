@@ -133,7 +133,7 @@ def test_criterion_06_norms_are_rearrangement_invariant():
 
 
 def test_criterion_07_core_triviality_and_fundamental_functions():
-    trivial = {X.describe(): oc.xa_trivial(X) for X in cat.default_catalog(U)}
+    trivial = {X.describe(): nm.xa_trivial(X) for X in cat.default_catalog(U)}
     for name, flag in trivial.items():
         if name == "Linf[0,1]":
             assert flag is True, trivial

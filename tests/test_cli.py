@@ -119,6 +119,39 @@ def test_parameter_function_growing_faster_than_t_exits_2(docs, tmp_path,
     assert "0 <= a <= 1" in capsys.readouterr().err
 
 
+def test_generator_growing_slower_than_u_exits_2(docs, tmp_path, capsys):
+    # u**2, then 2**31.5 u**0.5 past 2**21: convex at every probe, u**0.5
+    # at infinity
+    phi = pw.make_ppl(H, [(0.0, 2.0 ** 21, {(2.0, 0): 1.0}),
+                          (2.0 ** 21, INF, {(0.5, 0): 2.0 ** 31.5})])
+    X = sp.SpaceDescriptor("cesaro", H, inner=sp.SpaceDescriptor(
+        "orlicz", H, orlicz=sp.OrliczFunctionSpec(phi)))
+    path = tmp_path / "slow.json"
+    path.write_text(dc.dump_space(X), encoding="utf-8")
+    code = cli.main(["norm", "--function", docs["chi01"], "--space",
+                     str(path), "--out", docs["out"]])
+    assert code == 2
+    assert "b >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("declared,code", [(None, 0), (True, 0), (False, 2)])
+def test_declared_doubling_flag_must_match_the_generator(docs, tmp_path,
+                                                         capsys, declared,
+                                                         code):
+    # older documents carry delta2_all; u**2 on the half-line is doubling
+    doc = dc.space_to_doc(sp.cesaro_space(sp.orlicz_space(
+        sp.OrliczFunctionSpec(pw.power_piece(H, 0.0, INF, 1.0, 2.0)), H)))
+    doc["inner"]["generator"]["delta2_all"] = declared
+    path = tmp_path / "declared.json"
+    path.write_text(dc.dumps(doc), encoding="utf-8")
+    got = cli.main(["oc-space", "--space", str(path), "--out", docs["out"]])
+    assert got == code
+    if code:
+        assert "delta2_all" in capsys.readouterr().err
+    else:
+        assert '"verdict": "OC"' in read_out(docs)
+
+
 @pytest.mark.parametrize("declared,code", [
     (None, 0), (2.0, 0), (2.0 + 1e-12, 0), (3.0, 2), ("inf", 2)])
 def test_declared_boyd_index_must_match_phi(docs, tmp_path, capsys,

@@ -176,6 +176,33 @@ def test_space_documents_write_no_index_keys():
         assert "boyd_" not in text and "growth_" not in text, X.describe()
 
 
+def test_space_documents_write_no_doubling_keys():
+    for X in ALL_SPACES:
+        assert "delta2_" not in dc.dump_space(X), X.describe()
+
+
+@pytest.mark.parametrize("spec", [cat.orlicz_square(),
+                                  cat.orlicz_square_capped(),
+                                  cat.orlicz_flat_capped()],
+                         ids=["square", "capped", "flat-capped"])
+def test_declared_doubling_flags_are_checked_against_the_generator(spec):
+    X = sp.orlicz_space(spec, H)
+    doc = dc.space_to_doc(X)
+    doc["generator"].update(delta2_zero=None, delta2_infty=None,
+                            delta2_all=None)
+    assert dc.space_from_doc(doc) == X
+    doc["generator"].update(delta2_zero=spec.delta2_zero,
+                            delta2_infty=spec.delta2_infty,
+                            delta2_all=spec.delta2_all)
+    assert dc.space_from_doc(doc) == X
+    doc["generator"]["delta2_all"] = not spec.delta2_all
+    with pytest.raises(ParseError, match="delta2_all"):
+        dc.space_from_doc(doc)
+    doc["generator"]["delta2_all"] = "yes"
+    with pytest.raises(ParseError, match="delta2_all"):
+        dc.space_from_doc(doc)
+
+
 def test_declared_growth_indices_are_checked_against_the_generator():
     X = sp.orlicz_space(cat.orlicz_square_capped(), H)
     doc = dc.space_to_doc(X)

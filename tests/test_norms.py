@@ -18,9 +18,9 @@ from cesarospaces import spaces as sp
 from cesarospaces.errors import (MethodInapplicableError, NotInSpaceError,
                                  RepresentationError, ValidationError)
 from cesarospaces.piecewise import INF
-from support import (HALFLINE as H, UNIT as U, chi,
+from support import (HALFLINE as H, SHIFTED_SQUARE, UNIT as U, chi,
                      marcinkiewicz_grid_reference, nonzero_step_functions,
-                     step_functions)
+                     step_functions, tail_test_point)
 
 L1 = sp.lebesgue(1.0, H)
 L2 = sp.lebesgue(2.0, H)
@@ -797,6 +797,35 @@ def test_parameter_function_exponents_must_lie_in_zero_one(family, pieces):
         family(sp.QuasiConcaveSpec(pw.make_ppl(H, pieces)))
 
 
+# Phi = u**2 up to 2**21, then 2**31.5 u**0.5; and u**0.5 up to 2**-21,
+# then 2**31.5 u**2: each is continuous, and convex at every probe
+_SQRT_ABOVE_PROBES = [(0.0, 2.0 ** 21, {(2.0, 0): 1.0}),
+                      (2.0 ** 21, INF, {(0.5, 0): 2.0 ** 31.5})]
+_SQRT_BELOW_PROBES = [(0.0, 2.0 ** -21, {(0.5, 0): 1.0}),
+                      (2.0 ** -21, INF, {(2.0, 0): 2.0 ** 31.5})]
+
+
+@pytest.mark.parametrize("pieces", [_SQRT_ABOVE_PROBES, _SQRT_BELOW_PROBES],
+                         ids=["infinity", "zero"])
+def test_generator_exponents_must_be_at_least_one(pieces):
+    # a convex Phi ~ u**b has b >= 1 where it is finite and positive; the
+    # probes alone let u**0.5 through, with a lower index of 0.5
+    spec = sp.OrliczFunctionSpec(pw.make_ppl(H, pieces))
+    with pytest.raises(ValidationError, match="b >= 1"):
+        sp.orlicz_space(spec, H)
+
+
+def test_generator_exponents_are_checked_only_where_phi_is_finite():
+    # u**0.5 above a finite bound, or below a zero bound, is never read
+    capped = sp.OrliczFunctionSpec(pw.make_ppl(H, _SQRT_ABOVE_PROBES),
+                                   finite_bound=2.0 ** 22)
+    assert sp.orlicz_space(capped, H).orlicz is capped
+    shifted = sp.OrliczFunctionSpec(
+        pw.make_ppl(H, [(1.0, INF, {(1.0, 0): 1.0, (0.0, 0): -1.0})]),
+        zero_bound=1.0)
+    assert sp.orlicz_space(shifted, H).orlicz is shifted
+
+
 # ---------------------------------------------------------------------------
 # membership before magnitude
 
@@ -980,3 +1009,117 @@ def test_peak_limits_match_the_exact_rearrangement(domain, data):
     assert nm.peak_limits(g, spec) == pytest.approx(want, rel=1e-12)
     # g** is the maximal function of |g|
     assert nm.peak_limits(pw.scale(g, -1.0), spec) == nm.peak_limits(g, spec)
+
+
+# ---------------------------------------------------------------------------
+# core membership
+
+
+def _power_phi(domain, a):
+    return sp.QuasiConcaveSpec(pw.power_piece(domain, 0.0, domain.end, 1.0, a))
+
+
+# (u - 1)_+**2, u**2 + u**3, and u (the space L1)
+_CORE_GENERATORS = [
+    ("capped", cat.orlicz_square_capped()),
+    ("flat-capped", cat.orlicz_flat_capped()),
+    ("shifted-square", SHIFTED_SQUARE),
+    ("square-plus-cube", sp.OrliczFunctionSpec(
+        pw.make_ppl(H, [(0.0, INF, {(2.0, 0): 1.0, (3.0, 0): 1.0})]))),
+    ("linear", sp.OrliczFunctionSpec(pw.power_piece(H, 0.0, INF, 1.0, 1.0))),
+]
+
+
+def _core_spaces(domain):
+    """(id, X): the catalog, the Orlicz generators above, and Lorentz and
+    Marcinkiewicz spaces of a bounded phi, an atom and t**a; on the
+    half-line also phi = t and phi = sqrt(t) + t, linear at infinity."""
+    out = [("catalog", X) for X in cat.default_catalog(domain)]
+    out += [(name, sp.orlicz_space(spec, domain))
+            for name, spec in _CORE_GENERATORS]
+    phis = [("bounded", cat.bounded_sqrt_phi(domain)),
+            ("atom", cat.atom_phi(domain)),
+            ("t^0.25", _power_phi(domain, 0.25)),
+            ("t^0.75", _power_phi(domain, 0.75))]
+    if not domain.is_unit:
+        phis += [("t", _power_phi(domain, 1.0)),
+                 ("sqrt+t", sp.QuasiConcaveSpec(pw.make_ppl(
+                     domain, [(0.0, INF, {(0.5, 0): 1.0, (1.0, 0): 1.0})])))]
+    out += [(name, make(q)) for name, q in phis
+            for make in (sp.lorentz_space, sp.marcinkiewicz_space)]
+    return [(f"{X.describe()}-{name}", X) for name, X in out]
+
+
+_CORE_SPACES = _core_spaces(H) + _core_spaces(U)
+
+
+@st.composite
+def _core_inputs(draw, domain):
+    """A step function, one piece c*t**a*ln(t)**k on [0, b], or on the
+    half-line a tail c/t on [b, inf)."""
+    kind = draw(st.sampled_from(["steps", "piece"] if domain.is_unit
+                                else ["steps", "piece", "tail"]))
+    c = draw(st.floats(0.1, 4.0)) * draw(st.sampled_from([1.0, -1.0]))
+    if kind == "steps":
+        return draw(step_functions(domain=domain))
+    if kind == "piece":
+        b = 1.0 if domain.is_unit else draw(st.sampled_from([0.5, 1.0, 4.0]))
+        a = draw(st.sampled_from([q for q in _QUARTERS if -1.0 <= q]))
+        return pw.make_ppl(domain, [(0.0, b, {(a, draw(st.integers(0, 3))): c})])
+    b = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    return pw.make_ppl(domain, [(b, INF, {(-1.0, 0): c})])
+
+
+@pytest.mark.parametrize("X", [X for _, X in _CORE_SPACES],
+                         ids=[ident for ident, _ in _CORE_SPACES])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_core_rule_agrees_with_the_sampled_test(X, data):
+    g = data.draw(_core_inputs(X.domain))
+    member = nm.in_core(g, X)
+    try:
+        sampled, evidence = tail_test_point(g, X)
+    except RepresentationError:
+        return  # root isolation past the float range: no sampled answer
+    if sampled is not None:
+        assert member is sampled, evidence
+
+
+_HALFLINE_CORE_SPACES = [(i, X) for i, X in _CORE_SPACES
+                         if not X.domain.is_unit]
+
+
+@pytest.mark.parametrize("X", [X for _, X in _HALFLINE_CORE_SPACES],
+                         ids=[ident for ident, _ in _HALFLINE_CORE_SPACES])
+def test_decaying_tail_lies_in_every_nonzero_core(X):
+    # the characterization route's premise, for every power-log phi and Phi
+    # whose averaged space is nonzero
+    if nm.cx_nontrivial(X) and not nm.xa_trivial(X):
+        assert nm.in_core(pw.power_piece(H, 1.0, INF, 1.0, -1.0), X) is True
+
+
+def test_linear_phi_at_infinity_keeps_the_core_off_the_peak_at_infinity():
+    # phi = t makes M_phi[0, inf) L1: chi_[0,1] is in the core, though
+    # phi*g** tends to 1 at infinity
+    X = sp.marcinkiewicz_space(_power_phi(H, 1.0))
+    g = chi(H, 0.0, 1.0)
+    assert nm.peak_limits(g, X.quasi) == (0.0, 1.0)
+    assert nm.in_core(g, X) is True
+    assert tail_test_point(g, X)[0] is True
+
+
+def test_core_rule_computes_no_norm(monkeypatch):
+    def no_norm(*args):
+        raise AssertionError("a norm was computed")
+
+    monkeypatch.setattr(nm, "norm", no_norm)
+    tail = pw.power_piece(H, 1.0, INF, 1.0, -1.0)
+    for X in (sp.l1_plus_linf(H), sp.orlicz_space(SHIFTED_SQUARE, H),
+              sp.marcinkiewicz_space(cat.sqrt_phi(H))):
+        assert nm.in_core(tail, X) is True
+        assert nm.in_core(pw.step_function(H, [(0.0, INF, 1.0)]), X) is False
+
+
+def test_core_rule_refuses_an_averaged_space():
+    with pytest.raises(MethodInapplicableError):
+        nm.in_core(chi(H, 0.0, 1.0), sp.cesaro_space(L2))

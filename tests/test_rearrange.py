@@ -6,6 +6,7 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cesarospaces import piecewise as pw
 from cesarospaces import rearrange as rr
@@ -212,3 +213,65 @@ def test_unit_domain_rearrangement_stays_in_unit(f):
     assert r.exact.support_bound() <= 1.0 + 1e-12
     with pytest.raises(EvaluationDomainError):
         r.evaluate(1.5)
+
+
+# ---------------------------------------------------------------------------
+# the germ of f* at 0: where |f| blows up, f* has the germ of f's first
+# piece there (``norms.peak_limits`` and the membership rule read it)
+
+# 2**-1000 is above e**-700, the smallest t that the level crossings of
+# ``rearrange`` resolve
+_SMALLEST_J = 1000
+
+
+@st.composite
+def _blowing_up_heads(draw):
+    """(f, head): a signed f whose first piece c*t**a*ln(t)**k on [0, h),
+    h <= 1, blows up at 0 and falls on (0, h), followed by 1 to 4 bounded
+    pieces (constants, or c*t**b*ln(t)**m on intervals away from 0)."""
+    a = draw(st.sampled_from([-0.75, -0.5, -0.25, 0.0]))
+    k = draw(st.integers(1 if a == 0.0 else 0, 3))
+    sign = st.sampled_from([1.0, -1.0])
+    c = draw(st.floats(0.1, 4.0)) * draw(sign)
+    h = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    rows = [(0.0, h, {(a, k): c})]
+    lo = h
+    for _ in range(draw(st.integers(1, 4))):
+        hi = lo + draw(st.floats(0.1, 4.0))
+        b = draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]))
+        m = 0 if b == 0.0 else draw(st.integers(0, 2))
+        rows.append((lo, hi, {(b, m): draw(st.floats(0.1, 4.0)) * draw(sign)}))
+        lo = hi
+    return pw.make_ppl(H, rows), rows[0][2]
+
+
+@given(head=_blowing_up_heads(),
+       js=st.lists(st.integers(1, _SMALLEST_J), min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_rearrangement_has_the_germ_of_the_first_piece_at_zero(head, js):
+    # pure-log heads (a = 0) are among the cases: f* reads them right
+    f, tm = head
+    rest = pw.make_ppl(H, [(p.lo, p.hi, p.term_map()) for p in f.pieces[1:]])
+    top = pw.essential_sup_abs(rest)
+    r = rr.decreasing_rearrangement(f)
+    for j in js:
+        s = 2.0 ** -j
+        want = abs(pw.eval_term_map(tm, s))
+        if s < f.pieces[0].hi and want > top:
+            assert r.evaluate(s) == pytest.approx(want, rel=1e-9), s
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "below t = e**-700 the level crossings stop at that t, so the bisection "
+    "for f*(s) never finds a level of smaller measure and returns inf "
+    "(ROADMAP item 5: root isolation that never gives up inside the float "
+    "range)"))
+def test_rearrangement_of_a_pure_log_head_below_the_crossing_floor():
+    # no exact f*: the head falls like ln(t)**2 and the second piece is
+    # flat; f*(2**-1010) = 1.3*(1010 ln 2)**2
+    f = pw.make_ppl(H, [(0.0, 0.5, {(0.0, 2): 1.3}),
+                        (0.5, 2.0, {(0.0, 0): -0.7})])
+    s = 2.0 ** -1010
+    want = 1.3 * math.log(s) ** 2
+    assert rr.decreasing_rearrangement(f).evaluate(s) == pytest.approx(
+        want, rel=1e-9)
