@@ -3,8 +3,9 @@
 Membership comes before magnitude: ``in_space`` decides from the germs of
 f and of the space's parameter at 0 and at infinity whether the norm is
 finite, and ``norm`` returns an exact +inf from that rule before any
-closed form or quadrature runs; ``in_core`` reads the same germs to decide
-membership in the order-continuous part of a symmetric space.  Finite
+closed form or quadrature runs; ``in_core`` and ``in_truncation_core``
+read the same germs to decide membership in the order-continuous part of a
+symmetric space and in the truncation core of an averaged one.  Finite
 norms of step functions and transform images stay on exact closed-form
 paths; other inputs fall back to adaptive quadrature with tracked error
 bounds, and a Marcinkiewicz sup without an exact rearrangement to a search
@@ -563,6 +564,12 @@ def _marcinkiewicz_levels(f: PPL, spec: QuasiConcaveSpec, sup: float,
     knots = ([sup] if math.isfinite(sup) else []) + knots + [low]
     breaks = _line_breaks(spec)
 
+    def level(lam: float) -> tuple[float, float]:
+        # the crossings can sum to a measure a few ulps below the domain
+        # start, where no piece may begin
+        d, G = rr._level_mass(msegs, lam)
+        return max(d, 0.0), G
+
     def line(lam: float, t: float, G: float) -> TermMap:
         # G + lam*(s - t) = lam*s + K, as c + K/s once divided by s
         return {(0.0, 0): lam, (-1.0, 0): max(G - lam * t, 0.0)}
@@ -575,7 +582,7 @@ def _marcinkiewicz_levels(f: PPL, spec: QuasiConcaveSpec, sup: float,
     points = []
     closed: list[float] = []  # sups of flat stretches and of the head
     for lam in knots:
-        d, G = (0.0, 0.0) if lam == sup else rr._level_mass(msegs, lam)
+        d, G = (0.0, 0.0) if lam == sup else level(lam)
         if math.isinf(d):
             # only an open tail or a tail above low reaches here
             limit = _peak_limit_at_infinity(spec, last.terms, G) \
@@ -629,7 +636,7 @@ def _marcinkiewicz_levels(f: PPL, spec: QuasiConcaveSpec, sup: float,
         if not B[0] < lam < A[0]:
             settled.append(-top)  # no float left between the two levels
             continue
-        P = point(lam, *rr._level_mass(msegs, lam))
+        P = point(lam, *level(lam))
         best = max(best, P[3])
         push(A, P)
         push(P, B)
@@ -822,6 +829,33 @@ def in_core(g: PPL, X: SpaceDescriptor) -> bool:
         return at_zero == 0.0 and (at_inf == 0.0 or linear)
     if X.domain.is_unit or (X.tag == "orlicz" and X.orlicz.zero_bound == 0.0):
         return True
+    return pw.limit_at_infinity(g) == 0.0
+
+
+def in_truncation_core(g: PPL, X: SpaceDescriptor) -> bool:
+    """Is f, with g = C|f|, in the truncation core of the averaged space
+    over X: do |f| capped at height n and cut off past n tend to f there?
+
+    Exact; no norm is computed.  X is the symmetric base of a zero core
+    (``xa_trivial``) or a Marcinkiewicz space; any other X raises
+    MethodInapplicableError.  A zero core puts X inside L-infinity, so g
+    is bounded, and so is a power-log f (its average keeps its germ at 0):
+    the excess over the height vanishes once n passes sup|f|, and on
+    [0, 1] nothing else is asked.  On the half-line the averages of the
+    tails of f lie under g and tend to 0 pointwise; in X they tend to 0
+    exactly when g does at infinity, and in Marcinkiewicz when phi*g**
+    does.  Without an atom a Marcinkiewicz truncation core is its core
+    (``in_core``).
+    """
+    if X.tag == "marcinkiewicz" and X.quasi.atom_at_zero == 0.0:
+        return in_core(g, X)
+    if not xa_trivial(X):
+        raise MethodInapplicableError(
+            f"no truncation-core rule for {X.describe()}")
+    if X.domain.is_unit:
+        return True
+    if X.tag == "marcinkiewicz":
+        return peak_limits(g, X.quasi)[1] == 0.0
     return pw.limit_at_infinity(g) == 0.0
 
 

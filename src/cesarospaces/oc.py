@@ -11,8 +11,10 @@ spaces this module offers three independent routes:
 * a direct route that evaluates restriction norms along explicit families.
 
 Verdicts carry the rule that produced them plus reproducible evidence.
-Every limit that can be read off an exact representation is; numeric
-sequences refuse to decide when samples stabilize below resolution.
+The characterization and closed-form routes read every limit off the end
+germs of the averaged image and compute no norm; only the direct route and
+the adversarial search sample, and their sequences refuse to decide when
+samples stabilize below resolution.
 """
 
 from __future__ import annotations
@@ -70,13 +72,6 @@ def _trivial_point(CX: SpaceDescriptor) -> OCVerdict:
     """The verdict of every point route in a zero averaged space."""
     return OCVerdict("point", VERDICT_TRIVIAL, "trivial-space/tail-membership",
                      {"domain": CX.inner.domain.kind})
-
-
-def _all_of(flags: Sequence[bool | None]) -> bool | None:
-    """Three-valued AND: False if any flag is False, True if all are True."""
-    if any(d is False for d in flags):
-        return False
-    return True if all(d is True for d in flags) else None
 
 
 # ---------------------------------------------------------------------------
@@ -157,41 +152,6 @@ def vanishing_average_at_infinity(g: PPL) -> bool:
     return pw.limit_at_infinity(g) == 0.0
 
 
-def _escaping_tail(f: PPL, S: SpaceDescriptor, evidence: dict) -> bool | None:
-    """Do the norms in S of f restricted to [n, end) vanish as n grows?
-
-    The last samples go to evidence["tail_norms"].
-    """
-    def tail(n: float) -> float:
-        A = MeasurableSet.from_intervals(f.domain, [(n, f.domain.end)])
-        return nm.norm(pw.restrict(f, A), S).value
-
-    decision, vals = vanishing_sequence(tail)
-    evidence["tail_norms"] = vals[-6:]
-    return decision
-
-
-def truncation_core_membership(f: PPL, CX: SpaceDescriptor) -> tuple[bool | None, dict]:
-    """Do the canonical truncations of f converge to f in the averaged norm?"""
-    evidence: dict = {}
-
-    def excess(n: float) -> float:
-        return nm.norm(pw.excess_over(f, n, f.domain.end), CX).value
-
-    exc_dec, exc_vals = vanishing_sequence(excess)
-    evidence["excess_norms"] = exc_vals[-6:]
-    flags = [exc_dec]
-    if not f.domain.is_unit:
-        flags.append(_escaping_tail(f, CX, evidence))
-    return _all_of(flags), evidence
-
-
-def _constants_in_space(X: SpaceDescriptor) -> bool:
-    """Does the constant 1 have finite norm (half-line domains)?"""
-    one = pw.step_function(X.domain, [(0.0, X.domain.end, 1.0)])
-    return nm.in_space(one, X)
-
-
 def _require_membership(f: PPL, CX: SpaceDescriptor) -> None:
     """Every point route asks the one membership rule first."""
     if not nm.in_space(f, CX):
@@ -214,7 +174,9 @@ def oc_point_via_characterization(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
     averaged space.  This route then reads the same germs as the closed
     form; the direct route and the adversarial search are the checks.
     Route (b): when the core is zero, order continuity is equivalent to
-    truncation-core membership plus vanishing averages at the ends.
+    truncation-core membership plus vanishing averages at the ends; the
+    truncation core is read off the same germs (``norms.in_truncation_core``),
+    and on the half-line its tail leg is the vanishing average at infinity.
     """
     if CX.tag != "cesaro":
         raise MethodInapplicableError("expected an averaged-space descriptor")
@@ -230,16 +192,9 @@ def oc_point_via_characterization(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
     evidence["core_trivial"] = triv
     g = averaged_modulus(f)
     if triv:
-        member, ev = truncation_core_membership(f, CX)
+        ok, ev = _truncation_core_and_head(g, X)
         evidence.update(ev)
-        d0 = vanishing_average_at_zero(g)
-        evidence["vanishing_average_at_zero"] = d0
-        checks = [member, d0]
-        if not X.domain.is_unit and _constants_in_space(X):
-            dinf = vanishing_average_at_infinity(g)
-            evidence["vanishing_average_at_infinity"] = dinf
-            checks.append(dinf)
-        return _verdict_from_flag(_all_of(checks), "point",
+        return _verdict_from_flag(ok, "point",
                                   "truncation-core-and-vanishing-average",
                                   evidence)
     return _verdict_from_flag(nm.in_core(g, X), "point",
@@ -257,16 +212,22 @@ def _vanishing_ends(g: PPL) -> tuple[bool, dict]:
     return all(ev.values()), ev
 
 
-def _atom_weight_verdict(f: PPL, g: PPL, CX: SpaceDescriptor,
-                         unbounded_weight: bool, family: str) -> OCVerdict:
+def _truncation_core_and_head(g: PPL, X: SpaceDescriptor) -> tuple[bool, dict]:
+    """Truncation-core membership (``norms.in_truncation_core``) and a
+    vanishing average at 0.  On the half-line the tail leg of the
+    truncation core already asks g to vanish at infinity."""
+    ev = {"truncation_core": nm.in_truncation_core(g, X),
+          "vanishing_average_at_zero": vanishing_average_at_zero(g)}
+    return all(ev.values()), ev
+
+
+def _atom_weight_verdict(g: PPL, X: SpaceDescriptor, unbounded_weight: bool,
+                         family: str) -> OCVerdict:
     """The rules shared by averaged Lorentz and Marcinkiewicz spaces whose
     parameter function jumps at zero; ``family`` prefixes the rule id."""
     if unbounded_weight:
-        member, ev = truncation_core_membership(f, CX)
-        d0 = vanishing_average_at_zero(g)
-        ev["vanishing_average_at_zero"] = d0
-        return _verdict_from_flag(_all_of([member, d0]), "point",
-                                  f"{family}/atom-unbounded", ev)
+        ok, ev = _truncation_core_and_head(g, X)
+        return _verdict_from_flag(ok, "point", f"{family}/atom-unbounded", ev)
     ok, ev = _vanishing_ends(g)
     return _verdict_from_flag(ok, "point", f"{family}/atom-bounded", ev)
 
@@ -311,37 +272,12 @@ def oc_point_closed_form(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
             return _verdict_from_flag(nm.in_core(g, X), "point",
                                       "averaged-orlicz/unbounded-generator",
                                       {"core_membership_exact": True})
-        if spec.zero_bound == 0.0:
-            scales = [2.0 ** k for k in range(21)]
-            horizons = [2.0 ** j for j in range(21)]
-            # one modular per horizon, built on first use and shared by
-            # every scale; None once the truncation remainder vanishes
-            modulars: list = []
-            failing_scale = None
-            for lam in scales:
-                found = False
-                for j, m in enumerate(horizons):
-                    if j == len(modulars):
-                        # |f| minus its truncation at height and horizon m
-                        rem = pw.excess_over(f, m, min(m, f.domain.end))
-                        modulars.append(None if rem.is_zero else
-                                        nm._orlicz_modular(
-                                            cz.cesaro_transform(rem), spec))
-                    modular = modulars[j]
-                    if modular is None or math.isfinite(modular(1.0 / lam)[0]):
-                        found = True
-                        break
-                if not found:
-                    failing_scale = lam
-                    break
-            d0 = vanishing_average_at_zero(g)
-            ev = {"first_failing_scale": failing_scale,
-                  "vanishing_average_at_zero": d0}
-            return _verdict_from_flag(failing_scale is None and d0, "point",
-                                      "averaged-orlicz/capped-generator", ev)
+        # a capped Phi leaves a zero core, and the tail leg of its
+        # truncation core is the vanishing average at infinity
+        rule = "capped-generator" if spec.zero_bound == 0.0 \
+            else "degenerate-generator"
         ok, ev = _vanishing_ends(g)
-        return _verdict_from_flag(ok, "point",
-                                  "averaged-orlicz/degenerate-generator", ev)
+        return _verdict_from_flag(ok, "point", f"averaged-orlicz/{rule}", ev)
 
     if X.tag == "lorentz":
         spec = X.quasi
@@ -355,7 +291,7 @@ def oc_point_closed_form(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
             return _verdict_from_flag(lim == 0.0, "point",
                                       "averaged-lorentz/bounded-weight",
                                       {"rearranged_tail_value": lim})
-        return _atom_weight_verdict(f, g, CX, unbounded_weight,
+        return _atom_weight_verdict(g, X, unbounded_weight,
                                     "averaged-lorentz")
 
     if X.tag == "marcinkiewicz":
@@ -363,16 +299,11 @@ def oc_point_closed_form(f: PPL, CX: SpaceDescriptor) -> OCVerdict:
         atom = spec.atom_at_zero
         unbounded_weight = (not unit) and math.isinf(spec.value_at_end)
         if atom == 0.0:
-            if nm.boyd_indices(X).lower > 1.0:
-                z0, zi = nm.peak_limits(g, spec)
-                return _verdict_from_flag(z0 == zi == 0.0, "point",
-                                          "averaged-marcinkiewicz/vanishing-peak",
-                                          {"peak_limits_exact": True})
-            member, ev = truncation_core_membership(f, CX)
-            return _verdict_from_flag(member, "point",
-                                      "averaged-marcinkiewicz/truncation-core",
-                                      ev)
-        return _atom_weight_verdict(f, g, CX, unbounded_weight,
+            z0, zi = nm.peak_limits(g, spec)
+            return _verdict_from_flag(z0 == zi == 0.0, "point",
+                                      "averaged-marcinkiewicz/vanishing-peak",
+                                      {"peak_limits_exact": True})
+        return _atom_weight_verdict(g, X, unbounded_weight,
                                     "averaged-marcinkiewicz")
 
     raise MethodInapplicableError(f"no closed-form rule for base {X.tag!r}")
@@ -583,19 +514,29 @@ def direct_oc_check(f: PPL, S: SpaceDescriptor,
     """Evaluate restriction norms along a nested null family.
 
     Decides straight from the definition; used as an oracle against the
-    characterization and closed-form routes.
+    characterization and closed-form routes.  The default family's
+    superlevel leg {|f| > n} holds all of a bounded f's peak until n
+    reaches sup|f|, where its norms sit on a plateau, so its run starts at
+    the first n = 2**k >= sup|f|; a peak above 2**k_max is inconclusive.
     """
+    start = 0
     if family is None:
         # nested and null by construction
         fam = default_null_family(f)
+        sup = pw.essential_sup_abs(f)
+        if math.isfinite(sup):
+            m, e = math.frexp(sup)  # sup = m * 2**e with 0.5 <= m < 1
+            start = max(0, e - 1 if m == 0.5 else e)
+            if start > k_max:
+                return DirectCheckReport(None, (), "default-head-and-tail")
     else:
         _validate_family(family, f.domain)
         fam = family
 
     def val(n: float) -> float:
-        return nm.norm(pw.restrict(f, fam(n)), S).value
+        return nm.norm(pw.restrict(f, fam(n * 2.0 ** start)), S).value
 
-    decision, vals = vanishing_sequence(val, k_init, k_max)
+    decision, vals = vanishing_sequence(val, k_init, k_max - start)
     name = "custom" if family is not None else "default-head-and-tail"
     return DirectCheckReport(decision, tuple(vals), name)
 

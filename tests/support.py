@@ -245,8 +245,29 @@ def marcinkiewicz_grid_reference(f: pw.PPL, spec) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# reference for core membership: the sampled test that ``norms.in_core``
-# replaced
+# references for core and truncation-core membership: the sampled tests
+# that ``norms.in_core`` and ``norms.in_truncation_core`` replaced
+
+
+def _all_of(flags) -> bool | None:
+    """Three-valued AND: False if any flag is False, True if all are True."""
+    if any(d is False for d in flags):
+        return False
+    return True if all(d is True for d in flags) else None
+
+
+def _escaping_tail(f: pw.PPL, S, evidence: dict) -> bool | None:
+    """Do the norms in S of f restricted to [n, end) vanish as n grows?
+
+    The last samples go to evidence["tail_norms"].
+    """
+    def tail(n: float) -> float:
+        A = pw.MeasurableSet.from_intervals(f.domain, [(n, f.domain.end)])
+        return nm.norm(pw.restrict(f, A), S).value
+
+    decision, vals = oc.vanishing_sequence(tail)
+    evidence["tail_norms"] = vals[-6:]
+    return decision
 
 
 def tail_test_point(f: pw.PPL, X) -> tuple[bool | None, dict]:
@@ -276,5 +297,26 @@ def tail_test_point(f: pw.PPL, X) -> tuple[bool | None, dict]:
         evidence["head_norms"] = head_vals[-6:]
     flags = [head_dec]
     if not f.domain.is_unit:
-        flags.append(oc._escaping_tail(f, X, evidence))
-    return oc._all_of(flags), evidence
+        flags.append(_escaping_tail(f, X, evidence))
+    return _all_of(flags), evidence
+
+
+def truncation_core_membership(f: pw.PPL, CX) -> tuple[bool | None, dict]:
+    """Do the canonical truncations of f converge to f in the averaged
+    space CX, by sampling?
+
+    The norms in CX of the excess of |f| over the height n (``excess``)
+    and, on the half-line, of f restricted to [n, inf) must both vanish,
+    each by ``oc.vanishing_sequence``.
+    """
+    evidence: dict = {}
+
+    def excess(n: float) -> float:
+        return nm.norm(pw.excess_over(f, n, f.domain.end), CX).value
+
+    exc_dec, exc_vals = oc.vanishing_sequence(excess)
+    evidence["excess_norms"] = exc_vals[-6:]
+    flags = [exc_dec]
+    if not f.domain.is_unit:
+        flags.append(_escaping_tail(f, CX, evidence))
+    return _all_of(flags), evidence

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import textwrap
 
+from cesarospaces import catalog as cat
 from cesarospaces import cli
 
 SRC = pathlib.Path(cli.__file__).resolve().parent.parent
@@ -62,6 +63,22 @@ def test_oc_point_all_methods_on_a_step_function_loads_no_scipy(tmp_path):
                            "--out", str(tmp / "out.json")])
     """)
     assert out["result"] == 0
+    assert out["scipy"] == []
+
+
+def test_closed_form_and_theorem_verdicts_on_the_battery_load_no_scipy():
+    out = run_fresh("""
+        from cesarospaces import catalog as cat, oc
+        from cesarospaces.errors import NotInSpaceError
+        result = []
+        for e in cat.default_battery():
+            for method in ("closed-form", "theorem"):
+                try:
+                    result.append(oc.oc_point(e.f, e.space, method).verdict)
+                except NotInSpaceError:
+                    result.append("not-in-space")
+    """)
+    assert len(out["result"]) == 2 * len(cat.default_battery())
     assert out["scipy"] == []
 
 

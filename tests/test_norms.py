@@ -20,7 +20,8 @@ from cesarospaces.errors import (MethodInapplicableError, NotInSpaceError,
 from cesarospaces.piecewise import INF
 from support import (HALFLINE as H, SHIFTED_SQUARE, UNIT as U, chi,
                      marcinkiewicz_grid_reference, nonzero_step_functions,
-                     step_functions, tail_test_point)
+                     step_functions, tail_test_point,
+                     truncation_core_membership)
 
 L1 = sp.lebesgue(1.0, H)
 L2 = sp.lebesgue(2.0, H)
@@ -403,6 +404,20 @@ def test_marcinkiewicz_unbounded_f_under_an_atom_is_exactly_infinite():
                         (1.0, 2.0, {(0.0, 0): 3.0})])
     res = nm.norm(f, sp.marcinkiewicz_space(cat.sqrt_plus_atom_phi(H)))
     assert (res.value, res.method, res.error_bound) == (INF, "exact", 0.0)
+
+
+def test_marcinkiewicz_level_measure_stays_inside_the_domain():
+    # the crossings of one level summed to a measure of -1.1e-16, and the
+    # closed-form sup over the stretch from there raised ValidationError
+    phi = pw.make_ppl(U, [(0.0, 1.0, {(1.0, 0): 1.0, (1.0, 1): -1.0})])
+    X = sp.marcinkiewicz_space(sp.QuasiConcaveSpec(phi))
+    f = pw.step_function(U, [
+        (0.38560059789491946, 0.4357559147140928, 1.6471145460634986),
+        (0.4357559147140928, 0.90177430002172, 0.7733918187132662)])
+    res = nm.norm(f, sp.cesaro_space(X))
+    ref, bound = marcinkiewicz_grid_reference(oc.averaged_modulus(f), X.quasi)
+    assert res.method == "sup-search"
+    assert abs(res.value - ref) <= bound + res.error_bound
 
 
 def test_marcinkiewicz_head_sup_below_every_grid_point():
@@ -1123,3 +1138,85 @@ def test_core_rule_computes_no_norm(monkeypatch):
 def test_core_rule_refuses_an_averaged_space():
     with pytest.raises(MethodInapplicableError):
         nm.in_core(chi(H, 0.0, 1.0), sp.cesaro_space(L2))
+
+
+# ---------------------------------------------------------------------------
+# truncation-core membership
+
+
+def _quasi(domain, rows):
+    return sp.QuasiConcaveSpec(pw.make_ppl(domain, rows))
+
+
+def _truncation_core_spaces():
+    """(id, X): the bases whose truncation core a point route asks about.
+
+    L-infinity, the capped and flat-capped Orlicz generators, and Lorentz
+    and Marcinkiewicz spaces of 1 + sqrt(t) and of the atom 1, on both
+    domains; L1 cap L-infinity on [0, 1]; Marcinkiewicz spaces of t and
+    t(1 - ln t) on [0, 1] and of t then sqrt(t) on the half-line.
+    """
+    out = []
+    for domain in (H, U):
+        out += [("", sp.lebesgue_inf(domain)),
+                ("capped", sp.orlicz_space(cat.orlicz_square_capped(), domain)),
+                ("flat-capped",
+                 sp.orlicz_space(cat.orlicz_flat_capped(), domain))]
+        out += [(name, make(phi(domain)))
+                for name, phi in (("sqrt+atom", cat.sqrt_plus_atom_phi),
+                                  ("atom", cat.atom_phi))
+                for make in (sp.lorentz_space, sp.marcinkiewicz_space)]
+    out += [("", sp.l1_cap_linf(U)),
+            ("t", sp.marcinkiewicz_space(_power_phi(U, 1.0))),
+            ("t(1-ln t)", sp.marcinkiewicz_space(_quasi(
+                U, [(0.0, 1.0, {(1.0, 0): 1.0, (1.0, 1): -1.0})]))),
+            ("t-then-sqrt", sp.marcinkiewicz_space(_quasi(
+                H, [(0.0, 1.0, {(1.0, 0): 1.0}), (1.0, INF, {(0.5, 0): 1.0})])))]
+    return [(f"{X.describe()}-{name}" if name else X.describe(), X)
+            for name, X in out]
+
+
+_TRUNCATION_CORE_SPACES = _truncation_core_spaces()
+
+
+@st.composite
+def _truncation_inputs(draw, domain):
+    """A step function, or a piece c*t**a*ln(t)**k on [0, b]; on the
+    half-line either may be followed by a tail c*t**a*ln(t)**k on
+    [4, inf), constant or decaying."""
+    c = draw(st.floats(0.1, 4.0)) * draw(st.sampled_from([1.0, -1.0]))
+    if draw(st.booleans()):
+        f = draw(step_functions(domain=domain))
+        rows = [(p.lo, p.hi, p.term_map()) for p in f.pieces]
+    else:
+        b = 1.0 if domain.is_unit else draw(st.sampled_from([0.5, 1.0, 4.0]))
+        a = draw(st.sampled_from([-0.5, 0.0, 0.5, 1.0, 2.0]))
+        rows = [(0.0, b, {(a, draw(st.integers(0, 1))): c})]
+    if not domain.is_unit and draw(st.booleans()):
+        a = draw(st.sampled_from([-2.0, -1.0, -0.5, -0.25, 0.0]))
+        k = 0 if a == 0.0 else draw(st.integers(0, 2))
+        rows = [r for r in rows if r[1] <= 4.0] + [(4.0, INF, {(a, k): c})]
+    return pw.make_ppl(domain, rows)
+
+
+@pytest.mark.parametrize("X", [X for _, X in _TRUNCATION_CORE_SPACES],
+                         ids=[ident for ident, _ in _TRUNCATION_CORE_SPACES])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_truncation_core_rule_agrees_with_the_sampled_test(X, data):
+    f = data.draw(_truncation_inputs(X.domain))
+    CX = sp.cesaro_space(X)
+    if not nm.in_space(f, CX):
+        return  # the rule is asked only of points of the space
+    member = nm.in_truncation_core(oc.averaged_modulus(f), X)
+    try:
+        sampled, evidence = truncation_core_membership(f, CX)
+    except RepresentationError:
+        return  # root isolation past the float range: no sampled answer
+    if sampled is not None:
+        assert member is sampled, evidence
+
+
+def test_truncation_core_rule_refuses_a_nonzero_core():
+    with pytest.raises(MethodInapplicableError):
+        nm.in_truncation_core(chi(H, 0.0, 1.0), L2)

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cesarospaces import catalog as cat
-from cesarospaces import cesaro as cz
 from cesarospaces import norms as nm
 from cesarospaces import oc
 from cesarospaces import piecewise as pw
@@ -109,17 +108,6 @@ def test_closed_form_membership_runs_no_numeric_norm(monkeypatch, family):
     assert calls == []
 
 
-def test_constants_in_space_asks_the_membership_rule(monkeypatch):
-    def no_norm(*args):
-        raise AssertionError("a norm was computed")
-
-    monkeypatch.setattr(nm, "norm", no_norm)
-    assert oc._constants_in_space(sp.l1_plus_linf(H)) is True
-    assert oc._constants_in_space(sp.lebesgue(2.0, H)) is False
-    assert oc._constants_in_space(
-        sp.marcinkiewicz_space(cat.bounded_sqrt_phi(H))) is True
-
-
 def test_unit_sup_space_boundary_cases():
     CX = sp.cesaro_space(sp.lebesgue_inf(U))
     late = oc.oc_point(chi(U, 0.5, 1.0), CX)
@@ -161,24 +149,47 @@ def test_small_constant_under_a_zero_bound_is_not_continuous(height):
         "not-OC", "averaged-orlicz/unbounded-generator")
 
 
-def test_capped_generator_builds_one_transform_per_horizon(monkeypatch):
-    # 3 chi_(0,1) needs horizons 1 and 2 at each of the 21 scales: two
-    # transforms for them, plus the averaged modulus and the membership
-    # norm; rebuilt per scale it would be 44
-    CX = sp.cesaro_space(sp.orlicz_space(cat.orlicz_square_capped(), H))
-    calls = []
-    original = cz.cesaro_transform
+_CAPPED_H = sp.cesaro_space(sp.orlicz_space(cat.orlicz_square_capped(), H))
 
-    def counted(g):
-        calls.append(g)
-        return original(g)
 
-    monkeypatch.setattr(cz, "cesaro_transform", counted)
-    v = oc.oc_point_closed_form(pw.scale(chi(H, 0.0, 1.0), 3.0), CX)
+def test_capped_generator_reads_the_vanishing_ends():
+    v = oc.oc_point_closed_form(pw.scale(chi(H, 0.0, 1.0), 3.0), _CAPPED_H)
     assert (v.verdict, v.rule, v.evidence) == (
         "not-OC", "averaged-orlicz/capped-generator",
-        {"first_failing_scale": None, "vanishing_average_at_zero": False})
-    assert len(calls) == 4
+        {"vanishing_average_at_zero": False,
+         "vanishing_average_at_infinity": True})
+
+
+@pytest.mark.parametrize("method", ["closed-form", "theorem", "direct", "all"])
+def test_tall_bump_under_a_capped_generator_is_continuous(method):
+    # C|f| vanishes at both ends.  A sampled capped rule whose horizons
+    # stopped at 2**20 read this height as not-OC
+    f = pw.scale(chi(H, 1.0, 2.0), 2e6)
+    v = oc.oc_point(f, _CAPPED_H, method=method)
+    assert v.verdict == "OC"
+    assert v.rule != "method-conflict"
+    if method == "theorem":
+        assert v.evidence == {"core_trivial": True, "truncation_core": True,
+                              "vanishing_average_at_zero": True}
+
+
+@pytest.mark.parametrize("CX", [CES2, _CAPPED_H], ids=["L2", "capped"])
+@pytest.mark.parametrize("height", [5e3, 1e5, 1e7])
+def test_direct_route_starts_past_the_peak_of_a_bounded_function(CX, height):
+    # the superlevel leg holds the whole bump until n passes the height;
+    # run from n = 1 with k_init 12 it read a plateau as not-OC, and "all"
+    # reported a method conflict
+    f = pw.scale(chi(H, 1.0, 2.0), height)
+    direct = oc.oc_point(f, CX, method="direct")
+    assert direct.verdict == "OC"
+    combined = oc.oc_point(f, CX, method="all")
+    assert (combined.verdict, combined.rule) == (
+        "OC", oc.oc_point_closed_form(f, CX).rule)
+
+
+def test_direct_route_past_its_cap_is_inconclusive():
+    rep = oc.direct_oc_check(pw.scale(chi(H, 1.0, 2.0), 2.0 ** 61), CES2)
+    assert (rep.decision, rep.norms) == (None, ())
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +252,25 @@ def test_characterization_route_computes_no_norm_of_its_input(monkeypatch, CX):
     v = oc.oc_point_via_characterization(f, CX)
     assert v.verdict in ("OC", "not-OC")
     assert "norm_in_space" not in v.evidence
+
+
+@pytest.mark.parametrize("method", ["closed-form", "theorem"])
+def test_closed_form_and_theorem_routes_compute_no_norm(monkeypatch, method):
+    # every closed-form and theorem verdict on the battery is read off
+    # germs: membership, core and truncation-core rules alike
+    def no_norm(*args):
+        raise AssertionError("a norm was computed")
+
+    monkeypatch.setattr(nm, "norm", no_norm)
+    for e in cat.default_battery():
+        try:
+            v = oc.oc_point(e.f, e.space, method=method)
+        except NotInSpaceError:
+            assert e.expect == "not-in-space", e.label
+            continue
+        assert v.verdict == e.expect, e.label
+        if method == "closed-form" and e.rule is not None:
+            assert v.rule == e.rule, e.label
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +344,7 @@ ATOM_WEIGHT_CASES = [
     for family in ("lorentz", "marcinkiewicz")
     for phi, rule, keys in (
         (cat.sqrt_plus_atom_phi, "atom-unbounded",
-         ["excess_norms", "tail_norms", "vanishing_average_at_zero"]),
+         ["truncation_core", "vanishing_average_at_zero"]),
         (cat.atom_phi, "atom-bounded",
          ["vanishing_average_at_infinity", "vanishing_average_at_zero"]))]
 
