@@ -18,8 +18,8 @@ class EvaluationDomainError(CesaroSpacesError):
 class RepresentationError(CesaroSpacesError):
     """An exact operation left the closed representation family.
 
-    Raised e.g. when sign-change isolation cannot bracket all roots of a
-    piece, or when a piece would exceed the term budget.
+    Raised e.g. when a piece would exceed the term budget, or when an
+    exact integral cancels below its rounding bound.
     """
 
 

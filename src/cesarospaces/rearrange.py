@@ -33,7 +33,7 @@ from typing import Callable
 from . import cesaro as _cesaro_mod
 from . import piecewise as pw
 from .errors import EvaluationDomainError, NotRearrangeableError
-from .rootfind import brentq, eval_exp_pairs
+from .rootfind import _U_CAP, brentq, eval_exp_pairs
 from .piecewise import INF, PPL, DomainSpec, TermMap
 
 BISECT_TOL = 1e-12
@@ -72,8 +72,8 @@ def _crossing_data(lo: float, hi: float, tm: pw.TermView) -> _Crossing:
     hyperbola = None
     if keys == [(-1.0, 0), (0.0, 0)]:
         hyperbola = (tm[(-1.0, 0)], tm[(0.0, 0)])
-    ulo = math.log(lo) if lo > 0.0 else -700.0
-    uhi = math.log(hi) if not math.isinf(hi) else 700.0
+    ulo = math.log(lo) if lo > 0.0 else -_U_CAP
+    uhi = math.log(hi) if not math.isinf(hi) else _U_CAP
     pairs = tuple(tm.items())
     slot = keys.index((0.0, 0)) if (0.0, 0) in tm else len(keys)
     return _Crossing(power, hyperbola, ulo, uhi, pairs[:slot],
@@ -237,14 +237,15 @@ def _level_mass(msegs: tuple[_MassSegment, ...],
             parts.append(m.whole)
             continue
         x = _crossing(seg, lam)
+        # a closed-form crossing can underflow to t = 0, where the
+        # antiderivative has only its limit
+        ax = m.alo if x == 0.0 else pw.eval_term_map(m.anti, x)
         if seg.vlo > lam:
             d += x - seg.lo
-            parts.append(_between(pw.eval_term_map(m.anti, x) - m.alo,
-                                  x - seg.lo, lam, seg.vlo))
+            parts.append(_between(ax - m.alo, x - seg.lo, lam, seg.vlo))
         else:
             d += seg.hi - x
-            parts.append(_between(m.ahi - pw.eval_term_map(m.anti, x),
-                                  seg.hi - x, lam, seg.vhi))
+            parts.append(_between(m.ahi - ax, seg.hi - x, lam, seg.vhi))
     return d, math.fsum(parts)
 
 

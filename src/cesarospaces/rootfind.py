@@ -14,13 +14,11 @@ Sign changes are refined by ``brentq``, Brent's method in plain Python.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Mapping
-
-from .errors import RepresentationError
+from typing import Callable, Collection, Mapping
 
 _XTOL = 1e-12
 _U_CAP = 700.0  # |u| beyond this is out of float range for t = e**u
-_MAX_MARCH = 60
+_BIG = math.exp(_U_CAP)  # a sum beyond this is out of float range
 _BRENT_RTOL = 4 * math.ulp(1.0)  # the smallest rtol brentq accepts
 
 TermMap = Mapping[tuple[float, int], float]
@@ -41,19 +39,27 @@ def eval_exp_poly(terms: TermMap, u: float) -> float:
     return eval_exp_pairs(terms.items(), u)
 
 
-def eval_exp_pairs(pairs: Iterable[tuple[tuple[float, int], float]],
+def eval_exp_pairs(pairs: Collection[tuple[tuple[float, int], float]],
                    u: float) -> float:
-    """eval_exp_poly on ((alpha, k), c) pairs, summed in the given order."""
+    """eval_exp_poly on ((alpha, k), c) pairs, summed in the given order.
+
+    A sum beyond the float range (or with a term that overflows) is +-inf
+    with the sign of its largest term.
+    """
     total = 0.0
     for (alpha, k), c in pairs:
         x = alpha * u
-        if x > _U_CAP:
-            return math.copysign(math.inf, c * (u ** k if k % 2 else 1.0) if k else c)
+        if x > _U_CAP:  # exp(x) would overflow
+            total = math.nan
+            break
         val = c * math.exp(x)
         if k:
             val *= u ** k
         total += val
-    return total
+    if -_BIG <= total <= _BIG:
+        return total
+    (alpha, k), c = max(pairs, key=lambda p: _log_mag(p[1], *p[0], u))
+    return math.copysign(math.inf, c * u ** k)
 
 
 def derivative_terms(terms: TermMap) -> dict[tuple[float, int], float]:
@@ -74,39 +80,6 @@ def dominant_key(terms: TermMap, toward_plus: bool) -> tuple[float, int]:
     if toward_plus:
         return max(keys, key=lambda ak: (ak[0], ak[1]))
     return min(keys, key=lambda ak: (ak[0], -ak[1]))
-
-
-def _dominance_bound(terms: dict[tuple[float, int], float], toward_plus: bool,
-                     start: float) -> float:
-    """Finite U such that the dominant term outweighs the rest beyond U.
-
-    Beyond the bound (toward the requested infinity) the sum cannot vanish,
-    so root searches may stop there.
-    """
-    dom = dominant_key(terms, toward_plus)
-    others = [key for key in terms if key != dom]
-    if not others:
-        return start
-    u = start
-    step = 4.0
-    for _ in range(_MAX_MARCH):
-        if abs(u) > _U_CAP:
-            break
-        probes = (u, u + step / 2 if toward_plus else u - step / 2)
-        ok = True
-        for p in probes:
-            ld = _log_mag(terms[dom], dom[0], dom[1], p)
-            ratio = sum(math.exp(min(_log_mag(terms[key], key[0], key[1], p) - ld, 50.0))
-                        for key in others)
-            if not ratio < 0.5:
-                ok = False
-                break
-        if ok:
-            return u
-        u = u + step if toward_plus else u - step
-        step *= 2.0
-    raise RepresentationError(
-        "could not establish a dominance bound for root isolation")
 
 
 def brentq(f: Callable[[float], float], a: float, b: float, xtol: float,
@@ -176,6 +149,13 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float,
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
+def _end_sign(terms: TermMap, toward_plus: bool) -> float:
+    # sign of the sum as u -> +inf or -inf, read off its dominant term
+    alpha, k = dominant_key(terms, toward_plus)
+    flip = 1 if toward_plus else (-1) ** k
+    return math.copysign(1.0, terms[(alpha, k)] * flip)
+
+
 def _single_term_roots(k: int, ulo: float, uhi: float) -> list[float]:
     # c * e^{alpha u} * u^k vanishes only at u = 0 (when k > 0)
     return [0.0] if k > 0 and ulo < 0.0 < uhi else []
@@ -184,32 +164,44 @@ def _single_term_roots(k: int, ulo: float, uhi: float) -> list[float]:
 def roots_u(terms: TermMap, ulo: float, uhi: float) -> list[float]:
     """All roots of the exponential polynomial in the open interval (ulo, uhi).
 
-    Bounds may be ``-inf`` / ``+inf``; a dominance bound replaces them.
-    Raises ``ValueError`` for the identically zero sum.
+    Bounds may be ``-inf`` / ``+inf``.  Roots with |u| > ``_U_CAP`` are no
+    float t = e**u and are not returned; where an infinite end hides an odd
+    number of them, the cap stands in for them.  Raises ``ValueError`` for
+    the identically zero sum.
     """
     work = _clean(terms)
     if not work:
         raise ValueError("identically zero on the piece")
-    if ulo >= uhi:
-        return []
     if len(work) == 1:
         (_, k), = work.keys()
         return _single_term_roots(k, ulo, uhi)
-
-    if math.isinf(ulo):
-        anchor = min(uhi, 0.0) - 4.0 if not math.isinf(uhi) else -4.0
-        ulo = _dominance_bound(work, False, anchor)
-    if math.isinf(uhi):
-        anchor = max(ulo, 0.0) + 4.0
-        uhi = _dominance_bound(work, True, anchor)
+    # factor out the lowest exponential; roots are unchanged and the
+    # recursion over derivatives now terminates.  Exponents that round to
+    # one after the shift add up as one term.
+    alpha0 = min(alpha for alpha, _ in work)
+    shifted: dict[tuple[float, int], float] = {}
+    for (alpha, k), c in work.items():
+        key = (alpha - alpha0, k)
+        shifted[key] = shifted.get(key, 0.0) + c
+    if len(shifted) < len(work):
+        shifted = _clean(shifted)
+        return roots_u(shifted, ulo, uhi) if shifted else []
+    k0 = min(k for _, k in shifted)
+    if k0:
+        # a common factor u**k0 is a root at u = 0 of that multiplicity,
+        # which no sign-change bracket resolves; divide it out
+        reduced = {(alpha, k - k0): c for (alpha, k), c in shifted.items()}
+        return sorted(roots_u(reduced, ulo, uhi)
+                      + _single_term_roots(k0, ulo, uhi))
+    open_lo, open_hi = math.isinf(ulo), math.isinf(uhi)
+    ulo, uhi = max(ulo, -_U_CAP), min(uhi, _U_CAP)
     if ulo >= uhi:
         return []
 
-    # factor out the lowest exponential; roots are unchanged and the
-    # recursion over derivatives now terminates
-    alpha0 = min(alpha for alpha, _ in work)
-    shifted = {(alpha - alpha0, k): c for (alpha, k), c in work.items()}
-    crit = roots_u(derivative_terms(shifted), ulo, uhi)
+    # a derivative whose coefficients all underflow is flat to working
+    # precision
+    deriv = derivative_terms(shifted)
+    crit = roots_u(deriv, ulo, uhi) if deriv else []
 
     knots = [ulo] + crit + [uhi]
     found: list[float] = []
@@ -229,6 +221,10 @@ def roots_u(terms: TermMap, ulo: float, uhi: float) -> list[float]:
     for r in sorted(found):
         if ulo < r < uhi and (not out or r - out[-1] > _XTOL):
             out.append(r)
+    if open_lo and fvals[0] * _end_sign(shifted, False) < 0.0:
+        out.insert(0, ulo)
+    if open_hi and fvals[-1] * _end_sign(shifted, True) < 0.0:
+        out.append(uhi)
     return out
 
 

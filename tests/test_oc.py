@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cesarospaces import catalog as cat
@@ -273,6 +273,36 @@ def test_closed_form_and_theorem_routes_compute_no_norm(monkeypatch, method):
             assert v.rule == e.rule, e.label
 
 
+_AVERAGED_CATALOG = [sp.cesaro_space(X) for dom in (H, U)
+                     for X in cat.default_catalog(dom)]
+_AVG_SQRT_MARCINKIEWICZ = sp.cesaro_space(
+    sp.marcinkiewicz_space(cat.sqrt_phi(H)))
+
+
+@given(X=st.sampled_from(_AVERAGED_CATALOG), a=st.floats(-0.95, 2.0),
+       k=st.integers(0, 2), c=st.floats(0.1, 4.0) | st.floats(-4.0, -0.1),
+       tail=st.booleans())
+@settings(max_examples=100, deadline=None)
+# inside the two exponent windows where root isolation used to give up
+@example(X=_AVERAGED_CATALOG[0], a=0.0008, k=2, c=1.045, tail=False)
+@example(X=_AVG_SQRT_MARCINKIEWICZ, a=0.005, k=0, c=1.3, tail=False)
+@example(X=_AVG_SQRT_MARCINKIEWICZ, a=-0.5, k=2, c=-2.33, tail=True)
+@example(X=_AVG_SQRT_MARCINKIEWICZ, a=-0.49, k=1, c=3.1, tail=True)
+def test_power_log_pieces_get_a_norm_and_both_germ_verdicts(X, a, k, c, tail):
+    # c*t**a*ln(t)**k on [0, 1), on the half-line optionally with 0.6/t
+    # on [1, inf)
+    rows = [(0.0, 1.0, {(a, k): c})]
+    if tail and not X.domain.is_unit:
+        rows.append((1.0, INF, {(-1.0, 0): 0.6}))
+    f = pw.make_ppl(X.domain, rows)
+    member = nm.in_space(f, X)
+    assert math.isfinite(nm.norm(f, X).value) is member
+    if member:
+        closed = oc.oc_point(f, X)
+        theorem = oc.oc_point(f, X, method="theorem")
+        assert {closed.is_oc, theorem.is_oc} != {True, False}
+
+
 # ---------------------------------------------------------------------------
 # direct definition-level machinery
 
@@ -311,6 +341,19 @@ def test_direct_route_takes_the_default_family_of_a_heavy_log_head(X):
 def test_direct_check_validates_a_custom_family(family, message):
     with pytest.raises(InvalidFamilyError, match=message):
         oc.direct_oc_check(chi(H, 0.0, 1.0), CES2, family=family)
+
+
+def test_direct_check_decides_along_a_custom_family():
+    # C chi[0,1/n) has the squared L2 norm 2/n, and chi[0,1) vanishes on
+    # [n, inf): the restrictions vanish
+    head_and_tail = lambda n: pw.MeasurableSet.from_intervals(
+        H, [(0.0, 1.0 / n), (n, INF)])
+    rep = oc.direct_oc_check(chi(H, 0.0, 1.0), CES2, family=head_and_tail)
+    assert (rep.decision, rep.family) == (True, "custom")
+    # the average of 1 restricted to [n, inf) tends to 1 at infinity
+    tail = lambda n: pw.MeasurableSet.from_intervals(H, [(n, INF)])
+    rep = oc.direct_oc_check(chi(H, 0.0, INF), CESINF, family=tail)
+    assert (rep.decision, rep.family) == (False, "custom")
 
 
 def test_default_null_family_shrinks_to_nothing():

@@ -184,6 +184,28 @@ def test_superlevel_set_of_ramp():
     assert hi == 1.0
 
 
+def test_superlevel_set_of_a_difference_of_powers():
+    # t**2 - t**1.5 grows without bound; the old overflow rule read the
+    # sum at u = 701 as +inf from its first term and cut nothing off
+    f = pw.make_ppl(H, [(1.0, INF, {(2.0, 0): 1.0, (1.5, 0): -1.0})])
+    (lo, hi), = rr.superlevel_set(f, 10.0).intervals
+    assert hi == INF
+    assert lo ** 2 - lo ** 1.5 == pytest.approx(10.0, rel=1e-12)
+
+
+def test_rearrangement_of_a_head_whose_peak_lies_past_the_float_range():
+    # 1.045*t**0.0008*ln(t)**2 peaks at ln t = -2500 and falls from there
+    # to 0 at t = 1; on the float range it falls, and f* is f itself up to
+    # a set of measure e**-700
+    f = pw.make_ppl(U, [(0.0, 1.0, {(0.0008, 2): 1.045})])
+    r = rr.decreasing_rearrangement(f)
+    assert r.support_measure() == 1.0
+    assert r.sup_value == pytest.approx(pw.evaluate(f, math.exp(-700.0)),
+                                        rel=1e-12)
+    for s in (1e-10, 0.01, 0.5):
+        assert r.evaluate(s) == pytest.approx(pw.evaluate(f, s), rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # property-based checks
 

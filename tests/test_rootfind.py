@@ -95,3 +95,75 @@ def test_dominant_key_at_both_ends():
     terms = {(-1.0, 0): 1.0, (-1.0, 2): 1.0, (0.5, 0): 1.0, (0.5, 1): 1.0}
     assert rf.dominant_key(terms, True) == (0.5, 1)
     assert rf.dominant_key(terms, False) == (-1.0, 2)
+
+
+# ---------------------------------------------------------------------------
+# root isolation on the float range
+
+
+def test_roots_are_found_up_to_the_float_range():
+    # the root e**-273.7 lies past where the old march gave up (|u| = 508)
+    roots = rf.roots_t({(0.0, 1): -1.4613, (0.0, 0): -400.0}, 0.0, 1.0)
+    assert roots == [math.exp(-400.0 / 1.4613)]
+
+
+def test_a_sum_past_the_float_range_takes_the_sign_of_its_largest_term():
+    # e**u - e**(2u) at u = 701: the first term to pass the cap is not
+    # the largest one
+    assert rf.eval_exp_pairs((((1.0, 0), 1.0), ((2.0, 0), -1.0)), 701.0) \
+        == -math.inf
+    # judged on the whole term: e**700 * 700**2 overflows although 1*700
+    # does not pass the cap, and two opposite infinities would give NaN
+    terms = {(1.0, 1): 50.0, (1.0, 2): -1.0, (0.0, 0): 1.0}
+    assert rf.eval_exp_poly(terms, 700.0) == -math.inf
+    roots = rf.roots_u(terms, -math.inf, math.inf)
+    assert roots[-1] == pytest.approx(50.0, abs=1e-12)
+
+
+def test_a_root_past_the_cap_is_returned_at_the_cap():
+    # ln t + 800 vanishes at ln t = -800, which is no float t; the sum
+    # changes sign past the cap, so the cap stands in for that root
+    assert rf.roots_u({(0.0, 1): 1.0, (0.0, 0): 800.0}, -math.inf, 0.0) \
+        == [-rf._U_CAP]
+    # a finite end asks only for roots inside it
+    assert rf.roots_u({(0.0, 1): 1.0, (0.0, 0): 800.0}, -900.0, 0.0) == []
+
+
+def _reference_sign(terms, u):
+    """Sign of the sum at u from its terms scaled by the largest one, or
+    None where the sum is within 1e-9 of that term's size of 0."""
+    logs = {key: rf._log_mag(c, key[0], key[1], u) for key, c in terms.items()}
+    top = max(logs.values())
+    if math.isinf(top):
+        return None
+    s = math.fsum(math.copysign(math.exp(logs[key] - top), c * u ** key[1])
+                  for key, c in terms.items())
+    return None if abs(s) <= 1e-9 else s > 0.0
+
+
+@st.composite
+def exp_polys(draw):
+    keys = draw(st.lists(st.tuples(st.floats(-2.0, 2.0),
+                                   st.integers(min_value=0, max_value=3)),
+                         min_size=2, max_size=4, unique=True))
+    coeff = st.floats(min_value=0.1, max_value=10.0) | st.floats(
+        min_value=-10.0, max_value=-0.1)
+    return {key: draw(coeff) for key in keys}
+
+
+@given(terms=exp_polys())
+@settings(max_examples=300, deadline=None)
+# a pure-log sum whose root lies past the cap at both ends in turn
+@example(terms={(0.0, 1): 1.0, (0.0, 0): 800.0})
+@example(terms={(0.0, 1): 1.0, (0.0, 0): -800.0})
+# near-equal exponents: e**u (1 - e**(1e-7 u)) vanishes only at u = 0
+@example(terms={(1.0, 0): 1.0, (1.0000001, 0): -1.0})
+@example(terms={(1.0, 1): 50.0, (1.0, 2): -1.0, (0.0, 0): 1.0})
+def test_roots_split_the_float_range_into_stretches_of_one_sign(terms):
+    roots = rf.roots_u(terms, -math.inf, math.inf)
+    assert roots == sorted(roots)
+    knots = [-rf._U_CAP] + roots + [rf._U_CAP]
+    for a, b in zip(knots, knots[1:]):
+        signs = {_reference_sign(terms, a + (b - a) * q)
+                 for q in (0.25, 0.5, 0.75)} - {None}
+        assert len(signs) <= 1, (a, b, roots)
