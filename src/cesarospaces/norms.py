@@ -7,9 +7,9 @@ closed form or quadrature runs; ``in_core`` and ``in_truncation_core``
 read the same germs to decide membership in the order-continuous part of a
 symmetric space and in the truncation core of an averaged one.  Finite
 norms of step functions and transform images stay on exact closed-form
-paths; other inputs fall back to adaptive quadrature with tracked error
-bounds, and a Marcinkiewicz sup without an exact rearrangement to a search
-over levels whose error bound brackets the sup.
+paths; other inputs fall back to quadrature (``cesaro._quad``) with an
+error estimate, and a Marcinkiewicz sup without an exact rearrangement to
+a search over levels whose error bound brackets the sup.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import Callable
 from . import cesaro as cz
 from . import piecewise as pw
 from . import rearrange as rr
+from . import rootfind
 from .errors import (MethodInapplicableError, RepresentationError,
                      TransformUndefinedError)
 from .piecewise import INF, PPL, TermMap, TermPairs
@@ -69,14 +70,25 @@ def _map_pow_int(tm: TermMap, n: int) -> TermMap | None:
 
 
 def _abs_power_map(tm: TermMap, p: float) -> TermMap | None:
-    """Exact term map of (nonnegative piece)**p, or None if unavailable."""
+    """Exact term map of (nonnegative piece)**p, or None if unavailable.
+
+    A lone c*t**a*ln(t)**k is |c|**p * t**(a*p) * |ln t|**(k*p); with k*p
+    an odd integer, |ln t|**(k*p) is ln(t)**(k*p) times the sign of ln t,
+    which is the sign of c when k is odd and unknown here when k is even.
+    """
     if p == 1.0:
         return dict(tm)
     if len(tm) == 1:
         ((alpha, k), c), = tm.items()
         scaled_k = k * p
         if k == 0 or scaled_k == int(scaled_k):
-            return {(alpha * p, int(round(scaled_k))): abs(c) ** p}
+            kp = int(round(scaled_k))
+            coeff = abs(c) ** p
+            if kp % 2:
+                if k % 2 == 0:
+                    return None
+                coeff = math.copysign(coeff, c)
+            return {(alpha * p, kp): coeff}
         return None
     if p == int(p) and p >= 2:
         return _map_pow_int(tm, int(p))
@@ -256,7 +268,9 @@ def _lp_ppl(f: PPL, p: float) -> NormResult:
         else:
             exact = False
             fn = lambda t: abs(pw.eval_term_map(tm, t)) ** p
-            val, e = cz._quad(fn, piece.lo, piece.hi, (), QUAD_TOL)
+            # |f|**p is not smooth where the piece touches zero
+            touch = rootfind.roots_t(tm, piece.lo, piece.hi)
+            val, e = cz._quad(fn, piece.lo, piece.hi, touch, QUAD_TOL)
             err += e
         total += val
     if total < 0.0:

@@ -38,6 +38,12 @@ from .piecewise import INF, PPL, DomainSpec, TermMap
 
 BISECT_TOL = 1e-12
 BISECT_MAX_ITER = 200
+# Next to a stationary end of a segment, |f| - lam is flat down to rounding
+# noise over a short stretch of u, and a level a few ulps off the end value
+# sends Brent's interpolation steps crawling through that noise (one such
+# solve took 105 steps); a solve that converges takes the same steps under
+# any cap.
+CROSSING_MAX_ITER = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,11 +109,18 @@ def _abs_segments(f: PPL) -> tuple[_Segment, ...]:
 
 def _crossing(seg: _Segment, lam: float) -> float:
     """Unique t in (lo, hi) with value lam on a monotone positive segment
-    whose end values lie on both sides of lam."""
+    whose end values lie on both sides of lam; inf when that t lies past
+    the float range."""
     c = seg.cross
     if c.power is not None:
         coeff, inv_alpha = c.power
-        return (lam / coeff) ** inv_alpha
+        ratio = lam / coeff
+        if ratio == 0.0:  # lam underflowed against the coefficient
+            return 0.0 if inv_alpha > 0.0 else INF
+        try:
+            return ratio ** inv_alpha
+        except OverflowError:
+            return INF
     if c.hyperbola is not None:
         b, a = c.hyperbola
         if lam != a:
@@ -126,7 +139,8 @@ def _crossing(seg: _Segment, lam: float) -> float:
         # the level touches an endpoint value within rounding; snap to the
         # endpoint that sits closer to the level
         return math.exp(uhi if abs(fhi) < abs(flo) else ulo)
-    u = brentq(clipped, ulo, uhi, xtol=BISECT_TOL, rtol=4 * math.ulp(1.0))
+    u = brentq(clipped, ulo, uhi, xtol=BISECT_TOL, rtol=4 * math.ulp(1.0),
+               maxiter=CROSSING_MAX_ITER)
     return math.exp(u)
 
 
@@ -154,6 +168,8 @@ def _measure_above(segs: tuple[_Segment, ...], lam: float) -> float:
             total += seg.hi - seg.lo
         else:
             x = _crossing(seg, lam)
+            if math.isinf(x):  # past the float range, on either side
+                return INF
             total += (x - seg.lo) if above_lo else (seg.hi - x)
         if math.isinf(total):
             return INF
@@ -237,6 +253,12 @@ def _level_mass(msegs: tuple[_MassSegment, ...],
             parts.append(m.whole)
             continue
         x = _crossing(seg, lam)
+        if math.isinf(x):
+            # past the float range: the set above lam is unbounded, and
+            # the cut takes the whole segment but a tail no float can place
+            d = INF
+            parts.append(m.whole)
+            continue
         # a closed-form crossing can underflow to t = 0, where the
         # antiderivative has only its limit
         ax = m.alo if x == 0.0 else pw.eval_term_map(m.anti, x)

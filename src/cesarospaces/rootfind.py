@@ -87,8 +87,9 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float,
     """A root of f in [a, b], where f(a) and f(b) differ in sign.
 
     Brent's method (R. P. Brent, *Algorithms for Minimization without
-    Derivatives*, 1973, ch. 4), step for step as in scipy's
-    ``Zeros/brentq.c``, so that both return the same float.  Raises
+    Derivatives*, 1973, ch. 4), step for step as in the widely used C
+    routine ``Zeros/brentq.c``, so that both return the same float (the
+    tests pin it against that routine).  Raises
     ``ValueError`` for ends of one sign or a NaN value of f, and
     ``RuntimeError`` after ``maxiter`` iterations without convergence.
     """

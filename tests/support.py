@@ -3,10 +3,14 @@ test modules."""
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
+import warnings
 
 from hypothesis import strategies as st
 
+from cesarospaces import cesaro as cz
 from cesarospaces import norms as nm
 from cesarospaces import oc
 from cesarospaces import oracle as orc
@@ -64,6 +68,127 @@ def nonzero_step_functions(draw, domain=HALFLINE, signed: bool = True):
         lo = 0.25 if domain.is_unit else 1.0
         f = pw.step_function(domain, [(lo, 2.0 * lo, 1.0)])
     return f
+
+
+@st.composite
+def rising_step_functions(draw, domain=HALFLINE):
+    """Step functions whose magnitudes rise along the line: their running
+    averages rise too, so a norm of C f leaves the exact path."""
+    f = draw(nonzero_step_functions(domain=domain))
+    rows = [(p.lo, p.hi, abs(p.term_map()[(0.0, 0)])) for p in f.pieces]
+    heights = sorted(v for _, _, v in rows)
+    return pw.step_function(domain, [(lo, hi, v) for (lo, hi, _), v
+                                      in zip(rows, heights)])
+
+
+@st.composite
+def power_log_pieces(draw, domain=HALFLINE):
+    """One piece c*t**a*ln(t)**k on [lo, hi]; on the half-line hi may be
+    infinite.  Many of them lie outside a given space (norm +inf)."""
+    end = domain.end
+    lo = draw(st.sampled_from([0.0, 0.0, end / 8.0, end / 2.0]
+                              if domain.is_unit else [0.0, 0.0, 0.5, 1.0]))
+    his = [h for h in ([0.5, 1.0] if domain.is_unit else [0.5, 2.0, 4.0, INF])
+           if h > lo]
+    hi = draw(st.sampled_from(his))
+    a = draw(st.floats(min_value=-1.0, max_value=2.0,
+                       allow_nan=False, allow_infinity=False))
+    k = draw(st.integers(min_value=0, max_value=2))
+    c = draw(st.floats(min_value=0.1, max_value=4.0,
+                       allow_nan=False, allow_infinity=False))
+    if draw(st.booleans()):
+        c = -c
+    return pw.make_ppl(domain, [(lo, hi, {(a, k): c})])
+
+
+# ---------------------------------------------------------------------------
+# scipy's QUADPACK, the test-only reference of cesaro._quad
+
+
+def scipy_quad(func, a: float, b: float, breaks, tol: float,
+               graded: bool = False) -> tuple[float, float]:
+    """``scipy.integrate.quad`` with epsabs = epsrel = tol and at most 200
+    subintervals on each cell between the finite breaks inside (a, b):
+    ``cesaro._quad``'s former body.
+
+    ``graded`` adds, inside each interval between breaks, points
+    geometrically closer to every end, down to the normal floats: at 2**-k
+    of its width from a finite end, and at c + 2**k toward inf, for
+    k < 40 and then every 16th k.  (A cell of subnormal width would put
+    Kronrod nodes on its ends.)
+    """
+    from scipy import integrate
+
+    pts = sorted({x for x in breaks if a < x < b and math.isfinite(x)})
+    knots = [a] + pts + [b]
+    mesh = set(knots)
+    if graded:
+        ks = list(range(40)) + list(range(40, 1020, 16))
+        for c, d in zip(knots, knots[1:]):
+            if math.isinf(d):
+                offsets = [math.ldexp(1.0, -k) for k in ks]
+                mesh.update(c + math.ldexp(1.0, k) for k in ks)
+            else:
+                offsets = [math.ldexp(d - c, -k) for k in ks[1:]]
+                mesh.update(d - h for h in offsets)
+            mesh.update(c + h for h in offsets if h >= sys.float_info.min)
+    mesh = sorted(x for x in mesh if a <= x <= b)
+    total = err = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", category=integrate.IntegrationWarning)
+        for c, d in zip(mesh, mesh[1:]):
+            if c < d:
+                v, e = integrate.quad(func, c, d, epsabs=tol, epsrel=tol,
+                                      limit=200)
+                total += v
+                err += e
+    return total, err
+
+
+def _disagree(value, estimate, ref, ref_estimate) -> bool:
+    # the last term is the integrand's own error, which neither estimate
+    # counts: a level integrand is known only to the tolerance of its
+    # Brent crossings
+    return not abs(value - ref) <= (estimate + ref_estimate
+                                    + rr.BISECT_TOL * abs(ref))
+
+
+@contextlib.contextmanager
+def quadrature_against_scipy():
+    """Within the block every ``cesaro._quad`` call also runs
+    ``scipy_quad`` on the same integrand and returns its own result; the
+    yielded list collects (value, estimate, scipy value, scipy estimate)
+    per call.
+
+    Where the two disagree, scipy runs again on the graded mesh, whose
+    value then stands: on a single interval QUADPACK's estimate can miss a
+    slow end (t**-0.9375*|ln t|**2.5 on [0, 0.5]) or a layer at an end
+    (the level integrand of t**5.4e-5 on [0, 0.5] drops to 0 within 1e-4
+    of its top level), and it then reports a wrong value with a small
+    estimate.
+    """
+    rule = cz._quad
+    calls = []
+
+    def both(func, a, b, breaks, tol):
+        value, estimate = rule(func, a, b, breaks, tol)
+        ref = scipy_quad(func, a, b, breaks, tol)
+        if _disagree(value, estimate, *ref):
+            ref = scipy_quad(func, a, b, breaks, tol, graded=True)
+        calls.append((value, estimate) + ref)
+        return value, estimate
+
+    cz._quad = both
+    try:
+        yield calls
+    finally:
+        cz._quad = rule
+
+
+def outside_scipy(calls) -> list[tuple[float, float, float, float]]:
+    """The calls whose value lies outside scipy's value +- both estimates
+    +- BISECT_TOL relative (empty when all agree)."""
+    return [c for c in calls if _disagree(*c)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""scipy stays off the import path until a quadrature actually runs.
+"""No path of the library loads scipy: its one quadrature is stdlib.
 
-Each check runs in a fresh interpreter, because the test process itself
-has long since imported scipy.
+scipy stays a test-only reference (for Brent's method and the quadrature
+properties).  Each check runs in a fresh interpreter, because the test
+process itself has long since imported scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ REPORT = """
 import json, sys
 print(json.dumps({"result": result,
                   "scipy": sorted(m for m in sys.modules
-                                  if m.startswith("scipy"))}))
+                                  if m.startswith("scipy")
+                                  and sys.modules[m] is not None)}))
 """
 
 
@@ -82,14 +84,34 @@ def test_closed_form_and_theorem_verdicts_on_the_battery_load_no_scipy():
     assert out["scipy"] == []
 
 
-def test_level_quadrature_loads_scipy_integrate_on_first_use():
+def test_no_quadrature_path_loads_scipy():
+    # scipy is blocked, so an import of it anywhere raises; one quadrature
+    # runs through each caller of cesaro._quad
     out = run_fresh("""
-        from cesarospaces import catalog as cat, norms as nm
+        import sys
+        sys.modules["scipy"] = None
+        from cesarospaces import catalog as cat, cesaro as cz, norms as nm
         from cesarospaces import piecewise as pw, spaces as sp
         H = pw.DomainSpec("halfline")
-        X = sp.cesaro_space(sp.lorentz_space(cat.sqrt_phi(H)))
-        # a rising piece has no exact rearrangement: the level form runs
-        result = nm.norm(pw.power_piece(H, 0.0, 1.0, 1.0, 0.5), X).method
+        rising = pw.power_piece(H, 0.0, 1.0, 1.0, 0.5)
+        quarter_then_step = pw.make_ppl(H, [(0.0, 1.0, {(-0.25, 0): 1.0}),
+                                            (1.0, 2.0, {(0.0, 0): -2.0})])
+        u_three_halves = sp.OrliczFunctionSpec(
+            pw.make_ppl(H, [(0.0, pw.INF, {(1.5, 0): 1.0})]))
+        one_plus_t = pw.make_ppl(H, [(0.0, 1.0, {(0.0, 0): 1.0,
+                                                 (1.0, 0): 1.0})])
+        result = [
+            # a rising piece has no exact rearrangement: the level form runs
+            nm.norm(rising, sp.cesaro_space(
+                sp.lorentz_space(cat.sqrt_phi(H)))).method,
+            # (1 + t)**1.5 has no exact power map
+            nm.norm(one_plus_t, sp.lebesgue(1.5, H)).method,
+            # u**1.5 has no integer-power composition
+            nm.norm(quarter_then_step,
+                    sp.orlicz_space(u_three_halves, H)).method,
+            cz.cesaro_numeric(rising, 0.5)[0],
+        ]
     """)
-    assert out["result"] == "quadrature"
-    assert "scipy.integrate" in out["scipy"]
+    assert out["result"][:3] == ["quadrature"] * 3
+    assert abs(out["result"][3] - 0.5 ** 0.5 / 1.5) <= 1e-12
+    assert out["scipy"] == []

@@ -81,6 +81,21 @@ def test_lp_norm_refuses_a_negative_integral_beyond_rounding(monkeypatch):
         nm.norm(chi(H, 0.0, 1.0), L2)
 
 
+# |ln t|**3 on [0, 1/2], from -ln t cubed (exact) and from ln(t)**2 to the
+# power 1.5 (quadrature: the sign of ln t is not read off the term map);
+# both came out as the negative integral of ln(t)**3.  The integral is
+# Gamma(4, ln 2) = (ln2**3 + 3*ln2**2 + 6*ln2 + 6)/2
+@pytest.mark.parametrize("tm, p, method", [({(0.0, 1): -1.0}, 3.0, "exact"),
+                                           ({(0.0, 2): 1.0}, 1.5, "quadrature")])
+def test_lp_norm_of_an_odd_power_of_a_log_below_one(tm, p, method):
+    f = pw.make_ppl(H, [(0.0, 0.5, tm)])
+    ln2 = math.log(2.0)
+    integral = (ln2 ** 3 + 3.0 * ln2 ** 2 + 6.0 * ln2 + 6.0) / 2.0
+    res = nm.norm(f, sp.lebesgue(p, H))
+    assert res.method == method
+    assert res.value == pytest.approx(integral ** (1.0 / p), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # intersection and sum
 

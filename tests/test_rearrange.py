@@ -47,6 +47,20 @@ def test_level_reached_only_at_infinity_cuts_nothing_off(alpha):
     assert rr.distribution(f, 1.0) == INF
 
 
+# levels at which the closed-form crossing (lam/c)**(1/alpha) leaves the
+# float range: the first two overflowed, the third divided by zero, and the
+# rising fourth came out nan
+@pytest.mark.parametrize("f, lam", [
+    (pw.make_ppl(H, [(1.0, INF, {(-0.6, 0): 1.0})]), 1e-190),
+    (pw.make_ppl(H, [(1.0, INF, {(-1.0, 0): 0.5})]), 1e-310),
+    (pw.make_ppl(H, [(0.5, INF, {(-1.0, 0): 2.0})]), 5e-324),
+    (pw.make_ppl(H, [(1.0, INF, {(0.001, 0): 1.0})]), 1e300),
+])
+def test_a_crossing_past_the_float_range_measures_inf(f, lam):
+    assert rr.distribution(f, lam) == INF
+    assert rr._level_mass(rr._mass_segments(f), lam) == (INF, INF)
+
+
 def test_critical_values_are_distinct_magnitudes():
     f = two_level_step()
     assert rr.critical_values(f) == [1.0, 2.0]
