@@ -26,8 +26,14 @@ def cesaro_transform(f: PPL) -> PPL:
     """Exact C f; requires f integrable near 0.
 
     The result is defined on all of (0, end): past the support the average
-    decays like (accumulated mass) / x.
+    decays like (accumulated mass) / x.  It is computed once per f and kept
+    on it (see ``piecewise._memo``); a TransformUndefinedError is not kept.
     """
+    return pw._memo(f, "_cesaro", _cesaro_transform)
+
+
+def _cesaro_transform(f: PPL) -> PPL:
+    """C f as ``cesaro_transform`` returns it, computed afresh."""
     if f.pieces and f.pieces[0].lo == 0.0:
         _c, alpha, _k = pw.germ(f.pieces[0].term_map(), "zero")
         if pw.integral_diverges(alpha, "zero"):

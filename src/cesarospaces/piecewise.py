@@ -22,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from . import rootfind
 from .errors import (
@@ -39,6 +39,7 @@ MAX_TERMS_PER_PIECE = 64
 TermMap = dict[tuple[float, int], float]
 TermView = Mapping[tuple[float, int], float]  # read-only view of a term map
 TermPairs = tuple[tuple[tuple[float, int], float], ...]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -147,8 +148,31 @@ class PiecewisePowerLog:
     def __call__(self, t: float) -> float:
         return evaluate(self, t)
 
+    def __reduce__(self):
+        # the fields alone: memos (see _memo) stay out of a pickle or copy
+        return PiecewisePowerLog, (self.domain, self.pieces)
+
 
 PPL = PiecewisePowerLog
+
+_SELF = object()  # a memo whose value is the function that keeps it
+_ABS = "_abs"     # the memo name of |f|
+
+
+def _memo(f: PPL, name: str, compute: Callable[[PPL], T]) -> T:
+    """``compute(f)``, computed once per object and kept on f.
+
+    The value lives in f's instance dict for as long as f does, not in a
+    global cache.  The fields alone decide ``==``, ``hash``, ``repr`` and
+    pickles, so a memo never shows.  A call that raises keeps nothing.  A
+    value that is f itself is kept as a marker, not as a reference cycle.
+    """
+    value = f.__dict__.get(name)
+    if value is None:
+        value = compute(f)
+        f.__dict__[name] = _SELF if value is f else value
+        return value
+    return f if value is _SELF else value
 
 
 def canonical_pairs(tm: TermView) -> TermPairs:
@@ -612,7 +636,10 @@ def restrict(f: PPL, A: MeasurableSet) -> PPL:
             a, b = max(p.lo, lo), min(p.hi, hi)
             if a < b:
                 pieces.append((a, b, p.term_map()))
-    return make_ppl(f.domain, pieces)
+    g = make_ppl(f.domain, pieces)
+    if f.__dict__.get(_ABS) is _SELF:
+        g.__dict__[_ABS] = _SELF  # a part of a nonnegative f is one
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +671,16 @@ def _segment_sign(tm: TermMap, lo: float, hi: float) -> int:
 
 
 def absolute(f: PPL) -> PPL:
-    """Exact |f|: pieces are split where f changes sign."""
+    """Exact |f|: pieces are split where f changes sign.
+
+    Computed once per f and kept on it (see ``_memo``).  The result is
+    marked as its own |.|, and f itself is returned when |f| == f.
+    """
+    return _memo(f, _ABS, _absolute)
+
+
+def _absolute(f: PPL) -> PPL:
+    """|f| as ``absolute`` returns it, computed afresh."""
     pieces = []
     for p in f.pieces:
         tm = p.term_map()
@@ -655,7 +691,11 @@ def absolute(f: PPL) -> PPL:
                 pieces.append((lo, hi, {k: -c for k, c in tm.items()}))
             else:
                 pieces.append((lo, hi, tm))
-    return make_ppl(f.domain, pieces)
+    g = make_ppl(f.domain, pieces)
+    if g == f:
+        return f
+    g.__dict__[_ABS] = _SELF
+    return g
 
 
 def positive_part(f: PPL) -> PPL:
@@ -670,7 +710,7 @@ def excess_over(f: PPL, level: float, horizon: float) -> PPL:
 
 
 def is_nonnegative(f: PPL) -> bool:
-    return absolute(f) == f
+    return absolute(f) is f
 
 
 def monotone_segments(f: PPL) -> list[tuple[float, float, TermMap]]:

@@ -6,7 +6,9 @@ at the unique crossing |f| = lam.  Crossings have closed forms for constant,
 pure-power and a + b/t segments; everything else falls back to a Brent
 solve in u = ln t at precision 1e-12.  What a crossing needs besides the
 level (which closed form applies, the ends in u, the terms in summation
-order) is built once per segment that is not flat.
+order) is built once per segment that is not flat.  The segments of |f| are
+kept on the object |f| itself (``piecewise._memo``), for as long as it
+lives, not in a global cache; ``piecewise.absolute`` keeps |f| on f.
 
 The rearrangement f*(s) = inf{lam > 0 : d_f(lam) <= s} is returned as an
 exact function whenever f is a step function or |f| is already
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable
 
 from . import cesaro as _cesaro_mod
@@ -96,9 +98,12 @@ class _Segment:
     terms: pw.TermView
 
 
-@lru_cache(maxsize=512)
 def _abs_segments(f: PPL) -> tuple[_Segment, ...]:
-    g = pw.absolute(f)
+    """The monotone segments of |f|, kept on |f| (see ``piecewise._memo``)."""
+    return pw._memo(pw.absolute(f), "_segments", _segments_of)
+
+
+def _segments_of(g: PPL) -> tuple[_Segment, ...]:
     segs = []
     for lo, hi, tm in pw.monotone_segments(g):
         vlo, vhi = pw.segment_end_values(tm, lo, hi)
@@ -208,8 +213,13 @@ class _MassSegment:
 
 
 def _mass_segments(f: PPL) -> tuple[_MassSegment, ...]:
+    """``_abs_segments`` with their masses, kept on |f| as well."""
+    return pw._memo(pw.absolute(f), "_mass_segments", _mass_segments_of)
+
+
+def _mass_segments_of(g: PPL) -> tuple[_MassSegment, ...]:
     out = []
-    for seg in _abs_segments(f):
+    for seg in _abs_segments(g):
         anti = pw.antiderivative_map(seg.terms)
         alo, ahi = pw.segment_end_values(anti, seg.lo, seg.hi)
         whole = _between(pw._piece_integral(seg.terms, seg.lo, seg.hi),
@@ -254,10 +264,14 @@ def _level_mass(msegs: tuple[_MassSegment, ...],
             continue
         x = _crossing(seg, lam)
         if math.isinf(x):
-            # past the float range: the set above lam is unbounded, and
-            # the cut takes the whole segment but a tail no float can place
+            # past the float range: the set above lam is unbounded; a
+            # falling power of finite mass loses a tail that no float x
+            # can place but that has a closed form
             d = INF
-            parts.append(m.whole)
+            if seg.vlo > lam and math.isfinite(m.whole):
+                parts.append(m.whole - _power_tail(seg, lam))
+            else:
+                parts.append(m.whole)
             continue
         # a closed-form crossing can underflow to t = 0, where the
         # antiderivative has only its limit
@@ -269,6 +283,17 @@ def _level_mass(msegs: tuple[_MassSegment, ...],
             d += seg.hi - x
             parts.append(_between(m.ahi - ax, seg.hi - x, lam, seg.vhi))
     return d, math.fsum(parts)
+
+
+def _power_tail(seg: _Segment, lam: float) -> float:
+    """Integral of c*t**alpha, alpha < -1, from its crossing x with lam to
+    infinity, for an x past the float range: c*x**(alpha + 1)/-(alpha + 1),
+    with x**(alpha + 1) taken in log space."""
+    coeff, inv_alpha = seg.cross.power
+    (alpha, _k), = seg.terms
+    log_ratio = math.log(lam) - math.log(coeff)
+    return coeff * math.exp((alpha + 1.0) * inv_alpha * log_ratio) \
+        / -(alpha + 1.0)
 
 
 def critical_values(f: PPL) -> list[float]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 import operator
 import pickle
@@ -11,12 +12,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cesarospaces import cesaro as cz
 from cesarospaces import piecewise as pw
+from cesarospaces import rearrange as rr
 from cesarospaces.errors import (DomainMismatchError, EvaluationDomainError,
-                                 RepresentationError, UndefinedIntegralError,
-                                 ValidationError)
+                                 RepresentationError, TransformUndefinedError,
+                                 UndefinedIntegralError, ValidationError)
 from cesarospaces.piecewise import INF
-from support import HALFLINE as H, UNIT as U, step_functions
+from support import (HALFLINE as H, UNIT as U, power_log_pieces,
+                     step_functions)
 
 
 # ---------------------------------------------------------------------------
@@ -549,3 +553,107 @@ def test_product_evaluates_pointwise(f, g):
     p = pw.product(f, g)
     for t in pw.sample_grid(p, 16):
         assert p(t) == pytest.approx(f(t) * g(t), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# memos: |f|, C f and the segments of |f| are kept on the function
+
+
+@st.composite
+def signed_functions(draw):
+    """A step function or a signed power-log piece, on either domain; half
+    the pieces get a step function added, which puts sign changes inside."""
+    domain = draw(st.sampled_from([H, U]))
+    if draw(st.booleans()):
+        return draw(step_functions(domain=domain))
+    f = draw(power_log_pieces(domain=domain))
+    if draw(st.booleans()):
+        f = pw.combine(f, draw(step_functions(domain=domain)), "add")
+    return f
+
+
+@st.composite
+def measurable_sets(draw, domain):
+    end = domain.end if domain.is_unit else 16.0
+    cuts = sorted(draw(st.lists(st.floats(min_value=0.0, max_value=end),
+                                min_size=2, max_size=6, unique=True)))
+    intervals = list(zip(cuts[::2], cuts[1::2]))
+    if not domain.is_unit and draw(st.booleans()):
+        intervals.append((end, INF))
+    return pw.MeasurableSet.from_intervals(domain, intervals)
+
+
+def _segment_fields(segs):
+    return [(seg.lo, seg.hi, seg.vlo, seg.vhi,
+             None if seg.cross is None else dataclasses.astuple(seg.cross),
+             dict(seg.terms)) for seg in segs]
+
+
+def _mass_segment_fields(msegs):
+    return [(_segment_fields([m.seg]), m.anti, m.alo, m.ahi, m.whole)
+            for m in msegs]
+
+
+def _result(compute, f, fields=lambda value: value):
+    """fields(compute(f)), or the error class the computation raised."""
+    try:
+        return fields(compute(f))
+    except (TransformUndefinedError, UndefinedIntegralError) as exc:
+        return type(exc)
+
+
+def _fill_memos(f):
+    g = pw.absolute(f)
+    for h in (f, g):
+        _result(cz.cesaro_transform, h)
+    rr._abs_segments(f)
+    _result(rr._mass_segments, f)
+    return g
+
+
+@given(f=signed_functions())
+@settings(max_examples=200, deadline=None)
+def test_absolute_is_its_own_absolute(f):
+    g = pw._absolute(f)
+    assert pw._absolute(g) == g
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_restriction_of_a_nonnegative_function_is_its_own_absolute(data):
+    f = data.draw(signed_functions())
+    g = pw.absolute(f)
+    r = pw.restrict(g, data.draw(measurable_sets(f.domain)))
+    assert pw.absolute(r) is r  # marked by restrict, not recomputed
+    assert pw._absolute(r) == r
+
+
+@given(f=signed_functions())
+@settings(max_examples=200, deadline=None)
+def test_every_memo_equals_a_fresh_computation(f):
+    g = _fill_memos(f)
+    fresh = pw._absolute(f)
+    assert g == fresh
+    assert pw.is_nonnegative(f) == (fresh is f)
+    assert _segment_fields(rr._abs_segments(f)) == \
+        _segment_fields(rr._segments_of(fresh))
+    assert _result(rr._mass_segments, f, _mass_segment_fields) == \
+        _result(rr._mass_segments_of, fresh, _mass_segment_fields)
+    for h in (f, g):
+        expected = _result(cz._cesaro_transform, h)
+        assert _result(cz.cesaro_transform, h) == expected
+        if expected is TransformUndefinedError:
+            assert "_cesaro" not in vars(h)  # an error is not kept
+
+
+@given(f=signed_functions())
+@settings(max_examples=200, deadline=None)
+def test_memos_never_show(f):
+    twin = pickle.loads(pickle.dumps(f))
+    before = (repr(f), hash(f), pickle.dumps(f))
+    g = _fill_memos(f)
+    assert (repr(f), hash(f), pickle.dumps(f)) == before
+    assert f == twin and twin == f and hash(twin) == hash(f)
+    assert pickle.dumps(g) == pickle.dumps(pw._absolute(f))
+    for h in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert h == f and not set(vars(h)) - {"domain", "pieces"}

@@ -61,6 +61,27 @@ def test_a_crossing_past_the_float_range_measures_inf(f, lam):
     assert rr._level_mass(rr._mass_segments(f), lam) == (INF, INF)
 
 
+@pytest.mark.parametrize("coeff, alpha, lam", [
+    (1.0, -1.01, 5e-324),
+    (0.5, -1.04, 5e-324),
+    (1e10, -1.01, 5e-324),  # lam / coeff underflows to 0
+])
+def test_mass_above_a_level_crossed_past_the_float_range(coeff, alpha, lam):
+    # a falling c*t**alpha on [1, inf) crosses lam at x = (lam/c)**(1/alpha),
+    # past the largest float: the set above lam has infinite measure, and
+    # its mass is the whole c/-(alpha + 1) less the tail past x
+    f = pw.make_ppl(H, [(1.0, INF, {(alpha, 0): coeff})])
+    d, mass = rr._level_mass(rr._mass_segments(f), lam)
+    tail_share = math.exp((alpha + 1.0) / alpha
+                          * (math.log(lam) - math.log(coeff)))
+    assert d == INF
+    assert mass == pytest.approx(coeff / -(alpha + 1.0) * (1.0 - tail_share),
+                                 rel=1e-13)
+    if (coeff, alpha) == (1.0, -1.01):
+        # 100*(1 - x**-0.01), not the whole 100
+        assert mass == pytest.approx(99.937056866, rel=1e-10)
+
+
 def test_critical_values_are_distinct_magnitudes():
     f = two_level_step()
     assert rr.critical_values(f) == [1.0, 2.0]
