@@ -28,6 +28,11 @@ def cesaro_transform(f: PPL) -> PPL:
     The result is defined on all of (0, end): past the support the average
     decays like (accumulated mass) / x.  It is computed once per f and kept
     on it (see ``piecewise._memo``); a TransformUndefinedError is not kept.
+
+    C f of a nonnegative f carries no mark as its own |.|: its monomials
+    can have both signs, and on a thin piece or where F(t) - F(lo) cancels
+    it can dip below 0 in floats.  ``piecewise.absolute`` returns it as it
+    is, with no sign split, only where every monomial is provably >= 0.
     """
     return pw._memo(f, "_cesaro", _cesaro_transform)
 

@@ -131,10 +131,18 @@ def _power_generator(spec: OrliczFunctionSpec) -> tuple[float, int] | None:
     return c, int(alpha)
 
 
-@functools.lru_cache(maxsize=8192)
 def _piece_pow_map(piece: pw.Piece, n: int) -> TermPairs | None:
-    pm = _map_pow_int(piece.term_map(), n)
-    return pw.canonical_pairs(pm) if pm is not None else None
+    """The canonical terms of the piece's n-th power, None past the budget.
+
+    Kept on the piece, one entry per n, as ``piecewise._memo`` keeps memos
+    on a function: the fields alone decide ``==``, ``hash``, ``repr`` and
+    pickles, so the memo never shows.
+    """
+    memo = vars(piece).setdefault("_pow", {})
+    if n not in memo:
+        pm = _map_pow_int(piece.term_map(), n)
+        memo[n] = pw.canonical_pairs(pm) if pm is not None else None
+    return memo[n]
 
 
 def _interval_difference(A: pw.MeasurableSet,

@@ -518,6 +518,12 @@ def direct_oc_check(f: PPL, S: SpaceDescriptor,
     superlevel leg {|f| > n} holds all of a bounded f's peak until n
     reaches sup|f|, where its norms sit on a plateau, so its run starts at
     the first n = 2**k >= sup|f|; a peak above 2**k_max is inconclusive.
+
+    A restriction norm depends on |f| alone, so the samples restrict
+    |f|, split at f's sign changes once, not f.  Each part is marked as its
+    own |.| (``piecewise.restrict``), and |.| of its transform takes no
+    sign split wherever every monomial is provably >= 0
+    (``piecewise.absolute``).
     """
     start = 0
     if family is None:
@@ -533,8 +539,10 @@ def direct_oc_check(f: PPL, S: SpaceDescriptor,
         _validate_family(family, f.domain)
         fam = family
 
+    g = pw.absolute(f)  # the norm reads |f| alone; its parts are marked
+
     def val(n: float) -> float:
-        return nm.norm(pw.restrict(f, fam(n * 2.0 ** start)), S).value
+        return nm.norm(pw.restrict(g, fam(n * 2.0 ** start)), S).value
 
     decision, vals = vanishing_sequence(val, k_init, k_max - start)
     name = "custom" if family is not None else "default-head-and-tail"
@@ -547,6 +555,7 @@ def adversarial_family_search(f: PPL, S: SpaceDescriptor, budget: int = 500,
     stay away from zero.  A verified witness refutes order continuity."""
     rng = random.Random(seed)
     domain = f.domain
+    g = pw.absolute(f)  # the norm reads |f| alone; its parts are marked
     anchors = [b for b in f.breakpoints() if 0.0 < b < domain.end
                and math.isfinite(b)]
     shapes = ["head", "spike", "both"]
@@ -575,7 +584,7 @@ def adversarial_family_search(f: PPL, S: SpaceDescriptor, budget: int = 500,
 
         def val(n: float) -> float:
             if n not in seen:
-                seen[n] = nm.norm(pw.restrict(f, fam(n)), S).value
+                seen[n] = nm.norm(pw.restrict(g, fam(n)), S).value
             return seen[n]
 
         quick = [val(2.0 ** k) for k in (0, 3, 6, 9, 12)]

@@ -628,15 +628,28 @@ def essinf(A: MeasurableSet) -> float:
 
 
 def restrict(f: PPL, A: MeasurableSet) -> PPL:
+    """f on A and 0 off it.
+
+    The parts are built from f's own canonical pieces, a piece inside A
+    reused as it is.  The intervals of a set that
+    ``MeasurableSet.from_intervals`` builds are sorted and never touch, so
+    no two parts merge and no ``make_ppl`` pass is needed.
+    """
     if f.domain != A.domain:
         raise DomainMismatchError("function and set live on different domains")
+    intervals = A.intervals
+    if any(b >= c for (_a, b), (c, _d) in zip(intervals, intervals[1:])):
+        # a set built field by field: sort and merge its intervals first
+        intervals = MeasurableSet.from_intervals(A.domain, intervals).intervals
     pieces = []
     for p in f.pieces:
-        for lo, hi in A.intervals:
+        for lo, hi in intervals:
             a, b = max(p.lo, lo), min(p.hi, hi)
-            if a < b:
-                pieces.append((a, b, p.term_map()))
-    g = make_ppl(f.domain, pieces)
+            if a == p.lo and b == p.hi:
+                pieces.append(p)
+            elif a < b:
+                pieces.append(Piece(a, b, p.pairs))
+    g = PPL(f.domain, tuple(pieces))
     if f.__dict__.get(_ABS) is _SELF:
         g.__dict__[_ABS] = _SELF  # a part of a nonnegative f is one
     return g
@@ -674,13 +687,39 @@ def absolute(f: PPL) -> PPL:
     """Exact |f|: pieces are split where f changes sign.
 
     Computed once per f and kept on it (see ``_memo``).  The result is
-    marked as its own |.|, and f itself is returned when |f| == f.
+    marked as its own |.|, and f itself is returned when |f| == f.  An f
+    whose every monomial is provably >= 0 (``_nonnegative_terms``) is
+    returned with no sign split.
     """
     return _memo(f, _ABS, _absolute)
 
 
 def _absolute(f: PPL) -> PPL:
     """|f| as ``absolute`` returns it, computed afresh."""
+    return f if _nonnegative_terms(f) else _sign_split(f)
+
+
+def _nonnegative_terms(f: PPL) -> bool:
+    """Is every monomial c * t**a * (ln t)**k of f >= 0 on its whole piece?
+
+    t**a > 0, so an even k needs c > 0, and an odd k also needs the piece
+    inside (0, 1], where ln t <= 0, or inside [1, inf), where ln t >= 0.
+    A float sum of such terms is >= 0 at every t, so the sign split finds
+    no negative segment and gives f back.  The monomials decide, not the
+    function: C g of a nonnegative g can hold terms of both signs and, on
+    a thin piece or where F(t) - F(lo) cancels, dip below 0 in floats.
+    """
+    for piece in f.pieces:
+        ln_sign = -1.0 if piece.hi <= 1.0 else 1.0 if piece.lo >= 1.0 else 0.0
+        for (_alpha, k), c in piece.pairs:
+            if not (c * ln_sign if k & 1 else c) > 0.0:  # NaN fails too
+                return False
+    return True
+
+
+def _sign_split(f: PPL) -> PPL:
+    """|f| by splitting each piece at its roots and flipping the segments
+    where f is negative."""
     pieces = []
     for p in f.pieces:
         tm = p.term_map()

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import assume, given, settings
@@ -308,6 +310,20 @@ def test_two_band_modular_of_a_power_piece_matches_quadrature(lam):
         lambda t: _SQUARE_THEN_TANGENT.value(pw.evaluate(f, t) / lam),
         0.0, 1.0, [(2.0 / lam) ** 4], 1e-12)
     assert exact == pytest.approx(ref, rel=1e-9)
+
+
+def test_piece_powers_are_kept_on_the_piece_and_never_show():
+    piece, = pw.make_ppl(H, [(0.5, 2.0, {(0.5, 1): 2.0, (0.0, 0): -1.0})]).pieces
+    before = (repr(piece), hash(piece), pickle.dumps(piece))
+    square = nm._piece_pow_map(piece, 2)
+    assert square == pw.canonical_pairs(nm._map_pow_int(piece.term_map(), 2))
+    assert nm._piece_pow_map(piece, 2) is square  # computed once
+    # 65 terms pass the budget: None is kept like any other power
+    assert nm._piece_pow_map(piece, 64) is None
+    assert vars(piece)["_pow"] == {2: square, 64: None}
+    assert (repr(piece), hash(piece), pickle.dumps(piece)) == before
+    for twin in (pickle.loads(pickle.dumps(piece)), copy.deepcopy(piece)):
+        assert twin == piece and "_pow" not in vars(twin)
 
 
 @pytest.mark.parametrize("domain,lo,hi,tm", [
@@ -666,6 +682,17 @@ def test_norm_of_inexact_rearrangement_is_norm_of_source():
         assert nm.norm(r, X) == nm.norm(f, X)
         with pytest.raises(MethodInapplicableError):
             nm.norm(r, sp.cesaro_space(X))
+
+
+def test_norm_of_exact_rearrangement_is_norm_of_its_exact_form():
+    # a step function's f* is a step function, measured in every space,
+    # averaged ones included, through that form
+    f = pw.step_function(U, [(0.0, 0.25, 1.0), (0.5, 1.0, -3.0)])
+    r = rr.decreasing_rearrangement(f)
+    assert r.exact is not None
+    for X in cat.default_catalog(U):
+        for space in (X, sp.cesaro_space(X)):
+            assert nm.norm(r, space) == nm.norm(r.exact, space)
 
 
 def test_hardy_inequality_single_case():

@@ -67,6 +67,13 @@ def test_every_point_route_reports_a_trivial_space(X, method):
         "trivial-space", "trivial-space/tail-membership", {"domain": "halfline"})
 
 
+@pytest.mark.parametrize("CX", [CES2, CESINF], ids=["L2", "Linf"])
+def test_theorem_route_reads_the_zero_function_as_continuous(CX):
+    v = oc.oc_point_via_characterization(pw.zero(H), CX)
+    assert (v.verdict, v.rule, v.evidence) == (
+        "OC", "transform-image-of-core", {"zero": True})
+
+
 def test_membership_is_required():
     CM = sp.cesaro_space(sp.marcinkiewicz_space(cat.sqrt_phi(H)))
     c = pw.step_function(H, [(0.0, INF, 1.0)])

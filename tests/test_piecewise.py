@@ -628,6 +628,131 @@ def test_restriction_of_a_nonnegative_function_is_its_own_absolute(data):
     assert pw._absolute(r) == r
 
 
+@st.composite
+def power_log_sums(draw):
+    """Signed sums of up to three terms c*t**a*ln(t)**k, k <= 3, on one
+    piece, on either domain; a half-line piece may straddle t = 1, where
+    an odd log power changes sign.  Half of them get a step function added."""
+    domain = draw(st.sampled_from([H, U]))
+    knots = [0.0, 0.25, 0.5, 0.75, 1.0] if domain.is_unit \
+        else [0.0, 0.5, 1.0, 2.0, 4.0, INF]
+    lo, hi = sorted(draw(st.lists(st.sampled_from(knots), min_size=2,
+                                  max_size=2, unique=True)))
+    tm: dict = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        a = draw(st.floats(min_value=-0.9, max_value=2.0))
+        k = draw(st.integers(min_value=0, max_value=3))
+        c = draw(st.floats(min_value=0.01, max_value=4.0))
+        tm[(a, k)] = c if draw(st.booleans()) else -c
+    f = pw.make_ppl(domain, [(lo, hi, tm)])
+    if draw(st.booleans()):
+        f = pw.combine(f, draw(step_functions(domain=domain)), "add")
+    return f
+
+
+@st.composite
+def thin_sets(draw, f):
+    """One interval [t0, t0 * (1 + w)) with a relative width w down to
+    1e-12, often at a knot of f or at t = 1, or the thin head [0, t0 * w),
+    plus at times a wider set."""
+    domain = f.domain
+    cap = min(domain.end, 8.0)
+    t0 = draw(st.one_of(
+        st.floats(min_value=1e-6, max_value=cap),
+        st.sampled_from([b for b in f.breakpoints() + [1.0] if 0.0 < b < cap]
+                        or [cap / 2.0])))
+    w = 10.0 ** -draw(st.floats(min_value=0.0, max_value=12.0))
+    head = draw(st.booleans())
+    A = pw.MeasurableSet.from_intervals(
+        domain, [(0.0, t0 * w) if head else (t0, t0 * (1.0 + w))])
+    if draw(st.booleans()):
+        A = A.union(draw(measurable_sets(domain)))
+    return A
+
+
+def test_restrict_sorts_and_merges_a_set_built_field_by_field():
+    f = pw.make_ppl(H, [(0.0, 4.0, {(0.5, 1): 1.0})])
+    canonical = pw.MeasurableSet.from_intervals(H, [(0.5, 2.0), (3.0, INF)])
+    for raw in (((3.0, INF), (0.5, 1.0), (1.0, 2.0)),
+                ((0.5, 1.5), (1.0, 2.0), (3.0, INF))):
+        r = pw.restrict(f, pw.MeasurableSet(H, raw))
+        assert r == pw.restrict(f, canonical)
+        assert len(r.pieces) == 2
+
+
+def _close_knots(x: float, y: float) -> bool:
+    return x == y or abs(x - y) <= 1e-12 * max(abs(x), abs(y))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_nonnegative_terms_certify_what_the_sign_split_gives_back(data):
+    # thin parts of |f| and their transforms, where float cancellation
+    # lives: wherever the certificate holds, the split returns f itself
+    f = data.draw(st.one_of(signed_functions(), power_log_sums()))
+    g = pw.restrict(pw.absolute(f), data.draw(thin_sets(f)))
+    for h in (f, g, _result(cz.cesaro_transform, g)):
+        if h is not TransformUndefinedError and pw._nonnegative_terms(h):
+            assert pw._sign_split(h) == h
+
+
+def test_a_transform_that_dips_below_zero_is_not_certified():
+    # C g of this nonnegative g cancels on a piece 1.3e-9 wide: the
+    # computed transform is negative there, so reading it as its own |.|
+    # would be wrong
+    g = pw.make_ppl(U, [(0.9483476181609924, 0.9483476193951365, {
+        (-0.3945812458628163, 2): 0.5650672844068336,
+        (-0.11326858598047862, 2): 0.02829780282276939})])
+    assert pw._nonnegative_terms(g) and pw.absolute(g) is g
+    Cg = cz.cesaro_transform(g)
+    assert not pw._nonnegative_terms(Cg)
+    assert pw._sign_split(Cg) != Cg
+    assert pw.absolute(Cg) == pw._sign_split(Cg)
+
+
+def test_a_function_of_nonnegative_terms_takes_no_sign_split(monkeypatch):
+    # C g = 2 on [0, 1), (4/3)/t + (2/3)*t**0.5 on [1, 2), then mass/t
+    g = pw.absolute(pw.make_ppl(H, [(0.0, 1.0, {(0.0, 0): -2.0}),
+                                    (1.0, 2.0, {(0.5, 0): -1.0})]))
+    Cg = cz.cesaro_transform(g)
+    assert len(Cg.pieces) == 3
+    expected = pw._sign_split(Cg)
+
+    def no_roots(*args):
+        raise AssertionError("the sign split ran")
+
+    monkeypatch.setattr(pw.rootfind, "roots_t", no_roots)
+    assert pw.absolute(Cg) is Cg and Cg == expected
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_restricting_the_absolute_value_takes_the_absolute_value_of_the_part(
+        data):
+    f = data.draw(st.one_of(signed_functions(), power_log_sums()))
+    A = data.draw(st.one_of(thin_sets(f), measurable_sets(f.domain)))
+    hoisted = pw.restrict(pw.absolute(f), A)
+    direct = pw.absolute(pw.restrict(f, A))
+    assert len(hoisted.pieces) == len(direct.pieces)
+    for p, q in zip(hoisted.pieces, direct.pieces):
+        assert p.term_map() == q.term_map()
+        assert _close_knots(p.lo, q.lo) and _close_knots(p.hi, q.hi)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_restrict_equals_the_canonical_construction(data):
+    f = data.draw(st.one_of(signed_functions(), power_log_sums()))
+    A = data.draw(st.one_of(thin_sets(f), measurable_sets(f.domain)))
+    r = pw.restrict(f, A)
+    assert r == pw.make_ppl(f.domain, [
+        (max(p.lo, lo), min(p.hi, hi), p.term_map())
+        for p in f.pieces for lo, hi in A.intervals])
+    whole = [p for p in f.pieces
+             if any(lo <= p.lo and p.hi <= hi for lo, hi in A.intervals)]
+    assert all(any(q is p for q in r.pieces) for p in whole)
+
+
 @given(f=signed_functions())
 @settings(max_examples=200, deadline=None)
 def test_every_memo_equals_a_fresh_computation(f):
