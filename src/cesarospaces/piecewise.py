@@ -560,18 +560,21 @@ def derivative(f: PPL) -> PPL:
 
 @dataclass(frozen=True)
 class MeasurableSet:
-    """Finite union of half-open intervals [lo, hi) inside the domain."""
+    """Finite union of half-open intervals [lo, hi) inside the domain.
+
+    Built in canonical form, however the intervals come: clipped to the
+    domain, sorted, and with overlapping or touching intervals merged, so
+    ``measure`` is the sum of the lengths.
+    """
 
     domain: DomainSpec
     intervals: tuple[tuple[float, float], ...]
 
-    @staticmethod
-    def from_intervals(domain: DomainSpec,
-                       raw: Iterable[tuple[float, float]]) -> "MeasurableSet":
+    def __post_init__(self) -> None:
         clipped = []
-        for lo, hi in raw:
+        for lo, hi in self.intervals:
             lo = max(lo, 0.0)
-            hi = min(hi, domain.end)
+            hi = min(hi, self.domain.end)
             if lo < hi:
                 clipped.append((lo, hi))
         clipped.sort()
@@ -581,7 +584,13 @@ class MeasurableSet:
                 merged[-1][1] = max(merged[-1][1], hi)
             else:
                 merged.append([lo, hi])
-        return MeasurableSet(domain, tuple((lo, hi) for lo, hi in merged))
+        object.__setattr__(self, "intervals",
+                           tuple((lo, hi) for lo, hi in merged))
+
+    @staticmethod
+    def from_intervals(domain: DomainSpec,
+                       raw: Iterable[tuple[float, float]]) -> "MeasurableSet":
+        return MeasurableSet(domain, tuple(raw))
 
     @property
     def is_empty(self) -> bool:
@@ -600,13 +609,12 @@ class MeasurableSet:
                 lo, hi = max(a, c), min(b, d)
                 if lo < hi:
                     out.append((lo, hi))
-        return MeasurableSet.from_intervals(self.domain, out)
+        return MeasurableSet(self.domain, tuple(out))
 
     def union(self, other: "MeasurableSet") -> "MeasurableSet":
         if self.domain != other.domain:
             raise DomainMismatchError("sets live on different domains")
-        return MeasurableSet.from_intervals(
-            self.domain, list(self.intervals) + list(other.intervals))
+        return MeasurableSet(self.domain, self.intervals + other.intervals)
 
     def contains(self, other: "MeasurableSet") -> bool:
         """True when ``other`` is a subset (up to null sets)."""
@@ -631,19 +639,14 @@ def restrict(f: PPL, A: MeasurableSet) -> PPL:
     """f on A and 0 off it.
 
     The parts are built from f's own canonical pieces, a piece inside A
-    reused as it is.  The intervals of a set that
-    ``MeasurableSet.from_intervals`` builds are sorted and never touch, so
-    no two parts merge and no ``make_ppl`` pass is needed.
+    reused as it is.  The intervals of a ``MeasurableSet`` are sorted and
+    never touch, so no two parts merge and no ``make_ppl`` pass is needed.
     """
     if f.domain != A.domain:
         raise DomainMismatchError("function and set live on different domains")
-    intervals = A.intervals
-    if any(b >= c for (_a, b), (c, _d) in zip(intervals, intervals[1:])):
-        # a set built field by field: sort and merge its intervals first
-        intervals = MeasurableSet.from_intervals(A.domain, intervals).intervals
     pieces = []
     for p in f.pieces:
-        for lo, hi in intervals:
+        for lo, hi in A.intervals:
             a, b = max(p.lo, lo), min(p.hi, hi)
             if a == p.lo and b == p.hi:
                 pieces.append(p)
@@ -676,10 +679,16 @@ def _segment_sign(tm: TermMap, lo: float, hi: float) -> int:
             c, _a, k = germ(tm, at)
             best = c * (-1.0) ** k if at == "zero" else c
         else:
-            # every probe rounds to 0, as between two roots a few ulps
-            # apart: the segment is zero to working precision, and either
-            # sign gives the same |f|
-            best = 1.0
+            # every probe rounds to 0.  Where even the largest term
+            # underflows, its sign is the sign of the sum; otherwise the
+            # probes sit between two roots a few ulps apart, the segment
+            # is zero to working precision, and either sign gives the
+            # same |f|
+            u = ulo + (uhi - ulo) * 0.5
+            mag, sign = max((rootfind._log_mag(c, a, k, u),
+                             c * math.copysign(1.0, u) ** k)
+                            for (a, k), c in tm.items())
+            best = sign if -INF < mag < -rootfind._U_CAP else 1.0
     return 1 if best > 0.0 else -1
 
 
@@ -774,13 +783,27 @@ def segment_end_values(tm: TermMap, lo: float, hi: float) -> tuple[float, float]
     return vlo, vhi
 
 
+Segment = tuple[float, float, float, float, TermView]  # lo, hi, vlo, vhi, terms
+
+
+def segment_table(f: PPL) -> tuple[Segment, ...]:
+    """The monotone segments of |f| with their end values, in order.
+
+    |f| is split once and the table kept on it (see ``_memo``); every
+    segment of a piece shares that piece's term map.
+    """
+    return _memo(absolute(f), "_segment_table", _segment_table)
+
+
+def _segment_table(g: PPL) -> tuple[Segment, ...]:
+    return tuple((lo, hi, *segment_end_values(tm, lo, hi), tm)
+                 for lo, hi, tm in monotone_segments(g))
+
+
 def essential_sup_abs(f: PPL) -> float:
     """ess sup |f| over the whole domain, possibly +inf."""
-    if f.is_zero:
-        return 0.0
     best = 0.0
-    for lo, hi, tm in monotone_segments(absolute(f)):
-        vlo, vhi = segment_end_values(tm, lo, hi)
+    for _lo, _hi, vlo, vhi, _tm in segment_table(f):
         best = max(best, vlo, vhi)
         if math.isinf(best):
             return INF
@@ -797,24 +820,20 @@ def is_nonincreasing(f: PPL) -> bool:
         return True
     if not is_nonnegative(f):
         return False
-    if f.pieces[0].lo != 0.0:
-        return False
     prev_hi = 0.0
-    prev_end_value: float | None = None
-    for p in f.pieces:
-        if p.lo != prev_hi:
-            return False  # interior gap: the function would rise from 0
-        tm = p.term_map()
-        for lo, hi, _ in monotone_segments(PPL(f.domain, (p,))):
-            vlo, vhi = segment_end_values(tm, lo, hi)
-            if vhi > vlo + 1e-15 * max(1.0, abs(vlo)):
-                return False
-        vstart, vend = segment_end_values(tm, p.lo, p.hi)
-        if prev_end_value is not None and vstart > prev_end_value * (1 + 1e-15) + 1e-300:
+    prev_end: float | None = None
+    prev_tm = None
+    for lo, hi, vlo, vhi, tm in segment_table(f):
+        if lo != prev_hi:
+            return False  # a gap: the function would rise from 0
+        if vhi > vlo + 1e-15 * max(1.0, abs(vlo)):
             return False
-        prev_end_value = vend
-        prev_hi = p.hi
-    if prev_hi < f.domain.end and prev_end_value is not None and prev_end_value < 0:
+        # where a new piece starts, it may not start above the last end
+        if tm is not prev_tm and prev_end is not None \
+                and vlo > prev_end * (1 + 1e-15) + 1e-300:
+            return False
+        prev_hi, prev_end, prev_tm = hi, vhi, tm
+    if prev_hi < f.domain.end and prev_end < 0:
         return False
     return True
 

@@ -1,28 +1,30 @@
 """Distribution functions, decreasing rearrangements, maximal functions.
 
-The distribution d_f(lam) = m({|f| > lam}) is computed exactly per monotone
-segment: each segment contributes nothing, its full length, or a length cut
-at the unique crossing |f| = lam.  Crossings have closed forms for constant,
-pure-power and a + b/t segments; everything else falls back to a Brent
-solve in u = ln t at precision 1e-12.  What a crossing needs besides the
-level (which closed form applies, the ends in u, the terms in summation
-order) is built once per segment that is not flat.  The segments of |f| are
-kept on the object |f| itself (``piecewise._memo``), for as long as it
-lives, not in a global cache; ``piecewise.absolute`` keeps |f| on f.
+Everything here reads one table: the monotone segments of |f| with their
+end values (``piecewise.segment_table``), split once and kept on the object
+|f| itself, for as long as it lives; ``piecewise.absolute`` keeps |f| on f.
+What a crossing |f| = lam needs besides the level (which closed form
+applies, the ends in u = ln t, the terms in summation order) is built once
+per segment that is not flat and kept on |f| as well.
+
+One rule (``_part_above``) cuts a segment at a level: the segment
+contributes nothing, all of itself, or the part on one side of the unique
+crossing.  Crossings have closed forms for constant, pure-power and
+a + b/t segments; everything else falls back to a Brent solve in u at
+precision 1e-12.  The distribution d_f(lam) = m({|f| > lam}), the
+superlevel set {|f| > lam} and ``_level_mass`` all read that rule, so they
+agree at every level.
 
 The rearrangement f*(s) = inf{lam > 0 : d_f(lam) <= s} is returned as an
 exact function whenever f is a step function or |f| is already
 nonincreasing (then f* = |f|); otherwise it is an evaluation procedure
-driven by bisection over lam.  That bisection starts from the same
-bracket [f*(inf), sup|f|] for every s, so a sweep over many s shares its
-first midpoints; such a sweep keeps one level memo (``_level_memo``) for
-its own duration and measures each shared level once, with the same
-midpoints and comparisons as without it.
+driven by bisection over lam.
 
 A search that can choose its points in level form needs no bisection:
 ``_level_mass`` returns d_f(lam) together with the mass of |f| above lam,
 which by the layer-cake identity is the integral of f* over [0, d_f(lam)].
-The Marcinkiewicz sup search of ``norms`` samples f** that way.
+The Marcinkiewicz sup search of ``norms`` samples f** that way, and
+``second_maximal`` reads f** at the level f*(t).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
 
 from . import cesaro as _cesaro_mod
 from . import piecewise as pw
@@ -104,12 +105,10 @@ def _abs_segments(f: PPL) -> tuple[_Segment, ...]:
 
 
 def _segments_of(g: PPL) -> tuple[_Segment, ...]:
-    segs = []
-    for lo, hi, tm in pw.monotone_segments(g):
-        vlo, vhi = pw.segment_end_values(tm, lo, hi)
-        cross = _crossing_data(lo, hi, tm) if vlo != vhi else None
-        segs.append(_Segment(lo, hi, vlo, vhi, cross, tm))
-    return tuple(segs)
+    return tuple(
+        _Segment(lo, hi, vlo, vhi,
+                 _crossing_data(lo, hi, tm) if vlo != vhi else None, tm)
+        for lo, hi, vlo, vhi, tm in pw.segment_table(g))
 
 
 def _crossing(seg: _Segment, lam: float) -> float:
@@ -158,45 +157,37 @@ def distribution(f, lam: float) -> float:
     return _measure_above(_abs_segments(f), lam)
 
 
-def _measure_above(segs: tuple[_Segment, ...], lam: float) -> float:
-    """m({|f| > lam}) from the segments of |f|, for lam >= 0.
+def _part_above(seg: _Segment,
+                lam: float) -> tuple[float, float, float | None] | None:
+    """(a, b, x): [a, b) is the part of a segment of |f| where |f| > lam,
+    and x the crossing |f| = lam that bounds it, None when the part is the
+    whole segment; None when the part is empty.
 
-    As in ``_level_mass``, a segment whose values stay >= lam and exceed it
-    somewhere lies above lam up to a null set.
+    A segment whose values stay >= lam and exceed it somewhere lies above
+    lam up to a null set, so a level that |f| only tends to at 0 or at
+    infinity, or that it meets at an end, cuts nothing off there.  A
+    crossing past the float range is inf, and the part is then unbounded:
+    b = inf.
     """
+    if not (seg.vlo > lam or seg.vhi > lam):
+        return None
+    if seg.vlo >= lam and seg.vhi >= lam:
+        return seg.lo, seg.hi, None
+    x = _crossing(seg, lam)
+    return (seg.lo, x, x) if seg.vlo > lam else (x, seg.hi, x)
+
+
+def _measure_above(segs: tuple[_Segment, ...], lam: float) -> float:
+    """m({|f| > lam}) from the segments of |f|, for lam >= 0."""
     total = 0.0
     for seg in segs:
-        above_lo = seg.vlo > lam
-        if not (above_lo or seg.vhi > lam):
-            continue
-        if seg.vlo >= lam and seg.vhi >= lam:
-            total += seg.hi - seg.lo
-        else:
-            x = _crossing(seg, lam)
-            if math.isinf(x):  # past the float range, on either side
+        part = _part_above(seg, lam)
+        if part is not None:
+            a, b, _x = part
+            if math.isinf(b):
                 return INF
-            total += (x - seg.lo) if above_lo else (seg.hi - x)
-        if math.isinf(total):
-            return INF
+            total += b - a
     return total
-
-
-def _level_memo(f: PPL) -> Callable[[float], float]:
-    """lam -> d_f(lam) for lam >= 0, each level measured once.
-
-    The memo lives as long as the returned function: one sweep keeps it
-    while it inverts the distribution at many points.
-    """
-    segs = _abs_segments(f)
-    memo: dict[float, float] = {}
-
-    def measure(lam: float) -> float:
-        d = memo.get(lam)
-        if d is None:
-            d = memo[lam] = _measure_above(segs, lam)
-        return d
-
-    return measure
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,25 +236,21 @@ def _between(mass: float, width: float, v1: float, v2: float) -> float:
 def _level_mass(msegs: tuple[_MassSegment, ...],
                 lam: float) -> tuple[float, float]:
     """(d_f(lam), integral of |f| over {|f| > lam}) in one pass over the
-    segments of |f| (``_mass_segments``): each crossing is solved once and
-    serves both the measure and the integral.
-
-    A segment whose values stay >= lam and exceed it somewhere lies above
-    lam up to a null set, so a level that |f| only tends to at 0 or at
-    infinity cuts nothing off there.
+    segments of |f| (``_mass_segments``), each cut by ``_part_above``: each
+    crossing is solved once and serves both the measure and the integral.
     """
     d = 0.0
     parts = []
     for m in msegs:
         seg = m.seg
-        if max(seg.vlo, seg.vhi) <= lam:
+        part = _part_above(seg, lam)
+        if part is None:
             continue
-        if min(seg.vlo, seg.vhi) >= lam:
-            d += seg.hi - seg.lo
+        a, b, x = part
+        if x is None:
+            d += b - a
             parts.append(m.whole)
-            continue
-        x = _crossing(seg, lam)
-        if math.isinf(x):
+        elif math.isinf(x):
             # past the float range: the set above lam is unbounded; a
             # falling power of finite mass loses a tail that no float x
             # can place but that has a closed form
@@ -272,16 +259,14 @@ def _level_mass(msegs: tuple[_MassSegment, ...],
                 parts.append(m.whole - _power_tail(seg, lam))
             else:
                 parts.append(m.whole)
-            continue
-        # a closed-form crossing can underflow to t = 0, where the
-        # antiderivative has only its limit
-        ax = m.alo if x == 0.0 else pw.eval_term_map(m.anti, x)
-        if seg.vlo > lam:
-            d += x - seg.lo
-            parts.append(_between(ax - m.alo, x - seg.lo, lam, seg.vlo))
         else:
-            d += seg.hi - x
-            parts.append(_between(m.ahi - ax, seg.hi - x, lam, seg.vhi))
+            # a closed-form crossing can underflow to t = 0, where the
+            # antiderivative has only its limit
+            ax = m.alo if x == 0.0 else pw.eval_term_map(m.anti, x)
+            d += b - a
+            parts.append(_between(ax - m.alo, b - a, lam, seg.vlo)
+                         if seg.vlo > lam else
+                         _between(m.ahi - ax, b - a, lam, seg.vhi))
     return d, math.fsum(parts)
 
 
@@ -331,16 +316,6 @@ class RearrangedFunction:
     value_at_infinity: float
 
     def evaluate(self, s: float) -> float:
-        return self._evaluate(s, None)
-
-    def _evaluate(self, s: float,
-                  levels: Callable[[float], float] | None) -> float:
-        """evaluate(s), reading d_f through ``levels`` when given.
-
-        The bisection starts from the same bracket for every s, so the
-        points of one sweep share their first midpoints; a sweep passes
-        one ``_level_memo`` here to measure each shared level once.
-        """
         if s < 0.0:
             raise EvaluationDomainError("rearrangement argument must be >= 0")
         if self.domain.is_unit and s > 1.0:
@@ -349,8 +324,7 @@ class RearrangedFunction:
             return self.sup_value
         if self.exact is not None:
             return pw.evaluate(self.exact, min(s, self.exact.domain.end))
-        measure = levels if levels is not None \
-            else partial(_measure_above, _abs_segments(self.source))
+        measure = partial(_measure_above, _abs_segments(self.source))
         if s >= measure(0.0):
             return 0.0
         lo = self.value_at_infinity
@@ -493,54 +467,24 @@ def equimeasurable(f, g, tol: float = 1e-10) -> bool:
 def superlevel_set(f, lam: float) -> pw.MeasurableSet:
     """The set where |f| exceeds lam, as an exact union of intervals."""
     src = f.source if isinstance(f, RearrangedFunction) else f
-    ivs: list[tuple[float, float]] = []
-    for seg in _abs_segments(src):
-        above_lo = seg.vlo > lam
-        above_hi = seg.vhi > lam
-        if above_lo and above_hi:
-            ivs.append((seg.lo, seg.hi))
-        elif above_lo or above_hi:
-            cut = _crossing(seg, lam)
-            if above_lo:
-                ivs.append((seg.lo, cut))
-            else:
-                ivs.append((cut, seg.hi))
-    return pw.MeasurableSet.from_intervals(src.domain, ivs)
+    parts = (_part_above(seg, lam) for seg in _abs_segments(src))
+    return pw.MeasurableSet(src.domain, tuple(
+        (a, b) for a, b, _x in filter(None, parts)))
 
 
 def second_maximal(f, t: float) -> float:
     """Average of the decreasing rearrangement over [0, t].
 
-    Uses the layer-cake identity: the integral of f* up to t equals the
-    integral of |f| over the superlevel set at the height f*(t), plus that
-    height times the leftover length.  One height bisection per call; the
-    rest is exact interval arithmetic.
+    Uses the layer-cake identity: at the height lam = f*(t), the integral
+    of f* up to t is the mass of |f| above lam (``_level_mass``) plus lam
+    times the length t - d_f(lam) on which f* = lam.  One height bisection
+    per call.
     """
     if t <= 0.0:
         raise ValueError("the averaging window must have positive length")
     r = f if isinstance(f, RearrangedFunction) else decreasing_rearrangement(f)
     if r.exact is not None:
         return pw.integrate(r.exact, 0.0, min(t, r.domain.end)) / t
-    return _layer_cake_average(r, pw.absolute(r.source), t,
-                               _level_memo(r.source))
-
-
-def _layer_cake_average(r: RearrangedFunction, src: PPL, t: float,
-                        levels: Callable[[float], float]) -> float:
-    """second_maximal(r, t) for t > 0 and r without an exact form.
-
-    src must be |r.source| and levels a ``_level_memo(r.source)``; a
-    caller that sweeps t builds both once.
-    """
-    lam = r._evaluate(t, levels)
-    if not math.isfinite(lam):
-        return INF
-    E = superlevel_set(src, lam)
-    mass = pw.integrate(pw.restrict(src, E))
-    if not math.isfinite(mass):
-        return INF
-    m_e = E.measure()
-    if m_e > t:
-        # flat level overshoot: trim the sliver at the cut height
-        return (mass - lam * (m_e - t)) / t
-    return (mass + lam * (t - m_e)) / t
+    lam = r.evaluate(t)
+    d, mass = _level_mass(_mass_segments(r.source), lam)
+    return (mass + lam * (t - d)) / t

@@ -347,12 +347,9 @@ def marcinkiewicz_grid_reference(f: pw.PPL, spec) -> tuple[float, float]:
     bound is the refinement step plus 1e-8*(1 + value); the grid never
     looks past 2**24, so a sup approached only at infinity reads short."""
     r = rr.decreasing_rearrangement(f)
-    src = pw.absolute(f)
-    levels = rr._level_memo(f)
-    if math.isinf(r.sup_value) and \
-            rr._layer_cake_average(r, src, 1.0, levels) == INF:
+    if math.isinf(r.sup_value) and rr.second_maximal(r, 1.0) == INF:
         return INF, 0.0
-    fn = lambda t: spec.value(t) * rr._layer_cake_average(r, src, t, levels)
+    fn = lambda t: spec.value(t) * rr.second_maximal(r, t)
     end = f.domain.end
     grid = [t for t in (2.0 ** k for k in range(-24, 25))
             if t <= end] + [b for b in spec.phi.breakpoints() if 0 < b <= end]

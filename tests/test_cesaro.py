@@ -12,6 +12,7 @@ from cesarospaces import catalog as cat
 from cesarospaces import cesaro as cz
 from cesarospaces import norms as nm
 from cesarospaces import piecewise as pw
+from cesarospaces import rearrange as rr
 from cesarospaces import spaces as sp
 from cesarospaces.errors import TransformUndefinedError
 from cesarospaces.piecewise import INF
@@ -133,6 +134,17 @@ def test_chain_report_custom_grid():
     report = cz.fact1_check(f, grid=[0.5, 1.0, 2.0, 8.0])
     assert report.passed
     assert len(report.grid) == 4
+
+
+def test_chain_report_through_the_numeric_maximal_function():
+    # |f| = t rises, so f* = 1 - s has no exact form and C(f*) comes from
+    # the numeric maximal function: C(f*)(x) - C|f|(x) = 1 - x/2 - x/2
+    f = pw.power_piece(U, 0.0, 1.0, -1.0, 1.0)
+    assert rr.decreasing_rearrangement(f).exact is None
+    report = cz.fact1_check(f, grid=[0.25, 0.5, 0.75])
+    assert report.passed
+    assert report.min_slack["abs_arg_vs_maximal"] == pytest.approx(0.25,
+                                                                   abs=1e-7)
 
 
 @given(f=step_functions())

@@ -196,6 +196,21 @@ def test_marcinkiewicz_sup_search_measures_each_level_once(monkeypatch):
     assert not bisections
 
 
+def test_a_norm_and_a_rearrangement_split_each_modulus_once(monkeypatch):
+    # the norm in averaged Lorentz splits |C|f||; the rearrangement reads
+    # sup |f|, its tail and whether |f| is nonincreasing off one split
+    X = sp.cesaro_space(sp.lorentz_space(cat.sqrt_phi(H)))
+    f = pw.make_ppl(H, [(0.0, 1.0, {(0.5, 1): -2.0}),
+                        (1.0, 2.0, {(0.0, 0): 3.0})])
+    splits = _count_calls(monkeypatch, pw, "monotone_segments")
+    nm.norm(f, X)
+    assert rr.decreasing_rearrangement(f).exact is None
+    split = [g for g, in splits]
+    assert len(split) == len({id(g) for g in split}) == 2
+    assert all(pw.absolute(g) is g for g in split)
+    assert any(g is pw.absolute(f) for g in split)
+
+
 def test_luxemburg_bisection_takes_absolute_value_once(monkeypatch):
     # loose and tight tolerances differ by about 26 bisection steps; the
     # lam-free work (|f|, its sup and tail) must not follow the step count

@@ -451,6 +451,17 @@ def test_measurable_set_clips_and_merges():
     assert A.measure() == pytest.approx(0.4, abs=1e-15)
 
 
+@pytest.mark.parametrize("raw, canonical", [
+    (((0.0, 2.0), (1.0, 3.0)), ((0.0, 3.0),)),   # measured 4.0
+    (((2.0, 1.0),), ()),                          # measured -1.0
+    (((-1.0, 1.0),), ((0.0, 1.0),)),              # measured 2.0
+])
+def test_a_set_built_field_by_field_is_canonical(raw, canonical):
+    A = pw.MeasurableSet(H, raw)
+    assert A.intervals == canonical
+    assert A.measure() == sum(hi - lo for lo, hi in canonical)
+
+
 def test_measurable_set_operations():
     A = pw.MeasurableSet.from_intervals(H, [(0.0, 2.0), (4.0, 6.0)])
     B = pw.MeasurableSet.from_intervals(H, [(1.0, 5.0)])
@@ -606,6 +617,7 @@ def _fill_memos(f):
     g = pw.absolute(f)
     for h in (f, g):
         _result(cz.cesaro_transform, h)
+    pw.segment_table(f)
     rr._abs_segments(f)
     _result(rr._mass_segments, f)
     return g
@@ -696,6 +708,14 @@ def test_nonnegative_terms_certify_what_the_sign_split_gives_back(data):
             assert pw._sign_split(h) == h
 
 
+def test_a_segment_whose_every_probe_underflows_takes_the_sign_of_its_terms():
+    # -t**2 is -0.0 at every probe of this part, and the split read the
+    # part as positive: |.| of the part kept it negative
+    f = pw.make_ppl(U, [(0.0, 0.5, {(2.0, 0): -1.0})])
+    A = pw.MeasurableSet(U, ((1.3864987796120907e-263, 2.743165493009228e-212),))
+    assert pw.absolute(pw.restrict(f, A)) == pw.restrict(pw.absolute(f), A)
+
+
 def test_a_transform_that_dips_below_zero_is_not_certified():
     # C g of this nonnegative g cancels on a piece 1.3e-9 wide: the
     # computed transform is negative there, so reading it as its own |.|
@@ -760,6 +780,8 @@ def test_every_memo_equals_a_fresh_computation(f):
     fresh = pw._absolute(f)
     assert g == fresh
     assert pw.is_nonnegative(f) == (fresh is f)
+    assert pw.segment_table(f) is pw.segment_table(g)
+    assert pw.segment_table(f) == pw._segment_table(fresh)
     assert _segment_fields(rr._abs_segments(f)) == \
         _segment_fields(rr._segments_of(fresh))
     assert _result(rr._mass_segments, f, _mass_segment_fields) == \
@@ -780,5 +802,7 @@ def test_memos_never_show(f):
     assert (repr(f), hash(f), pickle.dumps(f)) == before
     assert f == twin and twin == f and hash(twin) == hash(f)
     assert pickle.dumps(g) == pickle.dumps(pw._absolute(f))
-    for h in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
-        assert h == f and not set(vars(h)) - {"domain", "pieces"}
+    assert "_segment_table" in vars(g)
+    for h in (f, g):
+        for c in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h)):
+            assert c == h and not set(vars(c)) - {"domain", "pieces"}

@@ -12,7 +12,8 @@ from cesarospaces import piecewise as pw
 from cesarospaces import rearrange as rr
 from cesarospaces.errors import EvaluationDomainError, NotRearrangeableError
 from cesarospaces.piecewise import INF
-from support import HALFLINE as H, UNIT as U, nonzero_step_functions
+from support import (HALFLINE as H, UNIT as U, nonzero_step_functions,
+                     power_log_pieces, step_functions)
 
 
 def two_level_step() -> pw.PPL:
@@ -138,6 +139,15 @@ def test_rearrangement_bisection_path():
     assert r.evaluate(0.0) == 1.0
 
 
+def test_an_exact_rearrangement_reads_its_source_and_its_exact_form():
+    f = two_level_step()
+    r = rr.decreasing_rearrangement(f)
+    assert r.exact is not None
+    assert r.breakpoints() == r.exact.breakpoints() == [0.0, 1.0, 3.0]
+    for lam in (0.0, 0.5, 1.0, 1.5, 2.0):
+        assert rr.distribution(r, lam) == rr.distribution(f, lam)
+
+
 def test_rearrangement_rejects_negative_argument():
     r = rr.decreasing_rearrangement(two_level_step())
     with pytest.raises(EvaluationDomainError):
@@ -217,6 +227,34 @@ def test_superlevel_set_of_ramp():
     lo, hi = A.intervals[0]
     assert lo == pytest.approx(0.5, abs=1e-9)
     assert hi == 1.0
+
+
+def test_a_level_met_at_a_segment_end_cuts_nothing_off():
+    # the old cut solved t**0.5 = sqrt(2) and started the set at
+    # 2.0000000000000004, of measure 0.9999999999999996
+    f = pw.power_piece(H, 2.0, 3.0, 1.0, 0.5)
+    lam = math.sqrt(2.0)
+    A = rr.superlevel_set(f, lam)
+    assert A.intervals == ((2.0, 3.0),)
+    assert A.measure() == rr.distribution(f, lam) == 1.0
+
+
+@st.composite
+def _steps_and_power_log_pieces(draw):
+    domain = draw(st.sampled_from([H, U]))
+    return draw(st.one_of(step_functions(domain=domain),
+                          power_log_pieces(domain=domain)))
+
+
+@given(f=_steps_and_power_log_pieces())
+@settings(max_examples=200, deadline=None)
+def test_the_superlevel_set_measures_the_distribution_at_critical_values(f):
+    # both cut the segments of |f| by one rule; merging touching intervals
+    # only regroups the sum of the lengths
+    for v in rr.critical_values(f):
+        d = rr.distribution(f, v)
+        m = rr.superlevel_set(f, v).measure()
+        assert m == d if math.isinf(d) else abs(m - d) <= 4 * math.ulp(d)
 
 
 def test_superlevel_set_of_a_difference_of_powers():
