@@ -6,8 +6,8 @@ constant, and dividing by x shifts every monomial power down by one, which
 stays inside the representation family.
 
 ``cesaro_numeric`` is the independent numeric route (quadrature on an
-evaluable), used for maximal functions and cross-checks.  ``_quad`` is the
-package's one quadrature: a double-exponential rule in plain Python.
+evaluable), used for cross-checks.  ``_quad`` is the package's one
+quadrature: a double-exponential rule in plain Python.
 """
 
 from __future__ import annotations

@@ -305,12 +305,7 @@ def _sum_space_ppl(f: PPL) -> NormResult:
     if r.exact is not None:
         val = pw.integrate(r.exact, 0.0, 1.0)
         return NormResult(val, "exact", 0.0)
-    # layer-cake split: f*(1) + integral of (|f| - f*(1))_+ stays exact
-    lam1 = r.evaluate(1.0)
-    excess = pw.excess_over(f, lam1, f.domain.end) if lam1 > 0.0 \
-        else pw.absolute(f)
-    tail = pw.integrate(excess)
-    value = lam1 + tail
+    lam1, value = rr._head_integral(r, 1.0)
     return NormResult(value, "exact", 1e-10 * (1.0 + abs(lam1)))
 
 
@@ -442,7 +437,7 @@ def _lorentz_ppl(f: PPL, X: SpaceDescriptor) -> NormResult:
     # jump of the parameter at zero is already inside phi(d), so the atom
     # term must not be added again here
     end_val = spec.value_at_end
-    segs = rr._abs_segments(f)
+    segs = pw.segment_table(f)
 
     def level(lam: float) -> float:
         d = rr._measure_above(segs, lam)
@@ -572,13 +567,13 @@ def _marcinkiewicz_levels(f: PPL, spec: QuasiConcaveSpec, sup: float,
     line bounds the sup; there the germ is trusted to run monotonically
     from that point to its limit.
     """
-    msegs = rr._mass_segments(f)
+    segs = pw.segment_table(f)
     flat: dict[float, float] = {}
-    for m in msegs:
-        if m.seg.cross is None and m.seg.vlo > low:
-            flat[m.seg.vlo] = flat.get(m.seg.vlo, 0.0) + (m.seg.hi - m.seg.lo)
+    for seg in segs:
+        if seg.cross is None and seg.vlo > low:
+            flat[seg.vlo] = flat.get(seg.vlo, 0.0) + (seg.hi - seg.lo)
     knots = [v for v in reversed(rr.critical_values(f)) if low < v < sup]
-    last = msegs[-1].seg
+    last = segs[-1]
     if low == 0.0 and math.isinf(last.hi):
         far = pw.eval_term_map(last.terms, SUP_SEARCH_FAR * (1.0 + last.lo))
         if 0.0 < far < (knots[-1] if knots else sup):
@@ -589,7 +584,7 @@ def _marcinkiewicz_levels(f: PPL, spec: QuasiConcaveSpec, sup: float,
     def level(lam: float) -> tuple[float, float]:
         # the crossings can sum to a measure a few ulps below the domain
         # start, where no piece may begin
-        d, G = rr._level_mass(msegs, lam)
+        d, G = rr._level_mass(segs, lam)
         return max(d, 0.0), G
 
     def line(lam: float, t: float, G: float) -> TermMap:
@@ -619,9 +614,9 @@ def _marcinkiewicz_levels(f: PPL, spec: QuasiConcaveSpec, sup: float,
             if lam > low:
                 points.append(point(lam, d + length, G + lam * length))
     if math.isinf(sup):
-        head = msegs[0]
-        average = {(a - 1.0, k): c for (a, k), c in head.anti.items()}
-        average[(-1.0, 0)] = average.get((-1.0, 0), 0.0) - head.alo
+        anti, alo, _ahi, _whole = segs[0].mass()
+        average = {(a - 1.0, k): c for (a, k), c in anti.items()}
+        average[(-1.0, 0)] = average.get((-1.0, 0), 0.0) - alo
         closed.append(_weighted_sup(spec, average, 0.0, points[0][1], None))
     best = max([p[3] for p in points] + closed)
 

@@ -751,12 +751,6 @@ def positive_part(f: PPL) -> PPL:
     return scale(combine(f, absolute(f), "add"), 0.5)
 
 
-def excess_over(f: PPL, level: float, horizon: float) -> PPL:
-    """(|f| - level)_+ on [0, horizon) and |f| beyond it, exact."""
-    cap = step_function(f.domain, [(0.0, horizon, level)])
-    return positive_part(combine(absolute(f), cap, "sub"))
-
-
 def is_nonnegative(f: PPL) -> bool:
     return absolute(f) is f
 
@@ -783,11 +777,94 @@ def segment_end_values(tm: TermMap, lo: float, hi: float) -> tuple[float, float]
     return vlo, vhi
 
 
-Segment = tuple[float, float, float, float, TermView]  # lo, hi, vlo, vhi, terms
+@dataclass(frozen=True, eq=False)
+class _Crossing:
+    """What a crossing |f| = lam on a segment needs besides the level.
+
+    ``power`` is (c, 1/alpha) for a lone c*t**alpha and ``hyperbola`` is
+    (b, a) for b/t + a, the two closed forms.  The rest feeds the Brent
+    fallback: the ends in u = ln t (with 0 and inf taken as u = -700 and
+    700), and the piece's terms split around its constant term ``const``
+    (0.0 when it has none, and then it comes last) into the pairs
+    ``below`` and ``above``, so that the sum shifted by a level is added
+    up in the order ``eval_exp_poly`` adds up the piece's term map.
+    """
+
+    power: tuple[float, float] | None
+    hyperbola: tuple[float, float] | None
+    ulo: float
+    uhi: float
+    below: TermPairs
+    const: float
+    above: TermPairs
 
 
-def segment_table(f: PPL) -> tuple[Segment, ...]:
-    """The monotone segments of |f| with their end values, in order.
+def _crossing_data(lo: float, hi: float, tm: TermView) -> _Crossing:
+    keys = list(tm)  # a piece's term map: already in sorted key order
+    power = None
+    if len(keys) == 1:
+        (alpha, k), = keys
+        if k == 0 and alpha != 0.0:
+            power = (tm[(alpha, k)], 1.0 / alpha)
+    hyperbola = None
+    if keys == [(-1.0, 0), (0.0, 0)]:
+        hyperbola = (tm[(-1.0, 0)], tm[(0.0, 0)])
+    ulo = math.log(lo) if lo > 0.0 else -rootfind._U_CAP
+    uhi = math.log(hi) if not math.isinf(hi) else rootfind._U_CAP
+    pairs = tuple(tm.items())
+    slot = keys.index((0.0, 0)) if (0.0, 0) in tm else len(keys)
+    return _Crossing(power, hyperbola, ulo, uhi, pairs[:slot],
+                     tm.get((0.0, 0), 0.0), pairs[slot + 1:])
+
+
+def _between(mass: float, width: float, v1: float, v2: float) -> float:
+    """mass clamped to width times the range [v1, v2] of the integrand.
+
+    An antiderivative difference over a thin cut cancels to a few ulps of
+    the antiderivative, which can dwarf the cut's own mass; the integrand
+    of a monotone segment stays between its end values, and so does its
+    mean.
+    """
+    if not math.isfinite(width):
+        return mass
+    lo, hi = (v1, v2) if v1 <= v2 else (v2, v1)
+    return min(max(mass, lo * width), hi * width)
+
+
+class MonotoneSegment:
+    """A monotone segment [lo, hi) of |f|, with what a cut at a level needs.
+
+    ``vlo`` and ``vhi`` are the one-sided limits at the ends and ``terms``
+    the term map of the piece that holds the segment.  ``cross`` is the
+    crossing data (``_Crossing``), None on a flat segment, which no level
+    cuts.  ``mass()`` is the antiderivative data, built at first use.
+    """
+
+    __slots__ = ("lo", "hi", "vlo", "vhi", "terms", "cross", "_mass")
+
+    def __init__(self, lo: float, hi: float, terms: TermView) -> None:
+        self.lo, self.hi, self.terms = lo, hi, terms
+        self.vlo, self.vhi = segment_end_values(terms, lo, hi)
+        self.cross = (_crossing_data(lo, hi, terms)
+                      if self.vlo != self.vhi else None)
+        self._mass: tuple[TermMap, float, float, float] | None = None
+
+    def mass(self) -> tuple[TermMap, float, float, float]:
+        """(anti, alo, ahi, whole): the antiderivative of the terms, its
+        values at the ends (limits at 0 and inf), so that a cut at x
+        integrates by one evaluation, and the integral over the segment
+        (inf when it diverges).  A build that raises keeps nothing."""
+        if self._mass is None:
+            anti = antiderivative_map(self.terms)
+            alo, ahi = segment_end_values(anti, self.lo, self.hi)
+            whole = _between(_piece_integral(self.terms, self.lo, self.hi),
+                             self.hi - self.lo, self.vlo, self.vhi)
+            self._mass = anti, alo, ahi, whole
+        return self._mass
+
+
+def segment_table(f: PPL) -> tuple[MonotoneSegment, ...]:
+    """The monotone segments of |f|, in order.
 
     |f| is split once and the table kept on it (see ``_memo``); every
     segment of a piece shares that piece's term map.
@@ -795,16 +872,16 @@ def segment_table(f: PPL) -> tuple[Segment, ...]:
     return _memo(absolute(f), "_segment_table", _segment_table)
 
 
-def _segment_table(g: PPL) -> tuple[Segment, ...]:
-    return tuple((lo, hi, *segment_end_values(tm, lo, hi), tm)
+def _segment_table(g: PPL) -> tuple[MonotoneSegment, ...]:
+    return tuple(MonotoneSegment(lo, hi, tm)
                  for lo, hi, tm in monotone_segments(g))
 
 
 def essential_sup_abs(f: PPL) -> float:
     """ess sup |f| over the whole domain, possibly +inf."""
     best = 0.0
-    for _lo, _hi, vlo, vhi, _tm in segment_table(f):
-        best = max(best, vlo, vhi)
+    for seg in segment_table(f):
+        best = max(best, seg.vlo, seg.vhi)
         if math.isinf(best):
             return INF
     return best
@@ -823,16 +900,16 @@ def is_nonincreasing(f: PPL) -> bool:
     prev_hi = 0.0
     prev_end: float | None = None
     prev_tm = None
-    for lo, hi, vlo, vhi, tm in segment_table(f):
-        if lo != prev_hi:
+    for seg in segment_table(f):
+        if seg.lo != prev_hi:
             return False  # a gap: the function would rise from 0
-        if vhi > vlo + 1e-15 * max(1.0, abs(vlo)):
+        if seg.vhi > seg.vlo + 1e-15 * max(1.0, abs(seg.vlo)):
             return False
         # where a new piece starts, it may not start above the last end
-        if tm is not prev_tm and prev_end is not None \
-                and vlo > prev_end * (1 + 1e-15) + 1e-300:
+        if seg.terms is not prev_tm and prev_end is not None \
+                and seg.vlo > prev_end * (1 + 1e-15) + 1e-300:
             return False
-        prev_hi, prev_end, prev_tm = hi, vhi, tm
+        prev_hi, prev_end, prev_tm = seg.hi, seg.vhi, seg.terms
     if prev_hi < f.domain.end and prev_end < 0:
         return False
     return True

@@ -1,11 +1,12 @@
 """Distribution functions, decreasing rearrangements, maximal functions.
 
-Everything here reads one table: the monotone segments of |f| with their
-end values (``piecewise.segment_table``), split once and kept on the object
-|f| itself, for as long as it lives; ``piecewise.absolute`` keeps |f| on f.
-What a crossing |f| = lam needs besides the level (which closed form
-applies, the ends in u = ln t, the terms in summation order) is built once
-per segment that is not flat and kept on |f| as well.
+Everything here reads one table: the monotone segments of |f|
+(``piecewise.segment_table``), split once and kept on the object |f|
+itself, for as long as it lives; ``piecewise.absolute`` keeps |f| on f.
+Each segment is one record (``piecewise.MonotoneSegment``) with its ends,
+end values and terms, what a crossing |f| = lam needs besides the level
+(which closed form applies, the ends in u = ln t, the terms in summation
+order), and, built at first use, its antiderivative data.
 
 One rule (``_part_above``) cuts a segment at a level: the segment
 contributes nothing, all of itself, or the part on one side of the unique
@@ -20,11 +21,12 @@ exact function whenever f is a step function or |f| is already
 nonincreasing (then f* = |f|); otherwise it is an evaluation procedure
 driven by bisection over lam.
 
-A search that can choose its points in level form needs no bisection:
 ``_level_mass`` returns d_f(lam) together with the mass of |f| above lam,
 which by the layer-cake identity is the integral of f* over [0, d_f(lam)].
-The Marcinkiewicz sup search of ``norms`` samples f** that way, and
-``second_maximal`` reads f** at the level f*(t).
+The Marcinkiewicz sup search of ``norms`` samples f** that way, in level
+form, with no bisection.  Where f* has no exact form, f**(t) and the
+L1 + Linf norm (the integral of f* over [0, 1]) take one bisection for
+lam = f*(t) and one mass pass (``_head_integral``).
 """
 
 from __future__ import annotations
@@ -49,69 +51,7 @@ BISECT_MAX_ITER = 200
 CROSSING_MAX_ITER = 1000
 
 
-@dataclass(frozen=True, eq=False)
-class _Crossing:
-    """What ``_crossing`` needs of a segment besides the level, built once.
-
-    ``power`` is (c, 1/alpha) for a lone c*t**alpha and ``hyperbola`` is
-    (b, a) for b/t + a, the two closed forms.  The rest feeds the Brent
-    fallback: the ends in u = ln t (with 0 and inf taken as u = -700 and
-    700), and the piece's terms split around its constant term ``const``
-    (0.0 when it has none, and then it comes last) into the pairs
-    ``below`` and ``above``, so that the sum shifted by a level is added
-    up in the order ``eval_exp_poly`` adds up the piece's term map.
-    """
-
-    power: tuple[float, float] | None
-    hyperbola: tuple[float, float] | None
-    ulo: float
-    uhi: float
-    below: pw.TermPairs
-    const: float
-    above: pw.TermPairs
-
-
-def _crossing_data(lo: float, hi: float, tm: pw.TermView) -> _Crossing:
-    keys = list(tm)  # a piece's term map: already in sorted key order
-    power = None
-    if len(keys) == 1:
-        (alpha, k), = keys
-        if k == 0 and alpha != 0.0:
-            power = (tm[(alpha, k)], 1.0 / alpha)
-    hyperbola = None
-    if keys == [(-1.0, 0), (0.0, 0)]:
-        hyperbola = (tm[(-1.0, 0)], tm[(0.0, 0)])
-    ulo = math.log(lo) if lo > 0.0 else -_U_CAP
-    uhi = math.log(hi) if not math.isinf(hi) else _U_CAP
-    pairs = tuple(tm.items())
-    slot = keys.index((0.0, 0)) if (0.0, 0) in tm else len(keys)
-    return _Crossing(power, hyperbola, ulo, uhi, pairs[:slot],
-                     tm.get((0.0, 0), 0.0), pairs[slot + 1:])
-
-
-@dataclass(frozen=True, eq=False)
-class _Segment:
-    lo: float
-    hi: float
-    vlo: float
-    vhi: float
-    cross: _Crossing | None  # None on a flat segment: no level cuts it
-    terms: pw.TermView
-
-
-def _abs_segments(f: PPL) -> tuple[_Segment, ...]:
-    """The monotone segments of |f|, kept on |f| (see ``piecewise._memo``)."""
-    return pw._memo(pw.absolute(f), "_segments", _segments_of)
-
-
-def _segments_of(g: PPL) -> tuple[_Segment, ...]:
-    return tuple(
-        _Segment(lo, hi, vlo, vhi,
-                 _crossing_data(lo, hi, tm) if vlo != vhi else None, tm)
-        for lo, hi, vlo, vhi, tm in pw.segment_table(g))
-
-
-def _crossing(seg: _Segment, lam: float) -> float:
+def _crossing(seg: pw.MonotoneSegment, lam: float) -> float:
     """Unique t in (lo, hi) with value lam on a monotone positive segment
     whose end values lie on both sides of lam; inf when that t lies past
     the float range."""
@@ -154,10 +94,10 @@ def distribution(f, lam: float) -> float:
         return distribution(f.source, lam)
     if lam < 0.0:
         raise ValueError("lam must be >= 0")
-    return _measure_above(_abs_segments(f), lam)
+    return _measure_above(pw.segment_table(f), lam)
 
 
-def _part_above(seg: _Segment,
+def _part_above(seg: pw.MonotoneSegment,
                 lam: float) -> tuple[float, float, float | None] | None:
     """(a, b, x): [a, b) is the part of a segment of |f| where |f| > lam,
     and x the crossing |f| = lam that bounds it, None when the part is the
@@ -177,7 +117,7 @@ def _part_above(seg: _Segment,
     return (seg.lo, x, x) if seg.vlo > lam else (x, seg.hi, x)
 
 
-def _measure_above(segs: tuple[_Segment, ...], lam: float) -> float:
+def _measure_above(segs: tuple[pw.MonotoneSegment, ...], lam: float) -> float:
     """m({|f| > lam}) from the segments of |f|, for lam >= 0."""
     total = 0.0
     for seg in segs:
@@ -190,87 +130,45 @@ def _measure_above(segs: tuple[_Segment, ...], lam: float) -> float:
     return total
 
 
-@dataclass(frozen=True, eq=False)
-class _MassSegment:
-    """A segment of |f| with what its mass above a level needs, built once:
-    the antiderivative of its terms and that antiderivative at the two ends
-    (limits at 0 and inf), so a cut at x integrates by one evaluation."""
-
-    seg: _Segment
-    anti: TermMap
-    alo: float
-    ahi: float
-    whole: float  # the integral over the segment, inf when it diverges
-
-
-def _mass_segments(f: PPL) -> tuple[_MassSegment, ...]:
-    """``_abs_segments`` with their masses, kept on |f| as well."""
-    return pw._memo(pw.absolute(f), "_mass_segments", _mass_segments_of)
-
-
-def _mass_segments_of(g: PPL) -> tuple[_MassSegment, ...]:
-    out = []
-    for seg in _abs_segments(g):
-        anti = pw.antiderivative_map(seg.terms)
-        alo, ahi = pw.segment_end_values(anti, seg.lo, seg.hi)
-        whole = _between(pw._piece_integral(seg.terms, seg.lo, seg.hi),
-                         seg.hi - seg.lo, seg.vlo, seg.vhi)
-        out.append(_MassSegment(seg, anti, alo, ahi, whole))
-    return tuple(out)
-
-
-def _between(mass: float, width: float, v1: float, v2: float) -> float:
-    """mass clamped to width times the range [v1, v2] of the integrand.
-
-    An antiderivative difference over a thin cut cancels to a few ulps of
-    the antiderivative, which can dwarf the cut's own mass; the integrand
-    of a monotone segment stays between its end values, and so does its
-    mean.
-    """
-    if not math.isfinite(width):
-        return mass
-    lo, hi = (v1, v2) if v1 <= v2 else (v2, v1)
-    return min(max(mass, lo * width), hi * width)
-
-
-def _level_mass(msegs: tuple[_MassSegment, ...],
+def _level_mass(segs: tuple[pw.MonotoneSegment, ...],
                 lam: float) -> tuple[float, float]:
     """(d_f(lam), integral of |f| over {|f| > lam}) in one pass over the
-    segments of |f| (``_mass_segments``), each cut by ``_part_above``: each
-    crossing is solved once and serves both the measure and the integral.
+    segments of |f| (``piecewise.segment_table``), each cut by
+    ``_part_above``: each crossing is solved once and serves both the
+    measure and the integral.
     """
     d = 0.0
     parts = []
-    for m in msegs:
-        seg = m.seg
+    for seg in segs:
         part = _part_above(seg, lam)
         if part is None:
             continue
         a, b, x = part
+        anti, alo, ahi, whole = seg.mass()
         if x is None:
             d += b - a
-            parts.append(m.whole)
+            parts.append(whole)
         elif math.isinf(x):
             # past the float range: the set above lam is unbounded; a
             # falling power of finite mass loses a tail that no float x
             # can place but that has a closed form
             d = INF
-            if seg.vlo > lam and math.isfinite(m.whole):
-                parts.append(m.whole - _power_tail(seg, lam))
+            if seg.vlo > lam and math.isfinite(whole):
+                parts.append(whole - _power_tail(seg, lam))
             else:
-                parts.append(m.whole)
+                parts.append(whole)
         else:
             # a closed-form crossing can underflow to t = 0, where the
             # antiderivative has only its limit
-            ax = m.alo if x == 0.0 else pw.eval_term_map(m.anti, x)
+            ax = alo if x == 0.0 else pw.eval_term_map(anti, x)
             d += b - a
-            parts.append(_between(ax - m.alo, b - a, lam, seg.vlo)
+            parts.append(pw._between(ax - alo, b - a, lam, seg.vlo)
                          if seg.vlo > lam else
-                         _between(m.ahi - ax, b - a, lam, seg.vhi))
+                         pw._between(ahi - ax, b - a, lam, seg.vhi))
     return d, math.fsum(parts)
 
 
-def _power_tail(seg: _Segment, lam: float) -> float:
+def _power_tail(seg: pw.MonotoneSegment, lam: float) -> float:
     """Integral of c*t**alpha, alpha < -1, from its crossing x with lam to
     infinity, for an x past the float range: c*x**(alpha + 1)/-(alpha + 1),
     with x**(alpha + 1) taken in log space."""
@@ -284,7 +182,7 @@ def _power_tail(seg: _Segment, lam: float) -> float:
 def critical_values(f: PPL) -> list[float]:
     """Finite segment-endpoint values of |f|, sorted ascending."""
     vals = set()
-    for seg in _abs_segments(f):
+    for seg in pw.segment_table(f):
         for v in (seg.vlo, seg.vhi):
             if math.isfinite(v):
                 vals.add(v)
@@ -293,7 +191,7 @@ def critical_values(f: PPL) -> list[float]:
 
 def _tail_limit(f: PPL) -> float:
     """lim of |f| at the right end of an unbounded support (0 otherwise)."""
-    segs = _abs_segments(f)
+    segs = pw.segment_table(f)
     if segs and math.isinf(segs[-1].hi):
         return segs[-1].vhi
     return 0.0
@@ -324,7 +222,7 @@ class RearrangedFunction:
             return self.sup_value
         if self.exact is not None:
             return pw.evaluate(self.exact, min(s, self.exact.domain.end))
-        measure = partial(_measure_above, _abs_segments(self.source))
+        measure = partial(_measure_above, pw.segment_table(self.source))
         if s >= measure(0.0):
             return 0.0
         lo = self.value_at_infinity
@@ -347,19 +245,6 @@ class RearrangedFunction:
 
     def support_measure(self) -> float:
         return distribution(self.source, 0.0)
-
-    def breakpoints(self) -> list[float]:
-        """s-points where f* can kink (images of critical values)."""
-        if self.exact is not None:
-            return self.exact.breakpoints()
-        segs = _abs_segments(self.source)
-        pts = {0.0}
-        for v in critical_values(self.source):
-            if v > 0.0:
-                d = _measure_above(segs, v)
-                if math.isfinite(d):
-                    pts.add(d)
-        return sorted(pts)
 
 
 def decreasing_rearrangement(f: PPL) -> RearrangedFunction:
@@ -397,10 +282,7 @@ class MaximalFunction:
     def evaluate(self, t: float) -> float:
         if self.exact is not None:
             return pw.evaluate(self.exact, t)
-        val, _ = _cesaro_mod.cesaro_numeric(
-            self.rearranged.evaluate, t,
-            breakpoints=self.rearranged.breakpoints())
-        return val
+        return second_maximal(self.rearranged, t)
 
     __call__ = evaluate
 
@@ -465,26 +347,43 @@ def equimeasurable(f, g, tol: float = 1e-10) -> bool:
 
 
 def superlevel_set(f, lam: float) -> pw.MeasurableSet:
-    """The set where |f| exceeds lam, as an exact union of intervals."""
+    """The set where |f| exceeds lam, as an exact union of intervals.
+
+    A rising segment that crosses lam past the float range keeps its part
+    from e**700 on, the point where the Brent fallback of ``_crossing``
+    snaps, so the set is unbounded wherever ``distribution`` is inf.
+    """
     src = f.source if isinstance(f, RearrangedFunction) else f
-    parts = (_part_above(seg, lam) for seg in _abs_segments(src))
-    return pw.MeasurableSet(src.domain, tuple(
-        (a, b) for a, b, _x in filter(None, parts)))
+    intervals = []
+    for seg in pw.segment_table(src):
+        part = _part_above(seg, lam)
+        if part is not None:
+            a, b, _x = part
+            if math.isinf(a):
+                a = max(seg.lo, math.exp(_U_CAP))
+            intervals.append((a, b))
+    return pw.MeasurableSet(src.domain, tuple(intervals))
+
+
+def _head_integral(r: RearrangedFunction, t: float) -> tuple[float, float]:
+    """(lam, integral of f* over [0, t]) at lam = f*(t), for an f* with
+    no exact form.
+
+    The layer-cake identity: the integral is the mass of |f| above lam
+    (``_level_mass``) plus lam times the length t - d_f(lam) on which
+    f* = lam.  One height bisection and one pass over the segments.
+    """
+    lam = r.evaluate(t)
+    d, mass = _level_mass(pw.segment_table(r.source), lam)
+    return lam, mass + lam * (t - d)
 
 
 def second_maximal(f, t: float) -> float:
-    """Average of the decreasing rearrangement over [0, t].
-
-    Uses the layer-cake identity: at the height lam = f*(t), the integral
-    of f* up to t is the mass of |f| above lam (``_level_mass``) plus lam
-    times the length t - d_f(lam) on which f* = lam.  One height bisection
-    per call.
-    """
+    """Average of the decreasing rearrangement over [0, t] (``_head_integral``
+    where f* has no exact form)."""
     if t <= 0.0:
         raise ValueError("the averaging window must have positive length")
     r = f if isinstance(f, RearrangedFunction) else decreasing_rearrangement(f)
     if r.exact is not None:
         return pw.integrate(r.exact, 0.0, min(t, r.domain.end)) / t
-    lam = r.evaluate(t)
-    d, mass = _level_mass(_mass_segments(r.source), lam)
-    return (mass + lam * (t - d)) / t
+    return _head_integral(r, t)[1] / t

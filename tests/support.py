@@ -434,7 +434,7 @@ def truncation_core_membership(f: pw.PPL, CX) -> tuple[bool | None, dict]:
     evidence: dict = {}
 
     def excess(n: float) -> float:
-        return nm.norm(pw.excess_over(f, n, f.domain.end), CX).value
+        return nm.norm(excess_over(f, n, f.domain.end), CX).value
 
     exc_dec, exc_vals = oc.vanishing_sequence(excess)
     evidence["excess_norms"] = exc_vals[-6:]
@@ -442,3 +442,42 @@ def truncation_core_membership(f: pw.PPL, CX) -> tuple[bool | None, dict]:
     if not f.domain.is_unit:
         flags.append(_escaping_tail(f, CX, evidence))
     return _all_of(flags), evidence
+
+
+# ---------------------------------------------------------------------------
+# f** and the L1+Linf norm by their older constructions, the references of
+# ``rearrange._head_integral``
+
+
+def excess_over(f: pw.PPL, level: float, horizon: float) -> pw.PPL:
+    """(|f| - level)_+ on [0, horizon) and |f| beyond it, exact."""
+    cap = pw.step_function(f.domain, [(0.0, horizon, level)])
+    return pw.positive_part(pw.combine(pw.absolute(f), cap, "sub"))
+
+
+def sum_space_reference(f: pw.PPL) -> tuple[float, float]:
+    """(integral of f* over [0, 1], rounding bound): f*(1) plus the exact
+    integral of (|f| - f*(1))_+, whose antiderivative differences round
+    to a few ulps of the antiderivative (as ``norms._lp_ppl`` bounds them)."""
+    lam1 = rr.decreasing_rearrangement(f).evaluate(1.0)
+    excess = excess_over(f, lam1, f.domain.end) if lam1 > 0.0 \
+        else pw.absolute(f)
+    slack = 64.0 * math.ulp(1.0) * sum(
+        nm._antiderivative_magnitude(p.term_map(), p.lo, p.hi)
+        for p in excess.pieces)
+    return lam1 + pw.integrate(excess), slack
+
+
+def maximal_reference(f: pw.PPL, t: float) -> tuple[float, float]:
+    """(f**(t), error estimate) by quadrature of the bisected f* over
+    [0, t] (``cesaro.cesaro_numeric``), split where f* can kink: at both
+    ends [d_f(v), d_f(v-)] of the stretch where f* = v, for each critical
+    value v of |f| and for v = 0."""
+    r = rr.decreasing_rearrangement(f)
+    kinks = {0.0}
+    for v in [0.0] + rr.critical_values(f):
+        for level in (v, math.nextafter(v, 0.0)):
+            d = rr.distribution(f, level)
+            if math.isfinite(d):
+                kinks.add(d)
+    return cz.cesaro_numeric(r.evaluate, t, breakpoints=sorted(kinks))

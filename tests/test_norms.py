@@ -310,6 +310,24 @@ def test_bisected_norm_is_inf_only_past_the_largest_float():
     assert (res.value, res.method, res.error_bound) == (INF, "exact", 0.0)
 
 
+def test_a_bounded_norm_past_the_largest_float_reads_inf(monkeypatch):
+    # 1e308*chi_[0,100) is bounded, so membership lets it through; its
+    # modular 100*(2e308/lam - 1) is 1 at lam = 2e310/101 ~ 1.98e308, past
+    # the largest float, so the doubling of lam runs out there
+    X = sp.orlicz_space(cat.orlicz_flat_capped(), H)
+    seen = []
+
+    def spy(*args):
+        seen.append(luxemburg(*args))
+        return seen[-1]
+
+    luxemburg = nm._luxemburg
+    monkeypatch.setattr(nm, "_luxemburg", spy)
+    res = nm.norm(pw.step_function(H, [(0.0, 100.0, 1e308)]), X)
+    assert (res.value, res.method, res.error_bound) == (INF, "exact", 0.0)
+    assert seen == [res]
+
+
 # u**2 up to 1, then its tangent 2u - 1: two bands of integer powers
 _SQUARE_THEN_TANGENT = sp.OrliczFunctionSpec(pw.make_ppl(cat.domain_u(), [
     (0.0, 1.0, {(2.0, 0): 1.0}), (1.0, INF, {(1.0, 0): 2.0, (0.0, 0): -1.0})]))

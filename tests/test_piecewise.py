@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from cesarospaces import cesaro as cz
 from cesarospaces import piecewise as pw
-from cesarospaces import rearrange as rr
 from cesarospaces.errors import (DomainMismatchError, EvaluationDomainError,
                                  RepresentationError, TransformUndefinedError,
                                  UndefinedIntegralError, ValidationError)
@@ -595,14 +594,11 @@ def measurable_sets(draw, domain):
 
 
 def _segment_fields(segs):
-    return [(seg.lo, seg.hi, seg.vlo, seg.vhi,
+    """Every field of each segment record, with its mass built (or the
+    error class its build raised)."""
+    return [(seg.lo, seg.hi, seg.vlo, seg.vhi, dict(seg.terms),
              None if seg.cross is None else dataclasses.astuple(seg.cross),
-             dict(seg.terms)) for seg in segs]
-
-
-def _mass_segment_fields(msegs):
-    return [(_segment_fields([m.seg]), m.anti, m.alo, m.ahi, m.whole)
-            for m in msegs]
+             _result(pw.MonotoneSegment.mass, seg)) for seg in segs]
 
 
 def _result(compute, f, fields=lambda value: value):
@@ -617,9 +613,8 @@ def _fill_memos(f):
     g = pw.absolute(f)
     for h in (f, g):
         _result(cz.cesaro_transform, h)
-    pw.segment_table(f)
-    rr._abs_segments(f)
-    _result(rr._mass_segments, f)
+    for seg in pw.segment_table(f):
+        _result(pw.MonotoneSegment.mass, seg)
     return g
 
 
@@ -780,12 +775,14 @@ def test_every_memo_equals_a_fresh_computation(f):
     fresh = pw._absolute(f)
     assert g == fresh
     assert pw.is_nonnegative(f) == (fresh is f)
-    assert pw.segment_table(f) is pw.segment_table(g)
-    assert pw.segment_table(f) == pw._segment_table(fresh)
-    assert _segment_fields(rr._abs_segments(f)) == \
-        _segment_fields(rr._segments_of(fresh))
-    assert _result(rr._mass_segments, f, _mass_segment_fields) == \
-        _result(rr._mass_segments_of, fresh, _mass_segment_fields)
+    table = pw.segment_table(f)
+    assert table is pw.segment_table(g)
+    assert not {"_segments", "_mass_segments"} & set(vars(g))
+    for seg in table:
+        if _result(pw.MonotoneSegment.mass, seg) is UndefinedIntegralError:
+            assert seg._mass is None  # an error is not kept
+    assert _segment_fields(table) == \
+        _segment_fields(pw._segment_table(fresh))
     for h in (f, g):
         expected = _result(cz._cesaro_transform, h)
         assert _result(cz.cesaro_transform, h) == expected
@@ -803,6 +800,7 @@ def test_memos_never_show(f):
     assert f == twin and twin == f and hash(twin) == hash(f)
     assert pickle.dumps(g) == pickle.dumps(pw._absolute(f))
     assert "_segment_table" in vars(g)
+    assert not {"_segments", "_mass_segments"} & set(vars(g))
     for h in (f, g):
         for c in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h)):
             assert c == h and not set(vars(c)) - {"domain", "pieces"}
