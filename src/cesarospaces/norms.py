@@ -14,7 +14,6 @@ a search over levels whose error bound brackets the sup.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import math
@@ -95,7 +94,6 @@ def _abs_power_map(tm: TermMap, p: float) -> TermMap | None:
     return None
 
 
-@functools.lru_cache(maxsize=256)
 def _generator_power_bands(
         spec: OrliczFunctionSpec) -> tuple[tuple[float, float, TermPairs], ...] | None:
     """Generator pieces as (ulo, uhi, terms) bands, or None.
@@ -129,112 +127,6 @@ def _power_generator(spec: OrliczFunctionSpec) -> tuple[float, int] | None:
     if alpha < 1.0:
         return None
     return c, int(alpha)
-
-
-def _piece_pow_map(piece: pw.Piece, n: int) -> TermPairs | None:
-    """The canonical terms of the piece's n-th power, None past the budget.
-
-    Kept on the piece, one entry per n, as ``piecewise._memo`` keeps memos
-    on a function: the fields alone decide ``==``, ``hash``, ``repr`` and
-    pickles, so the memo never shows.
-    """
-    memo = vars(piece).setdefault("_pow", {})
-    if n not in memo:
-        pm = _map_pow_int(piece.term_map(), n)
-        memo[n] = pw.canonical_pairs(pm) if pm is not None else None
-    return memo[n]
-
-
-def _interval_difference(A: pw.MeasurableSet,
-                         B: pw.MeasurableSet) -> pw.MeasurableSet:
-    """A minus B as interval unions; exact up to null boundary sets."""
-    out = []
-    for lo, hi in A.intervals:
-        cur = lo
-        for c, d in B.intervals:
-            if d <= cur or c >= hi:
-                continue
-            if c > cur:
-                out.append((cur, c))
-            cur = max(cur, d)
-        if cur < hi:
-            out.append((cur, hi))
-    return pw.MeasurableSet.from_intervals(A.domain, out)
-
-
-def _compose_band(piece: pw.Piece, terms: TermPairs,
-                  lam: float) -> TermMap | None:
-    """Term map of the generator band applied to piece/lam, or None."""
-    out: TermMap = {}
-    for (au, _k), cu in terms:
-        powed = _piece_pow_map(piece, int(au))
-        if powed is None:
-            return None
-        scale = cu / lam ** int(au)
-        for key, cc in powed:
-            out[key] = out.get(key, 0.0) + scale * cc
-    return {k: c for k, c in out.items() if c != 0.0}
-
-
-def _orlicz_modular_exact(g: PPL, spec: OrliczFunctionSpec,
-                          lam: float) -> float | None:
-    """Exact modular of a nonnegative g for integer-power generators.
-
-    The caller must already have returned +inf when g/lam exceeds the
-    finite bound on a set of positive measure; bands only cover the
-    region where the generator is finite.  Each generator piece then
-    contributes only where g/lam crosses its value band; those sets are
-    exact interval unions from level-set cuts, and on them the composed
-    integrand is again a power-log function.  Values of g at the band
-    edges land in the lower band, which agrees with the pointwise
-    generator because a finite convex generator has no interior jumps,
-    and the cap value is read from the closure of the last piece on
-    both paths.
-    """
-    bands = _generator_power_bands(spec)
-    if bands is None:
-        return None
-    total = 0.0
-    for ulo, uhi, terms in bands:
-        level = lam * ulo
-        if level > 0.0:
-            A = rr.superlevel_set(g, level)
-        else:
-            # {g > 0} up to the null set of interior roots, which cannot
-            # move the integral
-            A = pw.MeasurableSet.from_intervals(
-                g.domain, [(p.lo, p.hi) for p in g.pieces if p.term_map()])
-        if A.is_empty:
-            continue
-        if math.isfinite(uhi):
-            E = _interval_difference(A, rr.superlevel_set(g, lam * uhi))
-        else:
-            E = A
-        if E.is_empty:
-            continue
-        for piece in g.pieces:
-            pm: TermMap | None = None
-            for lo, hi in E.intervals:
-                a, b = max(piece.lo, lo), min(piece.hi, hi)
-                if a >= b:
-                    continue
-                if pm is None:
-                    pm = _compose_band(piece, terms, lam)
-                    if pm is None:
-                        return None
-                total += pw._piece_integral(pm, a, b) if pm else 0.0
-    return total
-
-
-def _orlicz_exact_ready(f: PPL, spec: OrliczFunctionSpec) -> bool:
-    """Will the exact modular path apply to every piece of |f|?"""
-    bands = _generator_power_bands(spec)
-    if bands is None:
-        return False
-    nmax = max((int(a) for _, _, tms in bands for (a, _k), _c in tms),
-               default=0)
-    return all(_map_pow_int(p.term_map(), nmax) is not None
-               for p in f.pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -309,39 +201,70 @@ def _sum_space_ppl(f: PPL) -> NormResult:
     return NormResult(value, "exact", 1e-10 * (1.0 + abs(lam1)))
 
 
-def _orlicz_modular(f: PPL, spec: OrliczFunctionSpec
-                    ) -> Callable[[float], tuple[float, float]]:
-    """lam -> (integral of Phi(|f|/lam), error), for an f in the space.
+def _band_part(seg: pw.MonotoneSegment, low: float,
+               high: float) -> tuple[float, float] | None:
+    """[a, b): the part of a sloped segment of |f| where low < |f| <= high,
+    or None when it is empty.
 
-    Everything that does not depend on lam is worked out once here.  The
-    tail limit of |f| is taken only when some lam gets past the sup test,
-    so a modular that is +inf by the sup test never needs the tail.  A
-    divergence at 0 does not depend on lam, so membership rules it out.
+    Both levels cut the segment by ``rearrange._part_above``; on a
+    monotone segment the part above high sits at the high end of the part
+    above low, so what is left is one interval.
     """
-    if f.is_step:
-        steps = [(abs(piece.term_map()[(0.0, 0)]), piece.hi - piece.lo)
-                 for piece in f.pieces]
+    part = rr._part_above(seg, low)
+    if part is None:
+        return None
+    a, b, _x = part
+    top = rr._part_above(seg, high)
+    if top is not None:
+        if seg.vlo > seg.vhi:
+            a = top[1]
+        else:
+            b = top[0]
+    return (a, b) if a < b else None
 
-        def step_modular(lam: float) -> tuple[float, float]:
-            total = 0.0
-            for height, length in steps:
-                v = spec.value(height / lam)
-                if math.isinf(length):
-                    if v > 0.0:
-                        return INF, 0.0
-                    continue
-                if math.isinf(v):
-                    return INF, 0.0
-                total += v * length
-            return total, 0.0
 
-        return step_modular
+def _orlicz_modular(f: PPL, spec: OrliczFunctionSpec
+                    ) -> tuple[Callable[[float], tuple[float, float]], bool]:
+    """(lam -> (integral of Phi(|f|/lam), error), exact), for an f in the
+    space.
+
+    The modular reads the monotone segments of |f|
+    (``piecewise.segment_table``).  A flat segment at height v adds
+    Phi(v/lam) times its length.  Where Phi's pieces are integer
+    polynomials (``_generator_power_bands``), a sloped segment adds, per
+    band [ulo, uhi), the exact integral of the band's terms composed with
+    |f|/lam over its part where lam*ulo < |f| <= lam*uhi (``_band_part``).
+    Values at a band edge land in the lower band, which agrees with the
+    pointwise generator because a finite convex generator has no interior
+    jumps.  The powers |f|**n do not depend on lam, so they are taken here,
+    once per segment, and exactness is fixed here too: without bands, or with
+    a power past the term budget, the modular is the quadrature of
+    Phi(|f|/lam) at every lam.
+
+    The tail limit of |f| is taken only when some lam gets past the sup
+    test, so a modular that is +inf by the sup test never needs the tail.
+    A divergence at 0 does not depend on lam, so membership rules it out.
+    """
     g = pw.absolute(f)
     sup = pw.essential_sup_abs(g)
     tail: float | None = None
-    lo = g.pieces[0].lo
-    hi = g.support_bound()
-    breaks = g.breakpoints()
+    bands = _generator_power_bands(spec)
+    degrees = sorted({int(a) for _, _, terms in bands or ()
+                      for (a, _k), _c in terms})
+    # (segment, the canonical terms of |f|**n by n), the powers None on a
+    # flat segment
+    parts: list | None = []
+    for seg in pw.segment_table(g):
+        powers = None
+        if seg.cross is not None:
+            maps = [_map_pow_int(seg.terms, n) for n in degrees]
+            if bands is None or None in maps:
+                parts = None
+                break
+            powers = dict(zip(degrees, map(pw.canonical_pairs, maps)))
+        parts.append((seg, powers))
+    if parts is None:
+        span = g.pieces[0].lo, g.support_bound(), g.breakpoints()
 
     def modular(lam: float) -> tuple[float, float]:
         nonlocal tail
@@ -352,13 +275,31 @@ def _orlicz_modular(f: PPL, spec: OrliczFunctionSpec
                 tail = rr._tail_limit(g)
             if tail / lam > spec.zero_bound:
                 return INF, 0.0
-        exact = _orlicz_modular_exact(g, spec, lam)
-        if exact is not None:
-            return exact, 0.0
-        fn = lambda t: spec.value(abs(pw.evaluate(g, t)) / lam)
-        return cz._quad(fn, lo, hi, breaks, QUAD_TOL)
+        if parts is None:
+            fn = lambda t: spec.value(abs(pw.evaluate(g, t)) / lam)
+            return cz._quad(fn, *span, QUAD_TOL)
+        total = 0.0
+        for seg, seg_powers in parts:
+            if seg_powers is None:
+                value = spec.value(seg.vlo / lam)
+                if value > 0.0:
+                    total += value * (seg.hi - seg.lo)
+                continue
+            for ulo, uhi, terms in bands:
+                cut = _band_part(seg, lam * ulo, lam * uhi)
+                if cut is None:
+                    continue
+                composed: TermMap = {}
+                for (au, _k), cu in terms:
+                    scale = cu / lam ** int(au)
+                    for key, cc in seg_powers[int(au)]:
+                        composed[key] = composed.get(key, 0.0) + scale * cc
+                composed = {k: c for k, c in composed.items() if c != 0.0}
+                if composed:
+                    total += pw._piece_integral(composed, *cut)
+        return total, 0.0
 
-    return modular
+    return modular, parts is not None
 
 
 def _luxemburg(modular: Callable[[float], tuple[float, float]],
@@ -450,7 +391,6 @@ def _lorentz_ppl(f: PPL, X: SpaceDescriptor) -> NormResult:
     return NormResult(val, "quadrature", err)
 
 
-@functools.lru_cache(maxsize=64)
 def _line_breaks(spec: QuasiConcaveSpec) -> tuple[float, ...] | None:
     """phi's breakpoints when sup phi(t)*(c + K/t), c, K >= 0, over an
     interval sits at its ends and those breakpoints; None otherwise.
@@ -929,8 +869,7 @@ def norm(f, X: SpaceDescriptor) -> NormResult:
         power = _power_generator(spec)
         if power is not None:
             return _orlicz_power_norm(f, spec, *power)
-        exact_modular = f.is_step or _orlicz_exact_ready(f, spec)
-        return _luxemburg(_orlicz_modular(f, spec), exact_modular)
+        return _luxemburg(*_orlicz_modular(f, spec))
     if X.tag == "lorentz":
         return _lorentz_ppl(f, X)
     return _marcinkiewicz_ppl(f, X)

@@ -247,7 +247,4 @@ def stationary_points_t(terms: TermMap, tlo: float, thi: float) -> list[float]:
         return []
     ulo = math.log(tlo) if tlo > 0.0 else -math.inf
     uhi = math.log(thi) if not math.isinf(thi) else math.inf
-    if len(deriv) == 1:
-        (_, k), = deriv.keys()
-        return [1.0] if k > 0 and (tlo < 1.0 < thi) else []
     return [math.exp(u) for u in roots_u(deriv, ulo, uhi)]

@@ -101,6 +101,22 @@ def power_log_pieces(draw, domain=HALFLINE):
     return pw.make_ppl(domain, [(lo, hi, {(a, k): c})])
 
 
+@st.composite
+def two_power_log_pieces(draw, domain=HALFLINE):
+    """Two pieces c*t**a*ln(t)**k side by side, with a in [-0.9, 2]; on
+    the half-line the second may run to infinity."""
+    knots = [draw(st.sampled_from(options)) for options in (
+        ([0.0, 0.125], [0.5], [1.0]) if domain.is_unit
+        else ([0.0, 0.5], [1.0, 2.0], [4.0, INF]))]
+    rows = []
+    for lo, hi in zip(knots, knots[1:]):
+        a = draw(st.floats(min_value=-0.9, max_value=2.0))
+        k = draw(st.integers(min_value=0, max_value=2))
+        c = draw(st.floats(min_value=0.1, max_value=4.0))
+        rows.append((lo, hi, {(a, k): c if draw(st.booleans()) else -c}))
+    return pw.make_ppl(domain, rows)
+
+
 # ---------------------------------------------------------------------------
 # scipy's QUADPACK, the test-only reference of cesaro._quad
 

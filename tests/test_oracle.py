@@ -27,6 +27,13 @@ def test_simpson_on_polynomial():
         1.0 / 3.0, abs=1e-12)
 
 
+def test_simpson_nudges_an_endpoint_singularity_inward():
+    # fn(0) is inf, so the end value is read a little inside [0, 1]; the
+    # integral of x**-1/2 is 2, and the panel rule gets it to about 0.2 %
+    fn = lambda x: INF if x == 0.0 else x ** -0.5
+    assert orc.simpson(fn, 0.0, 1.0) == pytest.approx(2.0, rel=5e-3)
+
+
 def test_improper_integral_exponential():
     assert orc.improper_integral(lambda t: math.exp(-t), INF) == \
         pytest.approx(1.0, rel=1e-6)
@@ -120,6 +127,17 @@ def test_norm_oracle_agrees_on_divergence():
     report = orc.quadrature_norm_oracle(f, sp.lebesgue(2.0, H))
     assert math.isinf(report.exact)
     assert report.passed
+
+
+@pytest.mark.parametrize("a", [-1.0, -1.2])
+def test_averaged_oracle_reads_inf_where_the_average_diverges(a):
+    # t**a on [0, 1) with a <= -1 is not integrable at 0: the running
+    # average is undefined, and the oracle says so instead of summing
+    report = orc.quadrature_norm_oracle(
+        pw.power_piece(H, 0.0, 1.0, 1.0, a),
+        sp.cesaro_space(sp.lebesgue(2.0, H)))
+    assert (report.exact, report.oracle) == (INF, INF)
+    assert report.note == "average diverges near zero" and report.passed
 
 
 def test_tolerance_table_covers_all_tags():

@@ -16,7 +16,7 @@ from cesarospaces.errors import EvaluationDomainError, NotRearrangeableError
 from cesarospaces.piecewise import INF
 from support import (HALFLINE as H, UNIT as U, maximal_reference,
                      nonzero_step_functions, power_log_pieces, step_functions,
-                     sum_space_reference)
+                     sum_space_reference, two_power_log_pieces)
 
 
 def two_level_step() -> pw.PPL:
@@ -192,16 +192,7 @@ def _inexact_rearrangements(draw):
     if draw(st.booleans()):
         f = draw(power_log_pieces(domain=domain))
     else:
-        knots = [draw(st.sampled_from(options)) for options in (
-            ([0.0, 0.125], [0.5], [1.0]) if domain.is_unit
-            else ([0.0, 0.5], [1.0, 2.0], [4.0, INF]))]
-        rows = []
-        for lo, hi in zip(knots, knots[1:]):
-            a = draw(st.floats(min_value=-0.9, max_value=2.0))
-            k = draw(st.integers(min_value=0, max_value=2))
-            c = draw(st.floats(min_value=0.1, max_value=4.0))
-            rows.append((lo, hi, {(a, k): c if draw(st.booleans()) else -c}))
-        f = pw.make_ppl(domain, rows)
+        f = draw(two_power_log_pieces(domain=domain))
     try:
         r = rr.decreasing_rearrangement(f)
     except NotRearrangeableError:
