@@ -250,12 +250,7 @@ def fact1_check(f: PPL, grid: Sequence[float] | None = None,
 
     cf = cesaro_transform(f)
     cabs = cesaro_transform(pw.absolute(f))
-    r = rearrange.decreasing_rearrangement(f)
-    if r.exact is not None:
-        cstar_eval = cesaro_transform(r.exact)
-        cstar = lambda x: pw.evaluate(cstar_eval, x)
-    else:
-        cstar = rearrange.maximal_function(f).evaluate
+    cstar = rearrange.maximal_function(f).evaluate
     cf_star = rearrange.decreasing_rearrangement(cf)
 
     if grid is None:

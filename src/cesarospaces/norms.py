@@ -49,19 +49,10 @@ class NormResult:
         return f"NormResult({self.value!r}, {self.method}, err<={self.error_bound:g})"
 
 
-def _map_times(tm1: TermMap, tm2: TermMap) -> TermMap:
-    out: TermMap = {}
-    for (a1, k1), c1 in tm1.items():
-        for (a2, k2), c2 in tm2.items():
-            key = (a1 + a2, k1 + k2)
-            out[key] = out.get(key, 0.0) + c1 * c2
-    return out
-
-
 def _map_pow_int(tm: TermMap, n: int) -> TermMap | None:
     out: TermMap = {(0.0, 0): 1.0}
     for _ in range(n):
-        nxt = _map_times(out, tm)
+        nxt = pw.term_map_product(out, tm)
         if len(nxt) > pw.MAX_TERMS_PER_PIECE:
             return None
         out = nxt
@@ -429,7 +420,7 @@ def _weighted_sup(spec: QuasiConcaveSpec, extra: TermMap, a: float,
             v = spec.value(t) * (c + K / t)
         else:
             end = spec.phi.pieces[0 if t == 0.0 else -1].term_map()
-            v = pw.limit_term_map(_map_times(end, extra),
+            v = pw.limit_term_map(pw.term_map_product(end, extra),
                                   "zero" if t == 0.0 else "inf")
         best = max(best, v)
     return best

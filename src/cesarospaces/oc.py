@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import cesaro as cz
+from . import documents as dc
 from . import norms as nm
 from . import piecewise as pw
 from . import rearrange as rr
@@ -404,8 +405,9 @@ def _oc_space_averaged(CX: SpaceDescriptor) -> OCVerdict:
         if flag is False and lower > 1.0:
             return OCVerdict("space", VERDICT_NOT, "averaged-orlicz/space",
                              {"doubling": False, "lower_index": lower})
-        return OCVerdict("space", VERDICT_UNDECIDED, "averaged-orlicz/space",
-                         {"doubling": flag})
+        return _point_witness(CX, OCVerdict(
+            "space", VERDICT_UNDECIDED, "averaged-orlicz/space",
+            {"doubling": flag}))
     if X.tag == "lorentz":
         base = _oc_space_symmetric(X)
         return OCVerdict("space", base.verdict, "averaged-lorentz/space",
@@ -424,9 +426,43 @@ def _oc_space_averaged(CX: SpaceDescriptor) -> OCVerdict:
             return OCVerdict("space", VERDICT_NOT,
                              "averaged-marcinkiewicz/space",
                              {"lower_index": lower})
-        return OCVerdict("space", VERDICT_UNDECIDED,
-                         "averaged-marcinkiewicz/space", {})
+        return _point_witness(CX, OCVerdict(
+            "space", VERDICT_UNDECIDED, "averaged-marcinkiewicz/space", {}))
     raise MethodInapplicableError(f"no averaged-space rule for {X.tag!r}")
+
+
+def _point_witness(CX: SpaceDescriptor, undecided: OCVerdict) -> OCVerdict:
+    """Certify an averaged space not-OC by one of its points, or keep the
+    family rule's ``undecided`` verdict.
+
+    CX is OC exactly when every f in CX is an OC point, so one f that
+    ``norms.in_space`` admits and both exact point routes call not-OC
+    proves CX not OC.  The candidates are the constant 1 and, for a
+    Marcinkiewicz base with phi ~ t**b at an end, t**-b on [0, 1/2) and on
+    [1, inf).  A missing witness decides nothing, so this never says OC.
+    """
+    X = CX.inner
+    dom = X.domain
+    candidates = [pw.step_function(dom, [(0.0, dom.end, 1.0)])]
+    if X.tag == "marcinkiewicz":
+        pieces = X.quasi.phi.pieces
+        ends = [(0.0, 0.5, pw.germ(pieces[0].term_map(), "zero")[1])]
+        if not dom.is_unit:
+            ends.append((1.0, INF, pw.germ(pieces[-1].term_map(), "inf")[1]))
+        # 0.0 - b: an exponent b = 0 gives t**0, not t**-0.0
+        candidates += [pw.power_piece(dom, lo, hi, 1.0, 0.0 - b)
+                       for lo, hi, b in ends]
+    for f in candidates:
+        if not nm.in_space(f, CX):
+            continue
+        routes = [oc_point_closed_form(f, CX),
+                  oc_point_via_characterization(f, CX)]
+        if all(v.verdict == VERDICT_NOT for v in routes):
+            return OCVerdict("space", VERDICT_NOT, "point-witness/space",
+                             {"family_rule": undecided.rule,
+                              "point_rules": [v.rule for v in routes],
+                              "witness": dc.function_to_doc(f)})
+    return undecided
 
 
 def oc_space(X: SpaceDescriptor) -> OCVerdict:

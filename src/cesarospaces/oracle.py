@@ -336,10 +336,11 @@ def _running_average(fn, end: float, cuts):
     grid.append(top)
     cutset = sorted(c for c in cuts if 0.0 < c < top)
     grid = sorted(set(grid) | set(cutset))
-    inc = [simpson(fn, a, b, tol=1e-13, depth=20)
-           for a, b in zip(grid, grid[1:])]
-    if not all(math.isfinite(v) for v in inc):
-        return None
+    inc: list[float] = []
+    for a, b in zip(grid, grid[1:]):
+        inc.append(simpson(fn, a, b, tol=1e-13, depth=20))
+        if not math.isfinite(inc[-1]):
+            return None
     head = 0.0
     lead = [v for v in inc[:64] if v > 0.0]
     if inc[0] > 0.0 and len(lead) >= 2:

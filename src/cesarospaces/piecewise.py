@@ -529,13 +529,18 @@ def product(f: PPL, g: PPL) -> PPL:
     for lo, hi, fm, gm in _refined_cells(f, g):
         if not fm or not gm:
             continue
-        tm: TermMap = {}
-        for (a1, k1), c1 in fm.items():
-            for (a2, k2), c2 in gm.items():
-                key = (a1 + a2, k1 + k2)
-                tm[key] = tm.get(key, 0.0) + c1 * c2
-        pieces.append((lo, hi, tm))
+        pieces.append((lo, hi, term_map_product(fm, gm)))
     return make_ppl(f.domain, pieces)
+
+
+def term_map_product(tm1: TermMap, tm2: TermMap) -> TermMap:
+    """The term map of the product of two sums c*t**a*ln(t)**k."""
+    out: TermMap = {}
+    for (a1, k1), c1 in tm1.items():
+        for (a2, k2), c2 in tm2.items():
+            key = (a1 + a2, k1 + k2)
+            out[key] = out.get(key, 0.0) + c1 * c2
+    return out
 
 
 def derivative(f: PPL) -> PPL:

@@ -311,6 +311,21 @@ def test_oc_space_family_and_transfer_agree(docs):
     assert family["verdict"] == transfer["verdict"] == "OC"
 
 
+def test_oc_space_prints_a_point_witness(tmp_path, capsys):
+    # phi = t on [0, 1], sqrt(t) after: the family rule is open, and
+    # t**-1/2 on [1, inf) certifies the space not-OC
+    phi = sp.QuasiConcaveSpec(pw.make_ppl(H, [(0.0, 1.0, {(1.0, 0): 1.0}),
+                                              (1.0, INF, {(0.5, 0): 1.0})]))
+    path = tmp_path / "space.json"
+    path.write_text(dc.dump_space(sp.cesaro_space(sp.marcinkiewicz_space(phi))),
+                    encoding="utf-8")
+    assert cli.main(["oc-space", "--space", str(path)]) == 0
+    doc = dc.loads(capsys.readouterr().out)
+    assert (doc["verdict"], doc["rule"]) == ("not-OC", "point-witness/space")
+    assert dc.function_from_doc(doc["evidence"]["witness"]) == \
+        pw.power_piece(H, 1.0, INF, 1.0, -0.5)
+
+
 # ---------------------------------------------------------------------------
 # golden outputs: byte-stable documents under the v1 schema
 

@@ -100,18 +100,21 @@ def test_no_quadrature_path_loads_scipy():
             pw.make_ppl(H, [(0.0, pw.INF, {(1.5, 0): 1.0})]))
         one_plus_t = pw.make_ppl(H, [(0.0, 1.0, {(0.0, 0): 1.0,
                                                  (1.0, 0): 1.0})])
+        # a rising piece has no exact rearrangement: the level form runs
+        level_form = nm.norm(rising, sp.cesaro_space(
+            sp.lorentz_space(cat.sqrt_phi(H))))
         result = [
-            # a rising piece has no exact rearrangement: the level form runs
-            nm.norm(rising, sp.cesaro_space(
-                sp.lorentz_space(cat.sqrt_phi(H)))).method,
+            level_form.method,
             # (1 + t)**1.5 has no exact power map
             nm.norm(one_plus_t, sp.lebesgue(1.5, H)).method,
             # u**1.5 has no integer-power composition
             nm.norm(quarter_then_step,
                     sp.orlicz_space(u_three_halves, H)).method,
             cz.cesaro_numeric(rising, 0.5)[0],
+            level_form.value,
         ]
     """)
     assert out["result"][:3] == ["quadrature"] * 3
     assert abs(out["result"][3] - 0.5 ** 0.5 / 1.5) <= 1e-12
+    assert out["result"][4] > 0.0
     assert out["scipy"] == []

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cesarospaces import catalog as cat
+from cesarospaces import documents as dc
 from cesarospaces import norms as nm
 from cesarospaces import oc
 from cesarospaces import piecewise as pw
@@ -655,6 +656,97 @@ def test_boundedness_transfers_continuity_for_generated_generators(domain,
     verdicts = [oc.oc_space(X), oc.oc_space(CX), oc.oc_space_via_transfer(CX)]
     assert all(v.is_oc is not None for v in verdicts), verdicts
     assert len({v.is_oc for v in verdicts}) == 1, verdicts
+
+
+# ---------------------------------------------------------------------------
+# point witnesses for averaged spaces the family rules leave open
+
+
+def _linear_then_power(a: float, c: float = 0.0, d: float = 0.0):
+    """phi = t*(1 - c*ln t) on [0, 1), then t**a*(1 + d*ln t): exponent 1
+    at 0, so the lower dilation index is 1; quasi-concave for c <= 1 and
+    d <= 1 - a."""
+    return sp.QuasiConcaveSpec(pw.make_ppl(H, [
+        (0.0, 1.0, {(1.0, 0): 1.0, (1.0, 1): -c}),
+        (1.0, INF, {(a, 0): 1.0, (a, 1): d})]))
+
+
+def _linear_log(c: float):
+    """phi = t*(1 - c*ln t) on the unit interval."""
+    return sp.QuasiConcaveSpec(
+        pw.make_ppl(U, [(0.0, 1.0, {(1.0, 0): 1.0, (1.0, 1): -c})]))
+
+
+# (u - 1)_+, which vanishes below its zero bound 1 and grows like u**1
+SHIFTED_LINEAR = sp.OrliczFunctionSpec(
+    pw.make_ppl(H, [(1.0, INF, {(1.0, 0): 1.0, (0.0, 0): -1.0})]),
+    zero_bound=1.0)
+
+
+def _assert_certified(CX, v):
+    f = dc.function_from_doc(v.evidence["witness"])
+    assert nm.in_space(f, CX)
+    routes = [oc.oc_point_closed_form(f, CX),
+              oc.oc_point_via_characterization(f, CX)]
+    assert [r.verdict for r in routes] == ["not-OC", "not-OC"], routes
+    assert v.evidence["point_rules"] == [r.rule for r in routes]
+
+
+@pytest.mark.parametrize("CX,family_rule,witness", [
+    # the constant 1 has norm 1: Phi(1/lam) = 0 for lam >= 1
+    (sp.cesaro_space(sp.orlicz_space(SHIFTED_LINEAR, H)),
+     "averaged-orlicz/space", pw.step_function(H, [(0.0, INF, 1.0)])),
+    # phi = t on [0, 1], sqrt(t) after: t**-1/2 on [1, inf) has norm 4
+    (sp.cesaro_space(sp.marcinkiewicz_space(_linear_then_power(0.5))),
+     "averaged-marcinkiewicz/space", pw.power_piece(H, 1.0, INF, 1.0, -0.5)),
+], ids=["orlicz-zero-bound", "marcinkiewicz-linear-then-sqrt"])
+def test_a_point_witness_certifies_an_open_space_not_oc(CX, family_rule,
+                                                        witness):
+    v = oc.oc_space(CX)
+    assert (v.verdict, v.rule) == ("not-OC", "point-witness/space")
+    assert v.evidence["family_rule"] == family_rule
+    assert v.evidence["witness"] == dc.function_to_doc(witness)
+    _assert_certified(CX, v)
+    assert oc.oc_point(witness, CX, "direct").verdict == "not-OC"
+
+
+def test_a_space_with_no_witness_stays_inconclusive():
+    # phi = t*(1 - ln t) on [0, 1]: the constant 1 is an OC point, and
+    # t**-1 on [0, 1/2) is not in the space; the paper leaves this open
+    v = oc.oc_space(sp.cesaro_space(sp.marcinkiewicz_space(_linear_log(1.0))))
+    assert (v.verdict, v.rule, v.evidence) == (
+        "inconclusive", "averaged-marcinkiewicz/space", {})
+
+
+@st.composite
+def _open_family_spaces(draw):
+    """Averaged Marcinkiewicz spaces whose phi has exponent 1 at one end,
+    and averaged Orlicz spaces over the generators above."""
+    kind = draw(st.sampled_from(["phi-unit", "phi-halfline", "Phi"]))
+    if kind == "phi-unit":
+        X = sp.marcinkiewicz_space(_linear_log(draw(st.floats(0.0, 1.0))))
+    elif kind == "phi-halfline":
+        a = draw(st.floats(0.0, 0.9))
+        # only a pure power tail (d = 0) admits the tail candidate t**-a
+        d = (1.0 - a) * draw(st.sampled_from([0.0, 0.5, 1.0]))
+        X = sp.marcinkiewicz_space(_linear_then_power(
+            a, draw(st.floats(0.0, 1.0)), d))
+    else:
+        X = sp.orlicz_space(draw(_generators()), draw(st.sampled_from([H, U])))
+    return sp.cesaro_space(X)
+
+
+@given(CX=_open_family_spaces())
+@example(CX=sp.cesaro_space(sp.orlicz_space(SHIFTED_LINEAR, H)))
+@settings(max_examples=60, deadline=None)
+def test_point_witnesses_are_sound(CX):
+    v = oc.oc_space(CX)
+    if v.rule == "point-witness/space":
+        _assert_certified(CX, v)
+    elif v.verdict == "OC":
+        # the exact point routes agree with the family rule: no candidate
+        # is a not-OC point
+        assert oc._point_witness(CX, v) is v
 
 
 def test_transfer_route_matches_family_rules():
