@@ -55,10 +55,7 @@ def _cesaro_transform(f: PPL) -> PPL:
         F = pw.antiderivative_map(tm)
         F_lo = (pw.limit_term_map(F, "zero") if pos == 0.0
                 else pw.eval_term_map(F, pos))
-        cell: TermMap = {}
-        for (beta, j), c in F.items():
-            key = (beta - 1.0, j)
-            cell[key] = cell.get(key, 0.0) + c
+        cell = pw.average_map(tm)
         c0 = mass - F_lo
         if c0 != 0.0:
             cell[(-1.0, 0)] = cell.get((-1.0, 0), 0.0) + c0

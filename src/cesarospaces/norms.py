@@ -247,7 +247,7 @@ def _orlicz_modular(f: PPL, spec: OrliczFunctionSpec
     parts: list | None = []
     for seg in pw.segment_table(g):
         powers = None
-        if seg.cross is not None:
+        if seg.vlo != seg.vhi:
             maps = [_map_pow_int(seg.terms, n) for n in degrees]
             if bands is None or None in maps:
                 parts = None
@@ -434,14 +434,14 @@ def _peak_limit_at_infinity(spec: QuasiConcaveSpec, tail: TermMap,
 
     Where the piece tends to 0 at infinity, f* has its germ there, because
     the tail is only shifted by a finite measure; otherwise f* tends to
-    the piece's limit.  An integrable f gives f** ~ mass/t; otherwise the
-    integral of f* grows like the integral of the germ.
+    the piece's limit.  An integrable f gives f** ~ mass/t; otherwise f**
+    grows like the running average of the germ.
     """
     phi = pw.germ(spec.phi.pieces[-1].term_map(), "inf")
     inv_t = (1.0, -1.0, 0)
     if math.isfinite(mass):
         return mass * pw.germ_limit(pw.germ_product(phi, inv_t), "inf")
-    grown = pw.germ_product(pw.germ_integral(pw.germ(tail, "inf")), inv_t)
+    grown = pw.germ_average(pw.germ(tail, "inf"))
     return pw.germ_limit(pw.germ_product(phi, grown), "inf")
 
 
@@ -501,7 +501,7 @@ def _marcinkiewicz_levels(f: PPL, spec: QuasiConcaveSpec, sup: float,
     segs = pw.segment_table(f)
     flat: dict[float, float] = {}
     for seg in segs:
-        if seg.cross is None and seg.vlo > low:
+        if seg.vlo == seg.vhi and seg.vlo > low:
             flat[seg.vlo] = flat.get(seg.vlo, 0.0) + (seg.hi - seg.lo)
     knots = [v for v in reversed(rr.critical_values(f)) if low < v < sup]
     last = segs[-1]
@@ -644,7 +644,7 @@ def peak_limits(g: PPL, spec: QuasiConcaveSpec) -> tuple[float, float]:
     head = pw.germ(first.term_map(), "zero") if first.lo == 0.0 else None
     if head is not None and math.isinf(pw.germ_limit(head, "zero")):
         phi = pw.germ(spec.phi.pieces[0].term_map(), "zero")
-        average = pw.germ_product(pw.germ_integral(head), (1.0, -1.0, 0))
+        average = pw.germ_average(head)
         # the germ's sign follows g's, and ln t < 0 near 0
         at_zero = abs(pw.germ_limit(pw.germ_product(phi, average), "zero"))
     else:

@@ -37,6 +37,11 @@ from .spaces import SpaceDescriptor
 EPS_LIMIT = 1e-7
 SEQ_K_INIT = 20
 SEQ_K_MAX = 200
+# the direct route's vanishing_sequence: DIRECT_K_INIT + 1 samples before
+# its first decision, none past n = 2**DIRECT_K_MAX, and a bounded f whose
+# peak lies above 2**DIRECT_K_MAX is inconclusive
+DIRECT_K_INIT = 12
+DIRECT_K_MAX = 60
 
 VERDICT_OC = "OC"
 VERDICT_NOT = "not-OC"
@@ -545,15 +550,16 @@ def _validate_family(fam: Callable[[float], MeasurableSet],
 
 
 def direct_oc_check(f: PPL, S: SpaceDescriptor,
-                    family: Callable[[float], MeasurableSet] | None = None,
-                    k_init: int = 12, k_max: int = 60) -> DirectCheckReport:
+                    family: Callable[[float], MeasurableSet] | None = None
+                    ) -> DirectCheckReport:
     """Evaluate restriction norms along a nested null family.
 
     Decides straight from the definition; used as an oracle against the
     characterization and closed-form routes.  The default family's
     superlevel leg {|f| > n} holds all of a bounded f's peak until n
     reaches sup|f|, where its norms sit on a plateau, so its run starts at
-    the first n = 2**k >= sup|f|; a peak above 2**k_max is inconclusive.
+    the first n = 2**k >= sup|f|; a peak above 2**DIRECT_K_MAX is
+    inconclusive.
 
     A restriction norm depends on |f| alone, so the samples restrict
     |f|, split at f's sign changes once, not f.  Each part is marked as its
@@ -569,7 +575,7 @@ def direct_oc_check(f: PPL, S: SpaceDescriptor,
         if math.isfinite(sup):
             m, e = math.frexp(sup)  # sup = m * 2**e with 0.5 <= m < 1
             start = max(0, e - 1 if m == 0.5 else e)
-            if start > k_max:
+            if start > DIRECT_K_MAX:
                 return DirectCheckReport(None, (), "default-head-and-tail")
     else:
         _validate_family(family, f.domain)
@@ -580,7 +586,8 @@ def direct_oc_check(f: PPL, S: SpaceDescriptor,
     def val(n: float) -> float:
         return nm.norm(pw.restrict(g, fam(n * 2.0 ** start)), S).value
 
-    decision, vals = vanishing_sequence(val, k_init, k_max - start)
+    decision, vals = vanishing_sequence(val, DIRECT_K_INIT,
+                                        DIRECT_K_MAX - start)
     name = "custom" if family is not None else "default-head-and-tail"
     return DirectCheckReport(decision, tuple(vals), name)
 

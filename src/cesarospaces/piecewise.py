@@ -10,7 +10,7 @@ unit interval [0, 1] or the half-line [0, inf); off the pieces the function
 is zero.  Improper behavior at the endpoints 0 and inf is decided
 analytically from the dominant monomial, never by sampling.  The germ
 helpers (:func:`germ`, :func:`germ_limit`, :func:`integral_diverges`,
-:func:`germ_product`, :func:`germ_integral`) are the one place that makes
+:func:`germ_product`, :func:`germ_average`) are the one place that makes
 those endpoint decisions; every other module reads them from there.
 """
 
@@ -249,19 +249,34 @@ def eval_term_map(tm: TermMap, t: float) -> float:
     return total
 
 
-def antiderivative_map(tm: TermMap) -> TermMap:
-    """Exact antiderivative, again a sum of monomials t**beta * (ln t)**j."""
+def average_map(tm: TermView) -> TermMap:
+    """Exact terms of (1/t) * (integral of tm), keyed by tm's own exponents:
+    t**alpha * (ln t)**j, and (ln t)**(k + 1)/t for alpha = -1.
+
+    Keying by alpha, not by (alpha + 1) - 1, keeps a non-dyadic exponent
+    exact, so a running average keeps the exponent of its integrand.
+    """
     out: TermMap = {}
     for (alpha, k), c in tm.items():
         if alpha == -1.0:
-            key = (0.0, k + 1)
+            key = (-1.0, k + 1)
             out[key] = out.get(key, 0.0) + c / (k + 1)
         else:
             for j in range(k + 1):
                 coef = (c * (-1.0) ** (k - j) * math.factorial(k) / math.factorial(j)
                         / (alpha + 1.0) ** (k - j + 1))
-                key = (alpha + 1.0, j)
+                key = (alpha, j)
                 out[key] = out.get(key, 0.0) + coef
+    return {k: c for k, c in out.items() if c != 0.0}
+
+
+def antiderivative_map(tm: TermView) -> TermMap:
+    """Exact antiderivative, again a sum of monomials t**beta * (ln t)**j:
+    the keys of :func:`average_map` shifted by one power of t."""
+    out: TermMap = {}
+    for (alpha, j), c in average_map(tm).items():
+        key = (alpha + 1.0, j)
+        out[key] = out.get(key, 0.0) + c
     return {k: c for k, c in out.items() if c != 0.0}
 
 
@@ -295,12 +310,13 @@ def germ_product(g: Germ, h: Germ) -> Germ:
     return g[0] * h[0], g[1] + h[1], g[2] + h[2]
 
 
-def germ_integral(g: Germ) -> Germ:
-    """Germ of the integral of g toward an end where it diverges."""
+def germ_average(g: Germ) -> Germ:
+    """Germ of (1/t) * (integral of g) toward an end where the integral
+    diverges, keyed as :func:`average_map` keys it."""
     c, a, k = g
     if a == -1.0:
-        return c / (k + 1), 0.0, k + 1
-    return c / (a + 1.0), a + 1.0, k
+        return c / (k + 1), -1.0, k + 1
+    return c / (a + 1.0), a, k
 
 
 def limit_term_map(tm: TermMap, at: str) -> float:
@@ -597,10 +613,6 @@ class MeasurableSet:
                        raw: Iterable[tuple[float, float]]) -> "MeasurableSet":
         return MeasurableSet(domain, tuple(raw))
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
-
     def measure(self) -> float:
         return math.fsum(hi - lo for lo, hi in self.intervals) \
             if not any(math.isinf(hi) for _, hi in self.intervals) else INF
@@ -633,11 +645,6 @@ class MeasurableSet:
             if covered < hi:
                 return False
         return True
-
-
-def essinf(A: MeasurableSet) -> float:
-    """inf{eps >= 0 : the part of A below eps is null}; 0 for the empty set."""
-    return A.intervals[0][0] if A.intervals else 0.0
 
 
 def restrict(f: PPL, A: MeasurableSet) -> PPL:
@@ -782,46 +789,6 @@ def segment_end_values(tm: TermMap, lo: float, hi: float) -> tuple[float, float]
     return vlo, vhi
 
 
-@dataclass(frozen=True, eq=False)
-class _Crossing:
-    """What a crossing |f| = lam on a segment needs besides the level.
-
-    ``power`` is (c, 1/alpha) for a lone c*t**alpha and ``hyperbola`` is
-    (b, a) for b/t + a, the two closed forms.  The rest feeds the Brent
-    fallback: the ends in u = ln t (with 0 and inf taken as u = -700 and
-    700), and the piece's terms split around its constant term ``const``
-    (0.0 when it has none, and then it comes last) into the pairs
-    ``below`` and ``above``, so that the sum shifted by a level is added
-    up in the order ``eval_exp_poly`` adds up the piece's term map.
-    """
-
-    power: tuple[float, float] | None
-    hyperbola: tuple[float, float] | None
-    ulo: float
-    uhi: float
-    below: TermPairs
-    const: float
-    above: TermPairs
-
-
-def _crossing_data(lo: float, hi: float, tm: TermView) -> _Crossing:
-    keys = list(tm)  # a piece's term map: already in sorted key order
-    power = None
-    if len(keys) == 1:
-        (alpha, k), = keys
-        if k == 0 and alpha != 0.0:
-            power = (tm[(alpha, k)], 1.0 / alpha)
-    hyperbola = None
-    if keys == [(-1.0, 0), (0.0, 0)]:
-        hyperbola = (tm[(-1.0, 0)], tm[(0.0, 0)])
-    ulo = math.log(lo) if lo > 0.0 else -rootfind._U_CAP
-    uhi = math.log(hi) if not math.isinf(hi) else rootfind._U_CAP
-    pairs = tuple(tm.items())
-    slot = keys.index((0.0, 0)) if (0.0, 0) in tm else len(keys)
-    return _Crossing(power, hyperbola, ulo, uhi, pairs[:slot],
-                     tm.get((0.0, 0), 0.0), pairs[slot + 1:])
-
-
 def _between(mass: float, width: float, v1: float, v2: float) -> float:
     """mass clamped to width times the range [v1, v2] of the integrand.
 
@@ -840,18 +807,17 @@ class MonotoneSegment:
     """A monotone segment [lo, hi) of |f|, with what a cut at a level needs.
 
     ``vlo`` and ``vhi`` are the one-sided limits at the ends and ``terms``
-    the term map of the piece that holds the segment.  ``cross`` is the
-    crossing data (``_Crossing``), None on a flat segment, which no level
-    cuts.  ``mass()`` is the antiderivative data, built at first use.
+    the term map of the piece that holds the segment.  A segment with
+    ``vlo == vhi`` is flat, and no level cuts it; a crossing of a sloped
+    one is solved from its terms (``rearrange._crossing``).  ``mass()`` is
+    the antiderivative data, built at first use.
     """
 
-    __slots__ = ("lo", "hi", "vlo", "vhi", "terms", "cross", "_mass")
+    __slots__ = ("lo", "hi", "vlo", "vhi", "terms", "_mass")
 
     def __init__(self, lo: float, hi: float, terms: TermView) -> None:
         self.lo, self.hi, self.terms = lo, hi, terms
         self.vlo, self.vhi = segment_end_values(terms, lo, hi)
-        self.cross = (_crossing_data(lo, hi, terms)
-                      if self.vlo != self.vhi else None)
         self._mass: tuple[TermMap, float, float, float] | None = None
 
     def mass(self) -> tuple[TermMap, float, float, float]:

@@ -4,17 +4,16 @@ Everything here reads one table: the monotone segments of |f|
 (``piecewise.segment_table``), split once and kept on the object |f|
 itself, for as long as it lives; ``piecewise.absolute`` keeps |f| on f.
 Each segment is one record (``piecewise.MonotoneSegment``) with its ends,
-end values and terms, what a crossing |f| = lam needs besides the level
-(which closed form applies, the ends in u = ln t, the terms in summation
-order), and, built at first use, its antiderivative data.
+end values and terms and, built at first use, its antiderivative data.
 
 One rule (``_part_above``) cuts a segment at a level: the segment
 contributes nothing, all of itself, or the part on one side of the unique
-crossing.  Crossings have closed forms for constant, pure-power and
-a + b/t segments; everything else falls back to a Brent solve in u at
-precision 1e-12.  The distribution d_f(lam) = m({|f| > lam}), the
-superlevel set {|f| > lam} and ``_level_mass`` all read that rule, so they
-agree at every level.
+crossing.  A crossing |f| = lam is solved from the segment's terms when a
+level cuts it: pure-power and a + b/t segments have closed forms, and
+everything else falls back to a Brent solve in u at precision 1e-12.
+The distribution d_f(lam) = m({|f| > lam}), the superlevel set
+{|f| > lam} and ``_level_mass`` all read that rule, so they agree at
+every level.
 
 The rearrangement f*(s) = inf{lam > 0 : d_f(lam) <= s} is returned as an
 exact function whenever f is a step function or |f| is already
@@ -54,25 +53,39 @@ CROSSING_MAX_ITER = 1000
 def _crossing(seg: pw.MonotoneSegment, lam: float) -> float:
     """Unique t in (lo, hi) with value lam on a monotone positive segment
     whose end values lie on both sides of lam; inf when that t lies past
-    the float range."""
-    c = seg.cross
-    if c.power is not None:
-        coeff, inv_alpha = c.power
-        ratio = lam / coeff
-        if ratio == 0.0:  # lam underflowed against the coefficient
-            return 0.0 if inv_alpha > 0.0 else INF
-        try:
-            return ratio ** inv_alpha
-        except OverflowError:
-            return INF
-    if c.hyperbola is not None:
-        b, a = c.hyperbola
+    the float range.
+
+    A lone c*t**alpha and b/t + a have closed forms.  Otherwise Brent
+    solves the terms minus lam in u = ln t, between the ends (0 and inf
+    taken as u = -700 and 700), with the terms added up in the order
+    ``eval_exp_poly`` adds up the piece's term map and a missing constant
+    term last.
+    """
+    terms = seg.terms
+    keys = list(terms)  # a piece's term map: already in sorted key order
+    if len(keys) == 1:
+        (alpha, k), = keys
+        if k == 0 and alpha != 0.0:
+            ratio = lam / terms[keys[0]]
+            if ratio == 0.0:  # lam underflowed against the coefficient
+                return 0.0 if alpha > 0.0 else INF
+            try:
+                return ratio ** (1.0 / alpha)
+            except OverflowError:
+                return INF
+    elif keys == [(-1.0, 0), (0.0, 0)]:
+        b, a = terms[(-1.0, 0)], terms[(0.0, 0)]
         if lam != a:
             t = b / (lam - a)
             if seg.lo < t < seg.hi:
                 return t
-    ulo, uhi = c.ulo, c.uhi
-    shifted = c.below + (((0.0, 0), c.const - lam),) + c.above
+    ulo = math.log(seg.lo) if seg.lo > 0.0 else -_U_CAP
+    uhi = math.log(seg.hi) if not math.isinf(seg.hi) else _U_CAP
+    const = terms.get((0.0, 0), 0.0) - lam
+    shifted = [(key, const if key == (0.0, 0) else c)
+               for key, c in terms.items()]
+    if (0.0, 0) not in terms:
+        shifted.append(((0.0, 0), const))
     clipped = lambda x: min(max(eval_exp_pairs(shifted, x), -1e300), 1e300)
     flo, fhi = clipped(ulo), clipped(uhi)
     if flo == 0.0:
@@ -172,10 +185,9 @@ def _power_tail(seg: pw.MonotoneSegment, lam: float) -> float:
     """Integral of c*t**alpha, alpha < -1, from its crossing x with lam to
     infinity, for an x past the float range: c*x**(alpha + 1)/-(alpha + 1),
     with x**(alpha + 1) taken in log space."""
-    coeff, inv_alpha = seg.cross.power
-    (alpha, _k), = seg.terms
+    ((alpha, _k), coeff), = seg.terms.items()
     log_ratio = math.log(lam) - math.log(coeff)
-    return coeff * math.exp((alpha + 1.0) * inv_alpha * log_ratio) \
+    return coeff * math.exp((alpha + 1.0) * (1.0 / alpha) * log_ratio) \
         / -(alpha + 1.0)
 
 

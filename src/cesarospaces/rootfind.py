@@ -237,14 +237,7 @@ def roots_t(terms: TermMap, tlo: float, thi: float) -> list[float]:
 
 
 def stationary_points_t(terms: TermMap, tlo: float, thi: float) -> list[float]:
-    """Interior zeros of d/dt of the sum, i.e. monotonicity breakpoints."""
-    work = _clean(terms)
-    if not work:
-        return []
-    # d/dt = e^{-u} d/du in u coordinates; same zero set as d/du
-    deriv = derivative_terms(work)
-    if not deriv:
-        return []
-    ulo = math.log(tlo) if tlo > 0.0 else -math.inf
-    uhi = math.log(thi) if not math.isinf(thi) else math.inf
-    return [math.exp(u) for u in roots_u(deriv, ulo, uhi)]
+    """Interior zeros of d/dt of the sum, i.e. monotonicity breakpoints:
+    d/dt = e^{-u} d/du in u coordinates, with the zero set of d/du."""
+    deriv = derivative_terms(terms)
+    return roots_t(deriv, tlo, thi) if deriv else []

@@ -357,29 +357,33 @@ def _golden_max(fn, a: float, b: float, tol: float = 1e-10) -> float:
 
 def marcinkiewicz_grid_reference(f: pw.PPL, spec) -> tuple[float, float]:
     """(value, error bound) of sup_t phi(t)*f**(t) for an f without an
-    exact rearrangement, by the old search: phi * f** on the grid
-    2**-24 .. 2**24 plus phi's breakpoints, each point inverting f* by
-    bisection, then golden-section refinement around the best point.  The
-    bound is the refinement step plus 1e-8*(1 + value); the grid never
-    looks past 2**24, so a sup approached only at infinity reads short."""
+    exact rearrangement, by a t-grid search: phi * f** on the grid
+    2**-24 .. 2**24 in quarter octaves plus phi's breakpoints, each point
+    inverting f* by bisection, then golden-section refinement around every
+    local maximum of the grid, since phi*f** of rising steps can have two
+    bumps.  The bound is the winning refinement's step plus
+    1e-8*(1 + value); the grid never looks past 2**24, so a sup approached
+    only at infinity reads short."""
     r = rr.decreasing_rearrangement(f)
     if math.isinf(r.sup_value) and rr.second_maximal(r, 1.0) == INF:
         return INF, 0.0
     fn = lambda t: spec.value(t) * rr.second_maximal(r, t)
     end = f.domain.end
-    grid = [t for t in (2.0 ** k for k in range(-24, 25))
+    grid = [t for t in (2.0 ** (k / 4.0) for k in range(-96, 97))
             if t <= end] + [b for b in spec.phi.breakpoints() if 0 < b <= end]
     grid = sorted(set(grid))
     vals = [fn(t) for t in grid]
-    best = max(vals)
-    if math.isinf(best):
+    if math.isinf(max(vals)):
         return INF, 0.0
-    idx = vals.index(best)
-    lo = grid[max(idx - 1, 0)]
-    hi = grid[min(idx + 1, len(grid) - 1)]
-    refined = _golden_max(fn, lo, hi) if hi > lo else best
-    value = max(best, refined)
-    return value, abs(refined - best) + 1e-8 * (1.0 + value)
+    value, step = -INF, 0.0
+    for i, v in enumerate(vals):
+        if v < max(vals[max(i - 1, 0):i + 2]):
+            continue
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        refined = _golden_max(fn, lo, hi) if hi > lo else v
+        if max(v, refined) > value:
+            value, step = max(v, refined), abs(refined - v)
+    return value, step + 1e-8 * (1.0 + value)
 
 
 # ---------------------------------------------------------------------------

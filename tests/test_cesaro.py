@@ -97,6 +97,22 @@ def test_transform_of_signed_function_can_cancel():
     assert cf(4.0) == pytest.approx(0.0, abs=1e-15)
 
 
+@given(a=st.floats(-1.0, 2.0, exclude_min=True, exclude_max=True)
+       .filter(lambda a: (a + 1.0) - 1.0 != a),
+       k=st.integers(0, 2), c=st.floats(0.125, 8.0),
+       lo=st.sampled_from([0.0, 0.5, 1.0]),
+       hi=st.sampled_from([2.0, 4.0, INF]))
+@settings(max_examples=100, deadline=None)
+@example(a=0.3, k=0, c=1.0, lo=1.0, hi=INF)
+@example(a=0.1, k=2, c=1.0, lo=0.0, hi=2.0)
+def test_the_transform_keeps_a_non_dyadic_exponent(a, k, c, lo, hi):
+    # C f of c*t**a*ln(t)**k is t**a times a polynomial in ln t, plus a
+    # multiple of 1/t; formed as (a + 1) - 1, the exponent was an ulp off
+    f = pw.make_ppl(H, [(lo, hi, {(a, k): c})])
+    for p in cz.cesaro_transform(f).pieces:
+        assert {alpha for (alpha, _j), _c in p.pairs} <= {a, -1.0}
+
+
 # ---------------------------------------------------------------------------
 # numeric probe
 

@@ -395,7 +395,7 @@ def _band_rounding(f, spec, lam: float) -> float:
     total = 0.0
     for seg in pw.segment_table(f):
         for lo, hi, terms in nm._generator_power_bands(spec):
-            cut = None if seg.cross is None else \
+            cut = None if seg.vlo == seg.vhi else \
                 nm._band_part(seg, lam * lo, lam * hi)
             if cut is None:
                 continue
@@ -701,6 +701,23 @@ def test_level_search_inside_the_grid_search_bound(averaged, data):
         peak = spec.value(t) * rr.second_maximal(g, t)
         slack = 2.0 * rr.BISECT_TOL * max(1.0, peak)
         assert peak <= res.value + res.error_bound + slack, (t, peak, res)
+
+
+def test_level_search_finds_a_peak_between_grid_octaves():
+    # phi*f** of C|f| has a bump near t = 0.34 above its value at t = 1,
+    # and rises over the octave grid 1/8, 1/4, 1/2, 1, so a search that
+    # refines only around the best octave point reads the value at t = 1
+    f = pw.step_function(U, [(0.0, 0.625, 0.25), (0.625, 0.875, 2.0),
+                             (0.875, 1.0, 3.0)])
+    spec = cat.sqrt_phi(U)
+    g = cz.cesaro_transform(pw.absolute(f))
+    res = nm.norm(f, sp.cesaro_space(sp.marcinkiewicz_space(spec)))
+    assert res.method == "sup-search"
+    t = 1.0 - 1.09375 / (2.0 - 0.34375)  # d(0.34375), beside the peak
+    assert res.value >= spec.value(t) * rr.second_maximal(g, t) - 1e-11
+    assert res.value > pw.integrate(g) + 4e-4
+    ref, bound = marcinkiewicz_grid_reference(g, spec)
+    assert abs(res.value - ref) <= bound + res.error_bound
 
 
 # ---------------------------------------------------------------------------

@@ -185,8 +185,8 @@ def test_tall_bump_under_a_capped_generator_is_continuous(method):
 @pytest.mark.parametrize("height", [5e3, 1e5, 1e7])
 def test_direct_route_starts_past_the_peak_of_a_bounded_function(CX, height):
     # the superlevel leg holds the whole bump until n passes the height;
-    # run from n = 1 with k_init 12 it read a plateau as not-OC, and "all"
-    # reported a method conflict
+    # run from n = 1 with DIRECT_K_INIT = 12 it read a plateau as not-OC,
+    # and "all" reported a method conflict
     f = pw.scale(chi(H, 1.0, 2.0), height)
     direct = oc.oc_point(f, CX, method="direct")
     assert direct.verdict == "OC"
@@ -716,6 +716,26 @@ def test_a_space_with_no_witness_stays_inconclusive():
     v = oc.oc_space(sp.cesaro_space(sp.marcinkiewicz_space(_linear_log(1.0))))
     assert (v.verdict, v.rule, v.evidence) == (
         "inconclusive", "averaged-marcinkiewicz/space", {})
+
+
+@pytest.mark.parametrize("a", [0.3, 0.1])
+def test_an_average_keeps_the_exponent_of_its_integrand(a):
+    # phi = t on [0, 1], t**a after, and f = t**-a on [1, inf): C f and
+    # f** decay like t**-a, and phi*(C f)** tends to 1/(1 - a)**2.  With
+    # the exponent of C f formed as (a + 1) - 1, an ulp off -a, the
+    # closed-form and theorem routes read 0 at a = 0.3 and said OC against
+    # the direct route, and at a = 0.1 the norm read inf
+    CX = sp.cesaro_space(sp.marcinkiewicz_space(_linear_then_power(a)))
+    f = pw.power_piece(H, 1.0, INF, 1.0, -a)
+    assert nm.in_space(f, CX)
+    assert nm.norm(f, CX).value == pytest.approx(1.0 / (1.0 - a) ** 2,
+                                                 rel=1e-14)
+    v = oc.oc_point(f, CX, "all")
+    assert v.verdict == "not-OC"
+    assert [verdict for _rule, verdict in v.evidence["verdicts"]] == \
+        ["not-OC"] * 3
+    space = oc.oc_space(CX)
+    assert (space.verdict, space.rule) == ("not-OC", "point-witness/space")
 
 
 @st.composite

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cesarospaces import norms as nm
 from cesarospaces import piecewise as pw
 from cesarospaces import rearrange as rr
+from cesarospaces import rootfind
 from cesarospaces import spaces as sp
 from cesarospaces.errors import EvaluationDomainError, NotRearrangeableError
 from cesarospaces.piecewise import INF
@@ -84,6 +85,52 @@ def test_mass_above_a_level_crossed_past_the_float_range(coeff, alpha, lam):
     if (coeff, alpha) == (1.0, -1.01):
         # 100*(1 - x**-0.01), not the whole 100
         assert mass == pytest.approx(99.937056866, rel=1e-10)
+
+
+@st.composite
+def _crossing_cases(draw):
+    """(terms, lo, hi, shares): a lone c*t**alpha, b/t + a or a general
+    sum of up to three terms on a finite [lo, hi), and shares in (0, 1)
+    that place levels between the end values of each monotone segment."""
+    kind = draw(st.sampled_from(["power", "hyperbola", "general"]))
+    coeff = lambda: draw(st.sampled_from([-1.0, 1.0])) * draw(
+        st.floats(0.125, 8.0))
+    if kind == "power":
+        alpha = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.05, 3.0))
+        terms = {(alpha, 0): coeff()}
+    elif kind == "hyperbola":
+        terms = {(-1.0, 0): coeff(), (0.0, 0): coeff()}
+    else:
+        keys = draw(st.lists(st.tuples(st.floats(-2.0, 2.0),
+                                       st.integers(0, 2)),
+                             min_size=1, max_size=3, unique=True))
+        terms = {key: coeff() for key in keys}
+    lo = draw(st.floats(1.0 / 64.0, 4.0))
+    hi = lo * draw(st.floats(1.5, 64.0))
+    shares = draw(st.lists(st.floats(0.001, 0.999), min_size=1, max_size=4))
+    return terms, lo, hi, shares
+
+
+@given(case=_crossing_cases())
+@settings(max_examples=300, deadline=None)
+@example(case=({(-0.5, 0): 2.0}, 0.25, 4.0, [0.5]))
+@example(case=({(-1.0, 0): 3.0, (0.0, 0): -0.5}, 0.5, 4.0, [0.001, 0.999]))
+@example(case=({(1.0, 1): 1.0, (0.5, 0): -1.0}, 0.125, 8.0, [0.25, 0.75]))
+def test_a_crossing_is_the_root_of_the_terms_minus_the_level(case):
+    terms, lo, hi, shares = case
+    for seg in pw.segment_table(pw.make_ppl(H, [(lo, hi, terms)])):
+        # on a segment flat to within a thousandth of its values (say
+        # t**1e-10), an ulp of the level moves the crossing far
+        if abs(seg.vhi - seg.vlo) < 1e-3 * max(seg.vlo, seg.vhi):
+            continue
+        for share in shares:
+            lam = seg.vlo + share * (seg.vhi - seg.vlo)
+            if not min(seg.vlo, seg.vhi) < lam < max(seg.vlo, seg.vhi):
+                continue
+            shifted = dict(seg.terms)
+            shifted[(0.0, 0)] = shifted.get((0.0, 0), 0.0) - lam
+            root, = rootfind.roots_t(shifted, seg.lo, seg.hi)
+            assert rr._crossing(seg, lam) == pytest.approx(root, rel=1e-11)
 
 
 def test_critical_values_are_distinct_magnitudes():
