@@ -12,6 +12,8 @@ Resolution limits are inherent: the shell range covers [2^-60, 2^60], so
 integrals whose convergence is slower than t^(-1.05)-type decay at an end
 are reported as infinite, and sampled rearrangements cannot see structure
 finer than their grid.  Battery inputs are chosen within these limits.
+The sample-sort grid is built once per domain end; each call only splices
+its cut clusters into a copy.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import bisect
 import itertools
 import math
 import operator
+from array import array
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 from . import norms as nm
 from . import piecewise as pw
@@ -114,14 +117,22 @@ def _adaptive(fn, a, b, fa, fm, fb, whole, tol, depth):
     frm = fn(rm)
     left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
+    s = left + right
+    # an interior value that is not finite, or a panel sum past the float
+    # range; a cell below one ulp wide would give 0 * inf = NaN
+    if not math.isfinite(s):
+        return INF
+    if depth <= 0 or abs(s - whole) <= 15.0 * tol:
+        return s + (s - whole) / 15.0
     return (_adaptive(fn, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
             + _adaptive(fn, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1))
 
 
 def simpson(fn, a: float, b: float, tol: float = 1e-10, depth: int = 24) -> float:
-    """Adaptive Simpson on a finite interval; endpoint singularities nudged."""
+    """Adaptive Simpson on a finite interval; endpoint singularities nudged.
+
+    INF where the midpoint or an interior value is not finite, never NaN.
+    """
     if not b > a:
         return 0.0
     fa = _safe_eval(fn, a, a, b)
@@ -203,72 +214,105 @@ def _weighted_sorted(sample, end: float, cuts=()):
     tails out to ``GRID_TAIL_END``, and knot clusters straddle the supplied
     cuts; each sample carries its own cell width.
     """
-    body_top = min(end, GRID_TOP)
-    # the head, the body and the tail fill disjoint ranges in increasing
-    # order, so the grid is built sorted and repeats only next to itself
-    knots = [0.0, *_geometric(GRID_HEAD_START, GRID_HEAD_RATIO,
-                              min(body_top, 0.125))]
-    h = body_top / float(GRID_BODY_CELLS)
-    i0 = int(0.125 / h) + 1
-    knots += [i0 * h + j * h for j in range(GRID_BODY_CELLS - i0 + 1)]
-    _clamp(knots, body_top)
-    top = body_top
-    if end > GRID_TOP:
-        top = min(end, GRID_TAIL_END)
-        knots += _geometric(body_top, GRID_TAIL_RATIO, top)
-        knots.append(top)
+    knots, mids, widths, top = _base_grid(
+        end, GRID_TOP, GRID_HEAD_START, GRID_HEAD_RATIO, GRID_BODY_CELLS,
+        GRID_TAIL_RATIO, GRID_TAIL_END)
+    cluster: set[float] = set()
     for c in cuts:
         if not 0.0 < c < top:
             continue
-        knots.append(c)
+        cluster.add(c)
         for k in range(8, 41):
             eps = 2.0 ** -k
             if c * (1.0 - eps) > 0.0:
-                knots.append(c * (1.0 - eps))
+                cluster.add(c * (1.0 - eps))
             if c * (1.0 + eps) < top:
-                knots.append(c * (1.0 + eps))
-    # sorting merges the clusters into the sorted grid; then each knot once
-    knots.sort()
-    ordered = [knots[0]]
-    ordered += itertools.compress(knots[1:], map(operator.ne, knots[1:], knots))
-    # each grid is dropped as soon as it is read: a verify run peaks here
-    del knots
-    mids = map(operator.mul, itertools.repeat(0.5),
-               map(operator.add, ordered, ordered[1:]))
-    mags = list(map(abs, sample(list(mids))))
-    widths = list(map(operator.sub, ordered[1:], ordered))
-    del ordered
+                cluster.add(c * (1.0 + eps))
+    if cluster:
+        mids, widths = _splice(knots, mids, widths, sorted(cluster))
+    vals = sample(mids)
     # a stable sort by descending magnitude, as buckets of widths per
-    # magnitude in node order; a step function fills a few dozen buckets
-    buckets: dict[float, list[float]] = {}
+    # magnitude in node order, filled run by run of one value of f; a step
+    # function fills a few dozen buckets
+    buckets: dict[float, array] = {}
     starts = [0, *itertools.compress(itertools.count(1),
-                                     map(operator.ne, mags[1:], mags))]
-    for a, b in zip(starts, starts[1:] + [len(mags)]):
-        buckets.setdefault(mags[a], []).extend(widths[a:b])
-    del mags, widths
+                                     map(operator.ne, vals[1:], vals))]
+    for a, b in zip(starts, starts[1:] + [len(vals)]):
+        buckets.setdefault(abs(vals[a]), array("d")).extend(widths[a:b])
+    del vals, mids, widths
     values: list[float] = []
-    measures: list[float] = []
+    measures = array("d")
     for v in sorted(buckets, reverse=True):
         values += [v] * len(buckets[v])
         measures += buckets.pop(v)
     # knots are distinct, so the widths are positive and the sums rise
-    cum = list(itertools.accumulate(measures))
+    cum = array("d", itertools.accumulate(measures))
     # the rounded running sum can pass the grid's top, where the parameter
-    # function of a [0, 1] space is undefined
-    _clamp(cum, top)
+    # function of a [0, 1] space is undefined: clamp the sums from there
+    over = bisect.bisect_right(cum, top)
+    cum[over:] = array("d", [top]) * (len(cum) - over)
     return values, cum
+
+
+@lru_cache(maxsize=8)
+def _base_grid(end: float, grid_top: float, head_start: float,
+               head_ratio: float, body_cells: int, tail_ratio: float,
+               tail_end: float):
+    """The knots of ``_weighted_sorted``'s grid before the cut clusters,
+    sorted and distinct, with their cells' midpoints and widths, and the
+    grid's top: (knots, mids, widths, top).  The grid depends only on the
+    domain's end and the ``GRID_*`` constants it takes as arguments, so it
+    is built once per end; callers copy it and never write into it."""
+    body_top = min(end, grid_top)
+    # the head, the body and the tail fill disjoint ranges in increasing
+    # order, so the grid is built sorted and repeats only next to itself
+    knots = [0.0, *_geometric(head_start, head_ratio, min(body_top, 0.125))]
+    h = body_top / float(body_cells)
+    i0 = int(0.125 / h) + 1
+    knots += [min(i0 * h + j * h, body_top)
+              for j in range(body_cells - i0 + 1)]
+    top = body_top
+    if end > grid_top:
+        top = min(end, tail_end)
+        knots += _geometric(body_top, tail_ratio, top)
+        knots.append(top)
+    ordered = array("d", knots[:1])
+    ordered.extend(itertools.compress(knots[1:],
+                                      map(operator.ne, knots[1:], knots)))
+    mids = array("d", map(operator.mul, itertools.repeat(0.5),
+                          map(operator.add, ordered, ordered[1:])))
+    widths = array("d", map(operator.sub, ordered[1:], ordered))
+    return ordered, mids, widths, top
+
+
+def _splice(knots, mids, widths, extra):
+    """The midpoints and widths of the cells of the sorted distinct
+    ``knots`` with the sorted distinct ``extra`` knots added.  Extra knots
+    that are already knots are skipped; the base cells around each cell an
+    extra knot splits are copied, and only the split cells are computed."""
+    slots = [(bisect.bisect_left(knots, x), x) for x in extra]
+    new_mids = array("d")
+    new_widths = array("d")
+    done = 0  # base cells copied so far
+    for i, group in itertools.groupby(
+            (s for s in slots if s[0] == len(knots) or knots[s[0]] != s[1]),
+            key=operator.itemgetter(0)):
+        # the extra knots of the group lie between knots[i - 1] and knots[i]
+        new_mids += mids[done:i - 1]
+        new_widths += widths[done:i - 1]
+        edges = [knots[i - 1], *(x for _, x in group), *knots[i:i + 1]]
+        new_mids.extend(0.5 * (a + b) for a, b in zip(edges, edges[1:]))
+        new_widths.extend(b - a for a, b in zip(edges, edges[1:]))
+        done = i
+    new_mids += mids[done:]
+    new_widths += widths[done:]
+    return new_mids, new_widths
 
 
 def _geometric(start: float, ratio: float, stop: float):
     """start, start*ratio, (start*ratio)*ratio, ... while below stop."""
     return itertools.takewhile(stop.__gt__, itertools.accumulate(
         itertools.repeat(ratio), operator.mul, initial=start))
-
-
-def _clamp(xs: list[float], top: float) -> None:
-    """Replace each x of the nondecreasing list by min(x, top), in place."""
-    over = bisect.bisect_right(xs, top)
-    xs[over:] = [top] * (len(xs) - over)
 
 
 def _octave_runs(cum, lo: int, hi: int):
@@ -327,13 +371,7 @@ def _running_average(fn, end: float, cuts):
     already diverges near zero.
     """
     top = min(end, 2.0 ** 40)
-    grid: list[float] = []
-    x = 2.0 ** SHELL_LOW
-    step = 2.0 ** (1.0 / 16)
-    while x < top:
-        grid.append(x)
-        x *= step
-    grid.append(top)
+    grid = [*_geometric(2.0 ** SHELL_LOW, 2.0 ** (1.0 / 16), top), top]
     cutset = sorted(c for c in cuts if 0.0 < c < top)
     grid = sorted(set(grid) | set(cutset))
     inc: list[float] = []
@@ -353,8 +391,6 @@ def _running_average(fn, end: float, cuts):
         cum.append(cum[-1] + v)
     total = cum[-1]
 
-    from bisect import bisect_right
-
     def avg(t: float) -> float:
         if t <= 0.0:
             return 0.0
@@ -362,7 +398,7 @@ def _running_average(fn, end: float, cuts):
             extra = simpson(fn, top, min(t, 2.0 ** 60), tol=1e-12, depth=30) \
                 if t > top else 0.0
             return (total + extra) / t
-        j = bisect_right(grid, t) - 1
+        j = bisect.bisect_right(grid, t) - 1
         if j < 0:
             return (head * (t / grid[0])) / t
         return (cum[j] + simpson(fn, grid[j], t, tol=1e-14, depth=12)) / t
@@ -535,10 +571,10 @@ def _marcinkiewicz_sampled(sample, end: float, spec, cuts=()) -> float:
     # phi(c) * (integral of the rearrangement up to c) / c per cell, the
     # integral a left-to-right running sum; no term is -0.0, so the first
     # sum is the loop's 0.0 + term
-    accs = itertools.accumulate(map(operator.mul, values,
-                                    map(operator.sub, cum, [0.0, *cum])))
-    cands = list(map(operator.truediv,
-                     map(operator.mul, spec.values(cum), accs), cum))
+    accs = itertools.accumulate(map(operator.mul, values, map(
+        operator.sub, cum, itertools.chain((0.0,), cum))))
+    cands = array("d", map(operator.truediv,
+                           map(operator.mul, spec.values(cum), accs), cum))
     if not all(map(math.isfinite, cands)):
         return INF
     best = max(itertools.chain((0.0,), cands))

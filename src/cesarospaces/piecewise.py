@@ -806,18 +806,21 @@ def _between(mass: float, width: float, v1: float, v2: float) -> float:
 class MonotoneSegment:
     """A monotone segment [lo, hi) of |f|, with what a cut at a level needs.
 
-    ``vlo`` and ``vhi`` are the one-sided limits at the ends and ``terms``
-    the term map of the piece that holds the segment.  A segment with
-    ``vlo == vhi`` is flat, and no level cuts it; a crossing of a sloped
-    one is solved from its terms (``rearrange._crossing``).  ``mass()`` is
-    the antiderivative data, built at first use.
+    ``vlo`` and ``vhi`` are the one-sided limits at the ends, never below
+    0, and ``terms`` the term map of the piece that holds the segment.  A
+    segment with ``vlo == vhi`` is flat, and no level cuts it; a crossing
+    of a sloped one is solved from its terms (``rearrange._crossing``).
+    ``mass()`` is the antiderivative data, built at first use.
     """
 
     __slots__ = ("lo", "hi", "vlo", "vhi", "terms", "_mass")
 
     def __init__(self, lo: float, hi: float, terms: TermView) -> None:
         self.lo, self.hi, self.terms = lo, hi, terms
-        self.vlo, self.vhi = segment_end_values(terms, lo, hi)
+        vlo, vhi = segment_end_values(terms, lo, hi)
+        # |f| >= 0, but its value at a zero of f can round below 0
+        self.vlo = 0.0 if vlo < 0.0 else vlo
+        self.vhi = 0.0 if vhi < 0.0 else vhi
         self._mass: tuple[TermMap, float, float, float] | None = None
 
     def mass(self) -> tuple[TermMap, float, float, float]:

@@ -19,9 +19,10 @@ from cesarospaces.errors import (MethodInapplicableError, NotInSpaceError,
                                  RepresentationError, ValidationError)
 from cesarospaces.piecewise import INF
 from support import (HALFLINE as H, SHIFTED_SQUARE, UNIT as U, chi,
-                     marcinkiewicz_grid_reference, nonzero_step_functions,
-                     power_log_pieces, step_functions, tail_test_point,
-                     truncation_core_membership, two_power_log_pieces)
+                     excess_over, marcinkiewicz_grid_reference,
+                     nonzero_step_functions, power_log_pieces, step_functions,
+                     tail_test_point, truncation_core_membership,
+                     two_power_log_pieces)
 
 L1 = sp.lebesgue(1.0, H)
 L2 = sp.lebesgue(2.0, H)
@@ -1437,6 +1438,19 @@ def test_truncation_core_rule_agrees_with_the_sampled_test(X, data):
     sampled, evidence = truncation_core_membership(f, CX)
     if sampled is not None:
         assert member is sampled, evidence
+
+
+def test_an_end_value_of_abs_f_that_rounds_below_zero_reads_zero():
+    # C g of g = (3.65145811278845 t^2 - 16)_+ has a double zero where g
+    # starts; there its terms round to about 5.6e-17, so |C g| begins
+    # with a sliver of negated terms that read -5.6e-17 at its start, and
+    # the Orlicz generator refused that level with ValueError
+    g = excess_over(pw.make_ppl(H, [(0.0, 4.0, {(2.0, 0): 3.65145811278845})]),
+                    16.0, INF)
+    segs = pw.segment_table(cz.cesaro_transform(g))
+    assert min(min(seg.vlo, seg.vhi) for seg in segs) == 0.0
+    X = sp.orlicz_space(cat.orlicz_flat_capped(), H)
+    assert nm.norm(g, sp.cesaro_space(X)).value > 0.0
 
 
 def test_truncation_core_rule_refuses_a_nonzero_core():

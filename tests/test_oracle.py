@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +33,18 @@ def test_simpson_nudges_an_endpoint_singularity_inward():
     # integral of x**-1/2 is 2, and the panel rule gets it to about 0.2 %
     fn = lambda x: INF if x == 0.0 else x ** -0.5
     assert orc.simpson(fn, 0.0, 1.0) == pytest.approx(2.0, rel=5e-3)
+
+
+def test_simpson_reads_inf_where_an_interior_node_meets_the_singularity():
+    # [1, 1 + 2^-51] is two ulps wide: every nudge of the end value
+    # fn(1) = inf stays on 1.0, so the end reads 0.0, and the node halfway
+    # between 1.0 and the midpoint rounds back onto 1.0.  The panel sum was
+    # 0 * inf = NaN there
+    fn = lambda x: INF if x == 1.0 else 1.0
+    assert orc.simpson(fn, 1.0, 1.0 + 2.0 ** -51) == INF
+    # a panel sum past the float range is no number either: it recursed to
+    # full depth and came back NaN
+    assert not math.isnan(orc.simpson(lambda x: 1e308, 0.0, 1.0))
 
 
 def test_improper_integral_exponential():
@@ -185,6 +198,20 @@ def test_lorentz_level_sum_evaluates_phi_once_per_cell(monkeypatch):
     report = orc.quadrature_norm_oracle(STEP, X)
     assert report.passed
     assert count[0] <= 10000
+
+
+def test_a_repeated_sample_sort_oracle_call_stays_small():
+    # the first call builds the half-line's base grid; a later call copies
+    # its columns as float arrays, not as lists of float objects
+    X = sp.marcinkiewicz_space(cat.sqrt_phi(H))
+    orc.quadrature_norm_oracle(STEP, X)
+    tracemalloc.start()
+    try:
+        orc.quadrature_norm_oracle(STEP, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
 
 
 @pytest.mark.parametrize("X,expected", [
@@ -405,6 +432,23 @@ def test_sample_sort_is_the_per_cell_loop_on_the_default_grid(
         fn, reference, case, with_spec):
     value, expected = _both(fn, reference, case, with_spec)
     assert value == expected
+
+
+def test_the_base_grid_memo_is_keyed_on_the_grid_constants():
+    f, cuts, _ = SAMPLE_SORT_EXAMPLES[1]
+    bare = (f, [], None)
+    for grid in (contextlib.nullcontext, _small_grid, contextlib.nullcontext):
+        with grid():
+            values, reference = _both(orc._weighted_sorted,
+                                      support.weighted_sorted_reference, bare,
+                                      False)
+        assert values == reference
+    # a call with cuts splices into copies of the memo, never into it
+    orc._weighted_sorted(lambda ts: pw.evaluate_sorted(f, ts), f.domain.end,
+                         cuts)
+    values, reference = _both(orc._weighted_sorted,
+                              support.weighted_sorted_reference, bare, False)
+    assert values == reference
 
 
 def _powers_of_two_and_neighbours():
