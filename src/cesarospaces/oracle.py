@@ -12,8 +12,10 @@ Resolution limits are inherent: the shell range covers [2^-60, 2^60], so
 integrals whose convergence is slower than t^(-1.05)-type decay at an end
 are reported as infinite, and sampled rearrangements cannot see structure
 finer than their grid.  Battery inputs are chosen within these limits.
-The sample-sort grid is built once per domain end; each call only splices
-its cut clusters into a copy.
+Every sample grid (the sample-sort grid, the uniform and logarithmic
+nodes, and the quadrature panels of an uncut dyadic shell) is built once
+per domain end; a call only adds the nodes its own cuts need, never into
+the memo, and sorted nodes take one walk over the pieces of f.
 """
 
 from __future__ import annotations
@@ -118,20 +120,37 @@ def _adaptive(fn, a, b, fa, fm, fb, whole, tol, depth):
     left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
     s = left + right
-    # an interior value that is not finite, or a panel sum past the float
-    # range; a cell below one ulp wide would give 0 * inf = NaN
     if not math.isfinite(s):
-        return INF
+        left = _wide_panel(m - a, fa, flm, fm)
+        right = _wide_panel(b - m, fm, frm, fb)
+        s = left + right
+        # an interior value that is not finite, or an integral past the
+        # float range; a cell below one ulp wide would give 0 * inf = NaN
+        if not math.isfinite(s):
+            return INF
     if depth <= 0 or abs(s - whole) <= 15.0 * tol:
         return s + (s - whole) / 15.0
     return (_adaptive(fn, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
             + _adaptive(fn, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1))
 
 
+def _wide_panel(width: float, fa: float, fm: float, fb: float) -> float:
+    """The Simpson panel with the width applied to each value first, for a
+    panel whose sum fa + 4 fm + fb passes the float range; NaN where a
+    value is not finite."""
+    if not (math.isfinite(fa) and math.isfinite(fm) and math.isfinite(fb)):
+        return math.nan
+    sixth = width / 6.0
+    return sixth * fa + 4.0 * (sixth * fm) + sixth * fb
+
+
 def simpson(fn, a: float, b: float, tol: float = 1e-10, depth: int = 24) -> float:
     """Adaptive Simpson on a finite interval; endpoint singularities nudged.
 
     INF where the midpoint or an interior value is not finite, never NaN.
+    A panel whose weighted sum passes the float range while its values do
+    not is summed again with the width applied first, so only an integral
+    past the float range reads INF.
     """
     if not b > a:
         return 0.0
@@ -142,6 +161,8 @@ def simpson(fn, a: float, b: float, tol: float = 1e-10, depth: int = 24) -> floa
     if not math.isfinite(fm):
         return INF
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    if not math.isfinite(whole):
+        whole = _wide_panel(b - a, fa, fm, fb)
     return _adaptive(fn, a, b, fa, fm, fb, whole, tol, depth)
 
 
@@ -200,10 +221,17 @@ def _continue_ends(total: float, shells: list[float], end: float) -> float:
 def _sorted_samples(sample, end: float, n: int):
     """Uniform midpoint samples of |f| on [GRID_DELTA, min(end, GRID_TOP)],
     sorted descending.  Returns (values, cell width)."""
-    top = min(end, GRID_TOP)
-    h = (top - GRID_DELTA) / n
-    nodes = [GRID_DELTA + (i + 0.5) * h for i in range(n)]
+    nodes, h = _uniform_nodes(min(end, GRID_TOP), GRID_DELTA, n)
     return sorted(map(abs, sample(nodes)), reverse=True), h
+
+
+@lru_cache(maxsize=8)
+def _uniform_nodes(top: float, delta: float, n: int):
+    """The midpoints of n equal cells on [delta, top], as a float array,
+    and the cell width; built once per top, delta and n, and callers never
+    write into it."""
+    h = (top - delta) / n
+    return array("d", [delta + (i + 0.5) * h for i in range(n)]), h
 
 
 def _weighted_sorted(sample, end: float, cuts=()):
@@ -315,6 +343,13 @@ def _geometric(start: float, ratio: float, stop: float):
         itertools.repeat(ratio), operator.mul, initial=start))
 
 
+@lru_cache(maxsize=8)
+def _geometric_nodes(start: float, ratio: float, stop: float) -> array:
+    """``_geometric(start, ratio, stop)`` as a float array, built once per
+    stop; callers never write into it."""
+    return array("d", _geometric(start, ratio, stop))
+
+
 def _octave_runs(cum, lo: int, hi: int):
     """The maximal runs of one ``floor(log2(c))`` in nondecreasing positive
     ``cum[lo:hi]``, as (k, start, stop), each found by bisection."""
@@ -411,20 +446,20 @@ def _running_average(fn, end: float, cuts):
 
 
 def _sup_sampled(sample, end: float, cuts) -> float:
-    pts: set[float] = set()
-    top = min(end, 2.0 ** 30)
-    x = 2.0 ** -40
-    while x < top:
-        pts.add(x)
-        x *= 2.0 ** (1.0 / 64)
+    """The largest |f| on a 2^(1/64) log grid over [2^-40, min(end, 2^30))
+    and next to each cut; INF past 1e5 or at a value that is not finite."""
+    grid = _geometric_nodes(2.0 ** -40, 2.0 ** (1.0 / 64), min(end, 2.0 ** 30))
+    near: set[float] = set()
     for c in cuts:
         for eps in (1e-9, 1e-6):
             if 0.0 < c * (1 - eps):
-                pts.add(c * (1 - eps))
+                near.add(c * (1 - eps))
             if c * (1 + eps) < end:
-                pts.add(c * (1 + eps))
+                near.add(c * (1 + eps))
+    # the largest value is the same over the grid and the cut neighbours
+    # read apart, so the memo grid is sampled as it is
     best = 0.0
-    for v in map(abs, sample(sorted(pts))):
+    for v in map(abs, itertools.chain(sample(grid), sample(sorted(near)))):
         if math.isfinite(v):
             best = max(best, v)
         else:
@@ -443,25 +478,7 @@ def _orlicz_lux(sample, end: float, cuts, spec) -> float:
     Young function once per distinct sampled magnitude; the unresolved
     ends keep the geometric-continuation semantics of improper_integral.
     """
-    weights: list[list[float]] = []  # per shell, in node order
-    nodes: list[float] = []  # the nodes of every shell, in order
-    lo = 2.0 ** SHELL_LOW
-    top = min(end, 2.0 ** SHELL_HIGH)
-    while lo < top:
-        hi = min(lo * 2.0, top)
-        xs = [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
-        ws: list[float] = []
-        for x0, x1 in zip(xs, xs[1:]):
-            h = (x1 - x0) / 64.0
-            for i in range(64):
-                a = x0 + i * h
-                sixth = h / 6.0
-                # endpoint nodes are nudged into the cell so half-open
-                # piece boundaries read the value on the correct side
-                nodes += (a + 1e-9 * h, a + 0.5 * h, a + h - 1e-9 * h)
-                ws += (sixth, 4.0 * sixth, sixth)
-        weights.append(ws)
-        lo = hi
+    nodes, weights = _shell_nodes(end, cuts)
     mags = [abs(v) for v in sample(nodes)]
     del nodes
     # magnitudes in order of first appearance, so a step reads them in the
@@ -526,6 +543,54 @@ def _orlicz_lux(sample, end: float, cuts, spec) -> float:
     return hi
 
 
+def _shell_nodes(end: float, cuts):
+    """The composite Simpson nodes of ``_orlicz_lux`` over the dyadic
+    shells of (2^SHELL_LOW, min(end, 2^SHELL_HIGH)), each shell split at
+    the cuts inside it into panels of 64 cells: (nodes, weights per
+    shell), as float arrays in node order."""
+    nodes = array("d")
+    weights: list[array] = []
+    lo = 2.0 ** SHELL_LOW
+    top = min(end, 2.0 ** SHELL_HIGH)
+    while lo < top:
+        hi = min(lo * 2.0, top)
+        inner = sorted(c for c in cuts if lo < c < hi)
+        if inner:
+            xs = [lo, *inner, hi]
+            ws = array("d")
+            for x0, x1 in zip(xs, xs[1:]):
+                panel, panel_ws = _panel_nodes(x0, x1)
+                nodes += panel
+                ws += panel_ws
+        else:
+            panel, ws = _uncut_panel_nodes(lo, hi)
+            nodes += panel
+        weights.append(ws)
+        lo = hi
+    return nodes, weights
+
+
+def _panel_nodes(x0: float, x1: float):
+    """The nodes and weights of 64 Simpson cells on [x0, x1], as float
+    arrays."""
+    nodes: list[float] = []
+    ws: list[float] = []
+    h = (x1 - x0) / 64.0
+    for i in range(64):
+        a = x0 + i * h
+        sixth = h / 6.0
+        # endpoint nodes are nudged into the cell so half-open piece
+        # boundaries read the value on the correct side
+        nodes += (a + 1e-9 * h, a + 0.5 * h, a + h - 1e-9 * h)
+        ws += (sixth, 4.0 * sixth, sixth)
+    return array("d", nodes), array("d", ws)
+
+
+# a shell with no cut inside is one panel, built once per shell; callers
+# never write into it
+_uncut_panel_nodes = lru_cache(maxsize=256)(_panel_nodes)
+
+
 def _lorentz_sampled(sample, end: float, spec, cuts=()) -> float:
     values, cum = _weighted_sorted(sample, end, cuts)
     atom = spec.atom_at_zero
@@ -569,12 +634,14 @@ def _lorentz_sampled(sample, end: float, spec, cuts=()) -> float:
 def _marcinkiewicz_sampled(sample, end: float, spec, cuts=()) -> float:
     values, cum = _weighted_sorted(sample, end, cuts)
     # phi(c) * (integral of the rearrangement up to c) / c per cell, the
-    # integral a left-to-right running sum; no term is -0.0, so the first
-    # sum is the loop's 0.0 + term
-    accs = itertools.accumulate(map(operator.mul, values, map(
-        operator.sub, cum, itertools.chain((0.0,), cum))))
-    cands = array("d", map(operator.truediv,
-                           map(operator.mul, spec.values(cum), accs), cum))
+    # integral a left-to-right running sum
+    cands = array("d")
+    acc = 0.0
+    prev = 0.0
+    for v, c, phi_c in zip(values, cum, spec.values(cum)):
+        acc += v * (c - prev)
+        prev = c
+        cands.append(phi_c * acc / c)
     if not all(map(math.isfinite, cands)):
         return INF
     best = max(itertools.chain((0.0,), cands))

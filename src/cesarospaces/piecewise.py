@@ -413,6 +413,9 @@ def evaluate_sorted(f: PPL, ts: Sequence[float]) -> list[float]:
     the pointwise one, raised at the same point.  NaN raises ValueError.
     """
     out: list[float] = []
+    if all(map(operator.le, ts, itertools.islice(ts, 1, None))):
+        _walk(f, ts, 0, len(ts), out)
+        return out
     # a run ends where the next point is smaller; NaN compares false both
     # ways, so it makes a run of its own
     steps = map(operator.le, ts, itertools.islice(ts, 1, None))

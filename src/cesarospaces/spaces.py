@@ -151,8 +151,10 @@ class QuasiConcaveSpec:
         over phi's pieces."""
         vals = pw.evaluate_sorted(self.phi, ts)
         # phi(0) = 0 by convention, as in value
-        for i in itertools.compress(itertools.count(), map(operator.not_, ts)):
-            vals[i] = 0.0
+        if not all(ts):
+            for i in itertools.compress(itertools.count(),
+                                        map(operator.not_, ts)):
+                vals[i] = 0.0
         return vals
 
     def density(self) -> PPL:

@@ -333,6 +333,74 @@ def marcinkiewicz_sampled_reference(sample, end: float, spec,
 
 
 # ---------------------------------------------------------------------------
+# references for the other samplers' grids: the constructions that oracle.py
+# replaced by memos, built on every call
+
+
+def sorted_samples_reference(sample, end: float, n: int):
+    """``oracle._sorted_samples`` with its nodes built on every call."""
+    top = min(end, orc.GRID_TOP)
+    h = (top - orc.GRID_DELTA) / n
+    nodes = [orc.GRID_DELTA + (i + 0.5) * h for i in range(n)]
+    return sorted(map(abs, sample(nodes)), reverse=True), h
+
+
+def sup_points_reference(end: float, cuts) -> list[float]:
+    """The points of ``oracle._sup_sampled``, built by a loop on every call,
+    as one sorted set."""
+    pts: set[float] = set()
+    top = min(end, 2.0 ** 30)
+    x = 2.0 ** -40
+    while x < top:
+        pts.add(x)
+        x *= 2.0 ** (1.0 / 64)
+    for c in cuts:
+        for eps in (1e-9, 1e-6):
+            if 0.0 < c * (1 - eps):
+                pts.add(c * (1 - eps))
+            if c * (1 + eps) < end:
+                pts.add(c * (1 + eps))
+    return sorted(pts)
+
+
+def sup_sampled_reference(sample, end: float, cuts) -> float:
+    """``oracle._sup_sampled`` on the points of ``sup_points_reference``,
+    sampled in one call."""
+    best = 0.0
+    for v in map(abs, sample(sup_points_reference(end, cuts))):
+        if math.isfinite(v):
+            best = max(best, v)
+        else:
+            return INF
+    if best > 1e5:
+        return INF
+    return best
+
+
+def shell_nodes_reference(end: float, cuts):
+    """``oracle._shell_nodes`` with every panel built on every call, as
+    lists."""
+    weights: list[list[float]] = []
+    nodes: list[float] = []
+    lo = 2.0 ** orc.SHELL_LOW
+    top = min(end, 2.0 ** orc.SHELL_HIGH)
+    while lo < top:
+        hi = min(lo * 2.0, top)
+        xs = [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
+        ws: list[float] = []
+        for x0, x1 in zip(xs, xs[1:]):
+            h = (x1 - x0) / 64.0
+            for i in range(64):
+                a = x0 + i * h
+                sixth = h / 6.0
+                nodes += (a + 1e-9 * h, a + 0.5 * h, a + h - 1e-9 * h)
+                ws += (sixth, 4.0 * sixth, sixth)
+        weights.append(ws)
+        lo = hi
+    return nodes, weights
+
+
+# ---------------------------------------------------------------------------
 # reference for the Marcinkiewicz sup search: the t-grid search that the
 # level-form search replaced
 

@@ -47,6 +47,14 @@ def test_simpson_reads_inf_where_an_interior_node_meets_the_singularity():
     assert not math.isnan(orc.simpson(lambda x: 1e308, 0.0, 1.0))
 
 
+def test_simpson_applies_the_width_first_where_only_a_panel_sum_overflows():
+    # 1e308 + 4e308 + 1e308 passes the float range, though every value and
+    # the integral are finite; an integral past the range still reads inf
+    assert orc.simpson(lambda x: 1e308, 0.0, 1.0) == pytest.approx(
+        1e308, rel=1e-12)
+    assert orc.simpson(lambda x: 1e308, 0.0, 4.0) == INF
+
+
 def test_improper_integral_exponential():
     assert orc.improper_integral(lambda t: math.exp(-t), INF) == \
         pytest.approx(1.0, rel=1e-6)
@@ -198,6 +206,17 @@ def test_lorentz_level_sum_evaluates_phi_once_per_cell(monkeypatch):
     report = orc.quadrature_norm_oracle(STEP, X)
     assert report.passed
     assert count[0] <= 10000
+
+
+@pytest.mark.parametrize("phi", [cat.sqrt_phi(H), cat.sqrt_plus_atom_phi(H)],
+                         ids=["sqrt", "with-atom"])
+def test_phi_values_read_zero_at_zero(phi):
+    # phi(0) = 0 by convention, also where phi's pieces start at an atom
+    # and at t = -0.0
+    values = phi.values([-0.0, 0.0, 0.5, 2.0])
+    assert [v.hex() for v in values] == [
+        "0x0.0p+0", "0x0.0p+0", phi.value(0.5).hex(), phi.value(2.0).hex()]
+    assert phi.values([0.5, 2.0]) == [phi.value(0.5), phi.value(2.0)]
 
 
 def test_a_repeated_sample_sort_oracle_call_stays_small():
@@ -372,9 +391,9 @@ SMALL_GRID = {"GRID_HEAD_START": 2.0 ** -20, "GRID_HEAD_RATIO": 2.0 ** (1.0 / 16
 
 
 @contextlib.contextmanager
-def _small_grid():
-    saved = {name: getattr(orc, name) for name in SMALL_GRID}
-    for name, value in SMALL_GRID.items():
+def _small_grid(constants=SMALL_GRID):
+    saved = {name: getattr(orc, name) for name in constants}
+    for name, value in constants.items():
         setattr(orc, name, value)
     try:
         yield
@@ -449,6 +468,67 @@ def test_the_base_grid_memo_is_keyed_on_the_grid_constants():
     values, reference = _both(orc._weighted_sorted,
                               support.weighted_sorted_reference, bare, False)
     assert values == reference
+
+
+# the constants the other samplers' grids read, set apart from the defaults
+OTHER_GRID = {"GRID_DELTA": 2.0 ** -10, "GRID_TOP": 2.0 ** 4,
+              "SHELL_LOW": -20, "SHELL_HIGH": 20}
+
+
+def _other_grid():
+    return _small_grid(OTHER_GRID)
+
+
+def test_the_uniform_node_memo_is_keyed_on_the_grid_constants():
+    # the samples of |t| are the nodes themselves, sorted
+    nodes = lambda ts: list(ts)
+    for grid in (contextlib.nullcontext, _other_grid, contextlib.nullcontext):
+        for end, n in ((INF, 4096), (1.0, 4096), (INF, 1000)):
+            with grid():
+                assert _hex(orc._sorted_samples(nodes, end, n)) == _hex(
+                    support.sorted_samples_reference(nodes, end, n))
+    # the oracles that sample on it leave it as it was
+    orc.rearrangement_oracle(STEP)
+    orc.quadrature_norm_oracle(UNIT_STEP, sp.l1_plus_linf(U))
+    assert _hex(orc._sorted_samples(nodes, INF, 4096)) == _hex(
+        support.sorted_samples_reference(nodes, INF, 4096))
+
+
+def test_the_log_grid_memo_is_keyed_on_the_domain_end():
+    # the largest |f| is read at the last point below 1e6 or below the end
+    f = pw.power_piece(H, 0.0, 1e6, 1.0, 0.5)
+    sample = lambda ts: pw.evaluate_sorted(f, ts)
+    cuts = [0.3, 1e6]
+    for end, extra in ((INF, []), (16.0, []), (1.0, []), (INF, cuts),
+                       (16.0, cuts), (INF, [])):
+        seen: list[float] = []
+        orc._sup_sampled(lambda ts: seen.extend(ts) or list(ts), end, extra)
+        assert _hex(sorted(set(seen))) == _hex(
+            support.sup_points_reference(end, extra))
+        assert orc._sup_sampled(sample, end, extra).hex() == \
+            support.sup_sampled_reference(sample, end, extra).hex()
+
+
+def test_the_shell_panel_memo_is_keyed_on_the_shells():
+    cuts = [0.3, 0.75, 1.5, 3.0]
+    for grid in (contextlib.nullcontext, _other_grid, contextlib.nullcontext):
+        for end, extra in ((INF, []), (1.0, []), (INF, cuts), (1.0, []),
+                           (INF, [])):
+            with grid():
+                assert _hex(orc._shell_nodes(end, extra)) == _hex(
+                    support.shell_nodes_reference(end, extra))
+
+
+def test_the_running_average_past_its_grid_and_below_its_first_point():
+    # the grid runs from 2^-60 to 2^40 on the half-line; the average of the
+    # constant 1 is 1 everywhere, and that of the indicator of [0, 1) is
+    # 1/t past 1
+    one = orc._running_average(lambda t: 1.0, INF, [])
+    head = orc._running_average(lambda t: 1.0 if t < 1.0 else 0.0, INF, [1.0])
+    for t in (2.0 ** -62, 2.0 ** 41):
+        assert one(t) == pytest.approx(1.0, rel=1e-12)
+    assert head(2.0 ** -62) == pytest.approx(1.0, rel=1e-12)
+    assert head(2.0 ** 41) == pytest.approx(2.0 ** -41, rel=1e-12)
 
 
 def _powers_of_two_and_neighbours():

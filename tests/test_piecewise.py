@@ -6,6 +6,7 @@ import copy
 import math
 import operator
 import pickle
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -184,10 +185,36 @@ def _outcome(fn):
 @example(case=(pw.step_function(H, [(0.5, INF, 2.0)]), [0.5, 2.0, INF]))
 @example(case=(pw.step_function(H, [(0.0, 1.0, 2.0), (1.0, 2.0, 3.0)]),
                [1.5, 0.5, 1.0, 0.0, 2.5]))
+# float arrays, as the oracles pass them, sorted and not
+@example(case=(pw.power_piece(H, 0.0, 1.0, 1.0, -0.5),
+               array("d", [0.0, 0.25, 1.0, 1.0, 3.0])))
+@example(case=(pw.step_function(H, [(0.0, 1.0, 2.0), (1.0, 2.0, 3.0)]),
+               array("d", [1.5, 0.5, 1.0, 0.0, 2.5])))
 def test_evaluate_sorted_is_pointwise_evaluation_bit_for_bit(case):
     f, ts = case
     assert _outcome(lambda: pw.evaluate_sorted(f, ts)) == \
         _outcome(lambda: [pw.evaluate(f, t) for t in ts])
+
+
+@pytest.mark.parametrize("ts,walks", [
+    ([0.0, 0.5, 0.5, 1.0, 2.5], 1),
+    (array("d", [0.0, 0.5, 0.5, 1.0, 2.5]), 1),
+    # one walk per nondecreasing run
+    ([1.5, 0.5, 1.0, 0.0, 2.5], 3),
+])
+def test_evaluate_sorted_walks_once_per_nondecreasing_run(monkeypatch, ts,
+                                                          walks):
+    f = pw.step_function(H, [(0.0, 1.0, 2.0), (1.0, 2.0, 3.0)])
+    count = [0]
+    walk = pw._walk
+
+    def counted(*args):
+        count[0] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(pw, "_walk", counted)
+    assert pw.evaluate_sorted(f, ts) == [pw.evaluate(f, t) for t in ts]
+    assert count[0] == walks
 
 
 def test_evaluate_sorted_rejects_nan():
