@@ -24,6 +24,7 @@ import bisect
 import itertools
 import math
 import operator
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -50,6 +51,10 @@ GRID_HEAD_RATIO = 2.0 ** (1.0 / 256)
 GRID_BODY_CELLS = 65536
 GRID_TAIL_RATIO = 2.0 ** (1.0 / 64)
 GRID_TAIL_END = 2.0 ** 40
+# the knots of a cut's cluster, as factors 1 - 2^-k and 1 + 2^-k of the cut
+# for k = 8, ..., 40; both are exact for k <= 53
+_CLUSTER_FACTORS = tuple(1.0 + s * 2.0 ** -k for k in range(8, 41)
+                         for s in (-1.0, 1.0))
 
 # default agreement tolerances per space family; sampled-rearrangement
 # oracles are grid-limited, pure quadrature ones are not
@@ -168,7 +173,16 @@ def simpson(fn, a: float, b: float, tol: float = 1e-10, depth: int = 24) -> floa
 
 def _shell(fn, lo: float, hi: float, cuts, tol: float) -> float:
     xs = [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
-    return math.fsum(simpson(fn, x0, x1, tol) for x0, x1 in zip(xs, xs[1:]))
+    return _fsum(simpson(fn, x0, x1, tol) for x0, x1 in zip(xs, xs[1:]))
+
+
+def _fsum(parts) -> float:
+    """``math.fsum`` of nonnegative parts, INF where finite parts sum past
+    the float range (fsum raises OverflowError there)."""
+    try:
+        return math.fsum(parts)
+    except OverflowError:
+        return INF
 
 
 def improper_integral(fn, end: float, cuts=(), tol: float = SIMPSON_TOL) -> float:
@@ -186,7 +200,7 @@ def improper_integral(fn, end: float, cuts=(), tol: float = SIMPSON_TOL) -> floa
         hi = min(lo * 2.0, top)
         shells.append(_shell(fn, lo, hi, cuts, per_shell))
         lo = hi
-    total = math.fsum(shells)
+    total = _fsum(shells)
     if not math.isfinite(total):
         return INF
     return _continue_ends(total, shells, end)
@@ -250,12 +264,9 @@ def _weighted_sorted(sample, end: float, cuts=()):
         if not 0.0 < c < top:
             continue
         cluster.add(c)
-        for k in range(8, 41):
-            eps = 2.0 ** -k
-            if c * (1.0 - eps) > 0.0:
-                cluster.add(c * (1.0 - eps))
-            if c * (1.0 + eps) < top:
-                cluster.add(c * (1.0 + eps))
+        # c * (1 - eps) stays below c < top, and c * (1 + eps) above 0
+        cluster.update(x for x in map(operator.mul, itertools.repeat(c),
+                                      _CLUSTER_FACTORS) if 0.0 < x < top)
     if cluster:
         mids, widths = _splice(knots, mids, widths, sorted(cluster))
     vals = sample(mids)
@@ -470,29 +481,46 @@ def _sup_sampled(sample, end: float, cuts) -> float:
     return best
 
 
-def _orlicz_lux(sample, end: float, cuts, spec) -> float:
-    """Luxemburg functional by bisection over the scale factor.
+def _orlicz_modular(sample, end: float, cuts, spec):
+    """The modular lam -> integral of Phi(|f|/lam) over the domain.
 
     The integrand is sampled once on fixed composite panels over dyadic
-    shells and every bisection step reuses those samples, evaluating the
-    Young function once per distinct sampled magnitude; the unresolved
-    ends keep the geometric-continuation semantics of improper_integral.
+    shells and every call reuses those samples, evaluating the Young
+    function once per distinct sampled magnitude; the unresolved ends keep
+    the geometric-continuation semantics of improper_integral.
+
+    An uncut shell [2^k, 2^(k+1)) where |f| reads one magnitude is the
+    panel of [1, 2) scaled by 2^k, weights and left-to-right sum alike,
+    while every product and partial sum stays a normal float
+    (``_scaled_range``): such a shell costs one ``ldexp`` of the unit
+    shell's sum per call, and every other shell sums node by node.
     """
     nodes, weights = _shell_nodes(end, cuts)
-    mags = [abs(v) for v in sample(nodes)]
+    mags = list(map(abs, sample(nodes)))
     del nodes
     # magnitudes in order of first appearance, so a step reads them in the
     # order the nodes do and stops at the same first infinite value
     magnitudes = list(dict.fromkeys(mags))
     slot = {g: i for i, g in enumerate(magnitudes)}
-    slots = iter([slot[g] for g in mags])
-    # zip ends at the end of a shell's weights, before taking a slot
-    indexed = [list(zip(ws, slots)) for ws in weights]
-    # Phi(0) = 0 exactly, so a shell where f vanishes sums to 0.0 with no
-    # node read
-    zero = slot.get(0.0)
-    indexed = [[] if all(i == zero for _, i in nodes) else nodes
-               for nodes in indexed]
+    unit_ws = _uncut_panel_nodes(1.0, 2.0)[1]
+    low, high = _scaled_range(unit_ws)
+    top = min(end, 2.0 ** SHELL_HIGH)
+    # per shell (k, slot, weights) where it is scaled, else (None, the
+    # slot of every node, weights)
+    shells = []
+    a = 0
+    for k, ws in zip(itertools.count(SHELL_LOW), weights):
+        here = mags[a:a + len(ws)]
+        a += len(ws)
+        # a shell of one panel has no cut inside; it is a doubling unless
+        # it ends at the top
+        if here.count(here[0]) == len(here) and len(ws) == len(unit_ws) \
+                and 2.0 ** (k + 1) <= top:
+            shells.append((k, slot[here[0]], ws))
+        else:
+            shells.append((None, [slot[g] for g in here], ws))
+    del mags
+    scaled = {i for k, i, _ in shells if k is not None}
 
     def modular(lam: float) -> float:
         values: list[float] = []
@@ -501,14 +529,25 @@ def _orlicz_lux(sample, end: float, cuts, spec) -> float:
             if math.isinf(v):
                 return INF
             values.append(v)
+        unit = {i: _panel_sum(unit_ws, itertools.repeat(values[i]))
+                for i in scaled if low < values[i] < high or values[i] == 0.0}
         sums: list[float] = []
-        for nodes in indexed:
-            s = 0.0
-            for w, i in nodes:
-                s += w * values[i]
-            sums.append(s)
-        return _continue_ends(math.fsum(sums), sums, end)
+        for k, read, ws in shells:
+            if k is None:
+                sums.append(_panel_sum(ws, map(values.__getitem__, read)))
+            elif read in unit:
+                sums.append(math.ldexp(unit[read], k))
+            else:
+                sums.append(_panel_sum(ws, itertools.repeat(values[read])))
+        return _continue_ends(_fsum(sums), sums, end)
 
+    return modular
+
+
+def _orlicz_lux(sample, end: float, cuts, spec) -> float:
+    """Luxemburg functional by bisection over the scale factor of
+    ``_orlicz_modular``."""
+    modular = _orlicz_modular(sample, end, cuts, spec)
     lam = 1.0
     rho = modular(lam)
     for _ in range(60):
@@ -541,6 +580,31 @@ def _orlicz_lux(sample, end: float, cuts, spec) -> float:
         if hi - lo_bad <= 1e-12 * hi:
             break
     return hi
+
+
+def _panel_sum(ws, vs) -> float:
+    """0.0 + ws[0]*vs[0] + ws[1]*vs[1] + ..., summed left to right: the
+    builtin sum() compensates on Python 3.12+."""
+    return reduce(operator.add, map(operator.mul, ws, vs), 0.0)
+
+
+def _scaled_range(unit_ws) -> tuple[float, float]:
+    """The open range of values v for which the sum of v over the unit
+    shell's weights, times 2^k, is the sum over the uncut shell
+    [2^k, 2^(k+1)) for every k from SHELL_LOW to SHELL_HIGH - 1.
+
+    That shell's weights are the unit shell's times 2^k, and rounding
+    commutes with a power of two where no value leaves the normal range:
+    every product w*v at every scale (1 included) stays at least twice
+    the smallest normal float, and every partial sum, at most
+    len * max(w) * v * (1 + 2^-52)^len < 2 * len * max(w) * v, stays
+    finite.  Zero, outside the range, sums to 0.0 at every scale too.
+    """
+    low = 2.0 * sys.float_info.min / math.ldexp(min(unit_ws),
+                                                 min(SHELL_LOW, 0))
+    high = sys.float_info.max / math.ldexp(2.0 * len(unit_ws) * max(unit_ws),
+                                           max(SHELL_HIGH - 1, 0))
+    return low, high
 
 
 def _shell_nodes(end: float, cuts):
@@ -634,7 +698,9 @@ def _lorentz_sampled(sample, end: float, spec, cuts=()) -> float:
 def _marcinkiewicz_sampled(sample, end: float, spec, cuts=()) -> float:
     values, cum = _weighted_sorted(sample, end, cuts)
     # phi(c) * (integral of the rearrangement up to c) / c per cell, the
-    # integral a left-to-right running sum
+    # integral a left-to-right running sum.  On CPython 3.11 this loop is
+    # faster than accumulate() over map()s of operator functions, and a
+    # float array holds the candidates in a quarter of a list's memory
     cands = array("d")
     acc = 0.0
     prev = 0.0
@@ -642,15 +708,17 @@ def _marcinkiewicz_sampled(sample, end: float, spec, cuts=()) -> float:
         acc += v * (c - prev)
         prev = c
         cands.append(phi_c * acc / c)
+    # a NaN can hide from max(), so finiteness is its own pass
     if not all(map(math.isfinite, cands)):
         return INF
-    best = max(itertools.chain((0.0,), cands))
-    # octaves whose candidates are all 0 stay out
+    # octaves whose candidates are all 0 stay out; the octave runs tile
+    # the cells, so the largest candidate is the largest octave's
     oct_best: dict[int, float] = {}
     for k, a, b in _octave_runs(cum, 0, len(cum)):
         m = max(cands[a:b])
         if m > 0.0:
             oct_best[k] = m
+    best = max(oct_best.values(), default=0.0)
     # a supremum still climbing at either sampling horizon is unresolved
     # growth, reported as divergence
     ks = sorted(oct_best)

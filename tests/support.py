@@ -401,6 +401,75 @@ def shell_nodes_reference(end: float, cuts):
 
 
 # ---------------------------------------------------------------------------
+# reference for the Orlicz oracle: the per-node modular that the scaled
+# shells of oracle.py replaced
+
+
+def orlicz_modular_reference(sample, end: float, cuts, spec):
+    """``oracle._orlicz_modular`` with every shell summed node by node,
+    left to right."""
+    nodes, weights = orc._shell_nodes(end, cuts)
+    mags = [abs(v) for v in sample(nodes)]
+    magnitudes = list(dict.fromkeys(mags))
+    slot = {g: i for i, g in enumerate(magnitudes)}
+    slots = iter([slot[g] for g in mags])
+    indexed = [list(zip(ws, slots)) for ws in weights]
+
+    def modular(lam: float) -> float:
+        values: list[float] = []
+        for g in magnitudes:
+            v = spec.value(g / lam)
+            if math.isinf(v):
+                return INF
+            values.append(v)
+        sums: list[float] = []
+        for pairs in indexed:
+            s = 0.0
+            for w, i in pairs:
+                s += w * values[i]
+            sums.append(s)
+        return orc._continue_ends(orc._fsum(sums), sums, end)
+
+    return modular
+
+
+def orlicz_lux_reference(sample, end: float, cuts, spec) -> float:
+    """``oracle._orlicz_lux`` over ``orlicz_modular_reference``."""
+    modular = orlicz_modular_reference(sample, end, cuts, spec)
+    lam = 1.0
+    rho = modular(lam)
+    for _ in range(60):
+        if rho > 1.0:
+            lam *= 2.0
+        else:
+            break
+        if lam > 1e30:
+            return INF
+        rho = modular(lam)
+    if rho > 1.0:
+        return INF
+    lo_ok = lam
+    lo = lam
+    for _ in range(60):
+        lo /= 2.0
+        if lo < 1e-30:
+            return 0.0
+        if modular(lo) > 1.0:
+            break
+        lo_ok = lo
+    hi, lo_bad = lo_ok, lo
+    for _ in range(80):
+        mid = 0.5 * (hi + lo_bad)
+        if modular(mid) > 1.0:
+            lo_bad = mid
+        else:
+            hi = mid
+        if hi - lo_bad <= 1e-12 * hi:
+            break
+    return hi
+
+
+# ---------------------------------------------------------------------------
 # reference for the Marcinkiewicz sup search: the t-grid search that the
 # level-form search replaced
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import tracemalloc
 
@@ -69,6 +70,15 @@ def test_improper_integral_with_endpoint_singularity():
 def test_improper_integral_detects_divergence():
     assert orc.improper_integral(lambda t: 1.0 / t, 1.0) == INF
     assert orc.improper_integral(lambda t: 1.0 / (1.0 + t), INF) == INF
+
+
+def test_a_sum_of_finite_shells_past_the_float_range_reads_inf():
+    # each shell of 1e308 on (0, 2) is finite, their sum is not: fsum
+    # raised OverflowError, in the L^p and Orlicz oracles alike
+    assert orc.improper_integral(lambda t: 1e308, 2.0) == INF
+    f = pw.step_function(H, [(0.0, 2.0, 1e154)])
+    for X in (sp.lebesgue(2.0, H), sp.orlicz_space(cat.orlicz_square(), H)):
+        assert orc.quadrature_norm_oracle(f, X).oracle == INF
 
 
 def test_improper_integral_respects_cuts():
@@ -231,6 +241,20 @@ def test_a_repeated_sample_sort_oracle_call_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2 ** 20
+
+
+def test_a_repeated_orlicz_oracle_call_stays_small():
+    # a scaled shell keeps no per-node weights and slots: one call peaked
+    # at 2.77 MiB with a (weight, slot) pair per node
+    X = sp.orlicz_space(cat.orlicz_square(), H)
+    orc.quadrature_norm_oracle(STEP, X)
+    tracemalloc.start()
+    try:
+        orc.quadrature_norm_oracle(STEP, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 @pytest.mark.parametrize("X,expected", [
@@ -556,3 +580,157 @@ def test_octave_runs_are_the_per_cell_octaves(cum, lo):
     # runs are maximal and tile cum[lo:]
     assert all(r[0] != s[0] and r[2] == s[1] for r, s in zip(runs, runs[1:]))
     assert [r[1] for r in runs[:1]] == ([lo] if runs else [])
+
+
+# ---------------------------------------------------------------------------
+# the Orlicz oracle's scaled shells against the per-node modular, bit for bit
+
+
+def test_an_uncut_doubling_shell_is_the_unit_shell_scaled():
+    unit = orc._uncut_panel_nodes(1.0, 2.0)[1]
+    for k in range(orc.SHELL_LOW, orc.SHELL_HIGH):
+        ws = orc._uncut_panel_nodes(2.0 ** k, 2.0 ** (k + 1))[1]
+        assert _hex(ws) == _hex([math.ldexp(w, k) for w in unit])
+
+
+def _node_by_node(ws, v):
+    s = 0.0
+    for w in ws:
+        s += w * v
+    return s
+
+
+def test_the_scaled_range_keeps_every_shell_sum_at_its_ends():
+    unit = orc._uncut_panel_nodes(1.0, 2.0)[1]
+    low, high = orc._scaled_range(unit)
+    inside = [math.nextafter(low, INF), 1.0, math.nextafter(high, 0.0)]
+    for k in (orc.SHELL_LOW, -1, 0, orc.SHELL_HIGH - 1):
+        ws = orc._uncut_panel_nodes(2.0 ** k, 2.0 ** (k + 1))[1]
+        for v in inside + [0.0]:
+            scaled = math.ldexp(orc._panel_sum(unit, itertools.repeat(v)), k)
+            assert scaled.hex() == _node_by_node(ws, v).hex()
+    # past the range the scaled sum is not the shell's: at 2^SHELL_LOW the
+    # products of 1e-300 are subnormal and round apart, and below
+    # 2^SHELL_HIGH the sum of 1e300 leaves the float range
+    assert 1e-300 < low and high < 1e300
+    k = orc.SHELL_LOW
+    ws = orc._uncut_panel_nodes(2.0 ** k, 2.0 ** (k + 1))[1]
+    assert math.ldexp(orc._panel_sum(unit, itertools.repeat(1e-300)), k) != \
+        _node_by_node(ws, 1e-300)
+    k = orc.SHELL_HIGH - 1
+    ws = orc._uncut_panel_nodes(2.0 ** k, 2.0 ** (k + 1))[1]
+    assert _node_by_node(ws, 1e300) == INF
+    with pytest.raises(OverflowError):
+        math.ldexp(orc._panel_sum(unit, itertools.repeat(1e300)), k)
+
+
+ORLICZ_GENERATORS = (cat.orlicz_square(), cat.orlicz_square_capped(),
+                     cat.orlicz_flat_capped(), support.SHIFTED_SQUARE)
+# magnitudes whose generator values can leave the scaled range: zero,
+# subnormal or inf at u^2 and lam = 1 (1e-200, 1e-160, 1e200), or past it
+# (1e150, 1e153)
+FAR_MAGNITUDES = (1e-200, 1e-160, 1e150, 1e153, 1e200)
+# arguments u = |f|/lam to read the generators at: u^2 lands next to either
+# end of the scaled range, or on the subnormal products of the low shells
+FAR_ARGUMENTS = (1e-160, 1e-152, 3e-150, 1e-145, 1e140, 1e145, 1e152, 1e154)
+
+
+@st.composite
+def orlicz_cases(draw):
+    """(sampler, end, cuts, Young function) of a step function on [0, 1],
+    on [0, inf) or read up to 3, where the last dyadic shell [2, 3) is no
+    doubling, with a few extra cuts, and the magnitudes of its pieces."""
+    end = draw(st.sampled_from([1.0, INF, 3.0]))
+    domain = U if end == 1.0 else H
+    reach = 1.0 if end == 1.0 else 8.0
+    edge = st.floats(0.0, reach) | st.sampled_from(
+        [x for x in (0.25, 0.5, 1.0, 2.0, 3.0, 4.0) if x <= reach])
+    edges = sorted(set(draw(st.lists(edge, min_size=2, max_size=6))))
+    pool = draw(st.lists(st.floats(0.1, 4.0) | st.sampled_from(
+        FAR_MAGNITUDES), min_size=1, max_size=3))
+    rows = [(lo, hi, draw(st.sampled_from(pool)) * draw(st.sampled_from(
+        [1.0, -1.0]))) for lo, hi in zip(edges, edges[1:])
+        if draw(st.integers(0, 3))]
+    if not domain.is_unit and draw(st.booleans()):
+        rows.append((max(edges[-1], 0.5), INF, draw(st.sampled_from(pool))))
+    f = pw.step_function(domain, rows)
+    # an extra cut where |f| stays one magnitude makes a cut shell that
+    # reads one slot
+    extra = draw(st.lists(st.floats(0.0, reach), max_size=2))
+    cuts = [b for b in f.breakpoints() if math.isfinite(b) and b > 0.0]
+    return (_sampler(f), end, cuts + extra,
+            draw(st.sampled_from(ORLICZ_GENERATORS))), pool
+
+
+def _sampler(f):
+    return lambda ts: pw.evaluate_sorted(f, ts)
+
+
+def _orlicz_case(f, end, spec):
+    cuts = [b for b in f.breakpoints() if math.isfinite(b) and b > 0.0]
+    return _sampler(f), end, cuts, spec
+
+
+def _orlicz_both(case):
+    return (orc._orlicz_lux(*case).hex(),
+            support.orlicz_lux_reference(*case).hex())
+
+
+@given(case=orlicz_cases())
+@settings(max_examples=300, deadline=None)
+def test_orlicz_lux_is_the_per_node_modular_bit_for_bit(case):
+    # on a grid of 40 shells, where a shell past 2^-20 or 2^20 reads none
+    # of the magnitudes the default grid's shells would
+    with _other_grid():
+        value, reference = _orlicz_both(case[0])
+    assert value == reference
+
+
+@given(case=orlicz_cases(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_orlicz_modular_is_the_per_node_sum_bit_for_bit(case, data):
+    # the bisection compares the modular with 1, and a last bit that moves
+    # far from 1 moves no comparison: the modular itself is compared here,
+    # at scales lam = |f|/u that read the generator at the arguments u
+    case, pool = case
+    us = st.floats(0.1, 4.0) | st.sampled_from(FAR_ARGUMENTS)
+    lams = [g / u for g, u in data.draw(st.lists(st.tuples(
+        st.sampled_from(pool), us), min_size=1, max_size=4))]
+    with _other_grid():
+        modular = orc._orlicz_modular(*case)
+        reference = support.orlicz_modular_reference(*case)
+        for lam in lams:
+            if 0.0 < lam < INF:
+                assert modular(lam).hex() == reference(lam).hex()
+
+
+@pytest.mark.parametrize("case", [
+    _orlicz_case(STEP, INF, cat.orlicz_square()),
+    _orlicz_case(KNOT_STEP, INF, cat.orlicz_square()),
+    _orlicz_case(pw.step_function(H, [(0.3, 0.75, 1.0), (1.5, 3.0, -2.0)]),
+                 INF, cat.orlicz_square()),
+    _orlicz_case(UNIT_STEP, 1.0, cat.orlicz_flat_capped()),
+    _orlicz_case(STEP, 3.0, cat.orlicz_square_capped()),
+    _orlicz_case(pw.step_function(H, [(0.0, 1.0, 1e-160), (1.0, 2.0, 1e150),
+                                      (2.0, INF, 1e-200)]),
+                 INF, cat.orlicz_square()),
+    _orlicz_case(pw.step_function(H, [(0.0, 3.0, 1e-200), (3.0, 5.0, 0.5)]),
+                 INF, support.SHIFTED_SQUARE),
+    # up to the last shell: no norm, and at lam = 1e-150 the high shells
+    # sum past the float range
+    _orlicz_case(pw.step_function(H, [(1.0, INF, 2.0)]), INF,
+                 cat.orlicz_square()),
+    # no step function: every node reads its own magnitude
+    _orlicz_case(pw.power_piece(H, 0.0, 4.0, 1.0, -0.25), INF,
+                 cat.orlicz_square()),
+], ids=["step", "knots", "gaps", "unit-flat-capped", "end-3-capped",
+        "far-magnitudes", "shifted-square", "tail", "power"])
+def test_orlicz_lux_is_the_per_node_modular_on_the_default_grid(case):
+    value, reference = _orlicz_both(case)
+    assert value == reference
+    # at lam = 1e-10, 1e-160 reads the generator at 1e-150: subnormal
+    # products on the shells below 2^-17
+    modular = orc._orlicz_modular(*case)
+    reference = support.orlicz_modular_reference(*case)
+    for lam in (1.0, 1e-10, 1e-8, 1e5, 1e-150, float.fromhex(value)):
+        assert modular(lam).hex() == reference(lam).hex()
