@@ -142,10 +142,39 @@ def _antiderivative_magnitude(tm: TermMap, lo: float, hi: float) -> float:
 
 
 def _lp_ppl(f: PPL, p: float) -> NormResult:
-    """The Lp norm of an f that ``in_space`` admits to Lp."""
+    """The Lp norm of an f that ``in_space`` admits to Lp.
+
+    Where |f|**p or its integral passes the float range, though the norm
+    need not, the norm is that of 2**-e * |f| scaled back by 2**e, with
+    2**e about the largest coefficient of |f|: the norm is homogeneous,
+    and a power of two scales exactly.  Every other norm is computed as is.
+    """
     g = pw.absolute(f)
     if g.is_zero:
         return NormResult(0.0, "exact", 0.0)
+    try:
+        result = _lp_abs(g, p)
+        if not math.isinf(result.value):
+            return result
+    except OverflowError:
+        pass
+    e = max(math.frexp(c)[1] for piece in g.pieces
+            for c in piece.term_map().values())
+    result = _lp_abs(pw.scale(g, math.ldexp(1.0, -e)), p)
+    return NormResult(_ldexp(result.value, e), result.method,
+                      _ldexp(result.error_bound, e))
+
+
+def _ldexp(x: float, e: int) -> float:
+    """x * 2**e, INF past the float range (math.ldexp raises there)."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return INF
+
+
+def _lp_abs(g: PPL, p: float) -> NormResult:
+    """The Lp norm of a nonzero g = |f|, integrated as it is."""
     total = 0.0
     err = 0.0
     exact = True

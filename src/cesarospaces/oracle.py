@@ -15,7 +15,10 @@ finer than their grid.  Battery inputs are chosen within these limits.
 Every sample grid (the sample-sort grid, the uniform and logarithmic
 nodes, and the quadrature panels of an uncut dyadic shell) is built once
 per domain end; a call only adds the nodes its own cuts need, never into
-the memo, and sorted nodes take one walk over the pieces of f.
+the memo.  Grids are built in order, so their nodes take one walk over the
+pieces of f with no test of the order.  The sample-sort oracles read f* as
+runs of one magnitude, (magnitude, first cell, end cell), and a run where
+f* is 0 costs no per-cell Python loop.
 """
 
 from __future__ import annotations
@@ -229,7 +232,9 @@ def _continue_ends(total: float, shells: list[float], end: float) -> float:
 #
 # A sampler reads its function through ``sample``, which maps nondecreasing
 # points to the function's values in one call: one walk over the pieces of
-# a piecewise function, with the floats of pointwise evaluation.
+# a piecewise function, with the floats of pointwise evaluation and no
+# test of the order.  Every grid here is built in order, except the
+# Simpson nodes of a thin cut panel, which ``_sample_in_runs`` splits.
 
 
 def _sorted_samples(sample, end: float, n: int):
@@ -249,12 +254,15 @@ def _uniform_nodes(top: float, delta: float, n: int):
 
 
 def _weighted_sorted(sample, end: float, cuts=()):
-    """Multi-scale sample-sort of |f|: (values desc, cumulative measure).
+    """Multi-scale sample-sort of |f|: (runs, cumulative measure).
 
     A logarithmic grid resolves integrable singularities at zero, a uniform
     grid resolves the body, a coarser logarithmic extension follows slow
     tails out to ``GRID_TAIL_END``, and knot clusters straddle the supplied
-    cuts; each sample carries its own cell width.
+    cuts; each sample carries its own cell width.  The cells, sorted
+    stably by descending magnitude, are tiled by ``runs``: one
+    (magnitude, start, stop) per magnitude of f*, where cells
+    start..stop-1 read that magnitude (one run per NaN sample).
     """
     knots, mids, widths, top = _base_grid(
         end, GRID_TOP, GRID_HEAD_START, GRID_HEAD_RATIO, GRID_BODY_CELLS,
@@ -269,28 +277,37 @@ def _weighted_sorted(sample, end: float, cuts=()):
                                       _CLUSTER_FACTORS) if 0.0 < x < top)
     if cluster:
         mids, widths = _splice(knots, mids, widths, sorted(cluster))
-    vals = sample(mids)
-    # a stable sort by descending magnitude, as buckets of widths per
+    # a stable sort by descending magnitude, as buckets of cell ranges per
     # magnitude in node order, filled run by run of one value of f; a step
     # function fills a few dozen buckets
-    buckets: dict[float, array] = {}
-    starts = [0, *itertools.compress(itertools.count(1),
-                                     map(operator.ne, vals[1:], vals))]
-    for a, b in zip(starts, starts[1:] + [len(vals)]):
-        buckets.setdefault(abs(vals[a]), array("d")).extend(widths[a:b])
-    del vals, mids, widths
-    values: list[float] = []
+    buckets: dict[float, list[tuple[int, int]]] = {}
+    a = 0
+    for v, group in itertools.groupby(sample(mids)):
+        b = a + len(list(group))
+        if v == v:
+            buckets.setdefault(abs(v), []).append((a, b))
+        else:
+            # groupby takes a repeated NaN object for one value, though
+            # NaN != NaN: each NaN sample is a run, and a bucket (abs()
+            # makes a new key), of its own
+            for i in range(a, b):
+                buckets.setdefault(abs(v), []).append((i, i + 1))
+        a = b
+    del mids
+    runs: list[tuple[float, int, int]] = []
     measures = array("d")
     for v in sorted(buckets, reverse=True):
-        values += [v] * len(buckets[v])
-        measures += buckets.pop(v)
+        start = len(measures)
+        for a, b in buckets.pop(v):
+            measures += widths[a:b]
+        runs.append((v, start, len(measures)))
     # knots are distinct, so the widths are positive and the sums rise
     cum = array("d", itertools.accumulate(measures))
     # the rounded running sum can pass the grid's top, where the parameter
     # function of a [0, 1] space is undefined: clamp the sums from there
     over = bisect.bisect_right(cum, top)
     cum[over:] = array("d", [top]) * (len(cum) - over)
-    return values, cum
+    return runs, cum
 
 
 @lru_cache(maxsize=8)
@@ -385,7 +402,8 @@ def rearrangement_oracle(f: PPL, n: int = GRID_POINTS) -> OracleReport:
     """
     r = rr.decreasing_rearrangement(f)
     end = f.domain.end
-    vals, h = _sorted_samples(lambda ts: pw.evaluate_sorted(f, ts), end, n)
+    vals, h = _sorted_samples(lambda ts: pw.evaluate_nondecreasing(f, ts),
+                              end, n)
     shift = (len(f.breakpoints()) + 2) * h + GRID_DELTA
     worst = 0.0
     sup_seen = vals[0] if vals else 0.0
@@ -496,7 +514,7 @@ def _orlicz_modular(sample, end: float, cuts, spec):
     shell's sum per call, and every other shell sums node by node.
     """
     nodes, weights = _shell_nodes(end, cuts)
-    mags = list(map(abs, sample(nodes)))
+    mags = list(map(abs, _sample_in_runs(sample, nodes)))
     del nodes
     # magnitudes in order of first appearance, so a step reads them in the
     # order the nodes do and stops at the same first infinite value
@@ -544,22 +562,35 @@ def _orlicz_modular(sample, end: float, cuts, spec):
     return modular
 
 
+def _sample_in_runs(sample, ts) -> list[float]:
+    """``sample`` at points that can fall out of order, one call per
+    nondecreasing run: in a cut panel narrower than about 1.4e-5 times
+    its left end, the nudge of 1e-9 of a cell falls below one ulp, and the
+    nudged Simpson nodes can round out of order."""
+    if all(map(operator.le, ts, itertools.islice(ts, 1, None))):
+        return sample(ts)
+    ends = itertools.compress(itertools.count(1), map(
+        operator.gt, ts, itertools.islice(ts, 1, None)))
+    out: list[float] = []
+    first = 0
+    for last in itertools.chain(ends, (len(ts),)):
+        out += sample(ts[first:last])
+        first = last
+    return out
+
+
 def _orlicz_lux(sample, end: float, cuts, spec) -> float:
     """Luxemburg functional by bisection over the scale factor of
     ``_orlicz_modular``."""
     modular = _orlicz_modular(sample, end, cuts, spec)
     lam = 1.0
     rho = modular(lam)
-    for _ in range(60):
-        if rho > 1.0:
-            lam *= 2.0
-        else:
-            break
-        if lam > 1e30:
+    # double up to the float range, so a norm past 2^60 is read too
+    while rho > 1.0:
+        lam *= 2.0
+        if math.isinf(lam):
             return INF
         rho = modular(lam)
-    if rho > 1.0:
-        return INF
     lo_ok = lam
     lo = lam
     for _ in range(60):
@@ -655,20 +686,30 @@ def _panel_nodes(x0: float, x1: float):
 _uncut_panel_nodes = lru_cache(maxsize=256)(_panel_nodes)
 
 
+def _cells(runs):
+    """The magnitude of each cell that ``runs`` tile, in cell order."""
+    return itertools.chain.from_iterable(
+        itertools.repeat(v, b - a) for v, a, b in runs)
+
+
 def _lorentz_sampled(sample, end: float, spec, cuts=()) -> float:
-    values, cum = _weighted_sorted(sample, end, cuts)
+    runs, cum = _weighted_sorted(sample, end, cuts)
     atom = spec.atom_at_zero
-    # the sum stops at the first zero value (magnitudes are never below
-    # 0.0), and so does the walk over phi
-    live = values.index(0.0) if 0.0 in values else len(values)
-    exhausted = live == len(values)
+    # the sum stops at the zero run (magnitudes are never below 0.0), and so
+    # does the walk over phi; the zero run is the last one unless a NaN
+    # sorts after it
+    mags = list(map(operator.itemgetter(0), runs))
+    z = mags.index(0.0) if 0.0 in mags else len(runs)
+    live = runs[z][1] if z < len(runs) else len(cum)
+    exhausted = live == len(cum)
     phis = spec.values(cum[:live])
-    contribs = list(map(operator.mul, values,
+    contribs = list(map(operator.mul, _cells(runs[:z]),
                         map(operator.sub, phis, [atom, *phis])))
     del phis
-    # left-to-right sums throughout: sum() compensates on Python 3.12+
+    # left-to-right sums throughout: sum() compensates on Python 3.12+; f = 0
+    # has only the zero run, whose magnitude is the first
     total = reduce(operator.add, contribs,
-                   atom * values[0] if atom > 0.0 else 0.0)
+                   atom * mags[0] if atom > 0.0 else 0.0)
     # the very first cell carries the whole phi-jump from zero; keep it out
     # of the per-octave decay statistics
     octave_sums = {k: reduce(operator.add, contribs[a:b], 0.0)
@@ -696,7 +737,14 @@ def _lorentz_sampled(sample, end: float, spec, cuts=()) -> float:
 
 
 def _marcinkiewicz_sampled(sample, end: float, spec, cuts=()) -> float:
-    values, cum = _weighted_sorted(sample, end, cuts)
+    runs, cum = _weighted_sorted(sample, end, cuts)
+    phis = spec.values(cum)
+    # a magnitude that is not finite makes the running integral, and the
+    # candidate of its cell, inf or NaN; without one the runs descend, and
+    # a zero run is the last
+    if not all(map(math.isfinite, map(operator.itemgetter(0), runs))):
+        return INF
+    live = runs[-1][1] if runs[-1][0] == 0.0 else len(cum)
     # phi(c) * (integral of the rearrangement up to c) / c per cell, the
     # integral a left-to-right running sum.  On CPython 3.11 this loop is
     # faster than accumulate() over map()s of operator functions, and a
@@ -704,10 +752,17 @@ def _marcinkiewicz_sampled(sample, end: float, spec, cuts=()) -> float:
     cands = array("d")
     acc = 0.0
     prev = 0.0
-    for v, c, phi_c in zip(values, cum, spec.values(cum)):
+    for v, c, phi_c in zip(_cells(runs), cum[:live], phis):
         acc += v * (c - prev)
         prev = c
         cands.append(phi_c * acc / c)
+    # over the zero run acc + 0.0 * (c - prev) is acc, bit for bit: the
+    # sums rise, and acc never reads -0.0
+    cands.extend(map(operator.truediv,
+                     map(operator.mul, itertools.islice(phis, live, None),
+                         itertools.repeat(acc)),
+                     itertools.islice(cum, live, None)))
+    del phis
     # a NaN can hide from max(), so finiteness is its own pass
     if not all(map(math.isfinite, cands)):
         return INF
@@ -787,7 +842,7 @@ def quadrature_norm_oracle(f: PPL, X: SpaceDescriptor,
     """Recompute the norm of f in X from the defining formula and compare."""
     exact = nm.norm(f, X).value
     fn = lambda t: pw.evaluate(f, t)
-    sample = lambda ts: pw.evaluate_sorted(f, ts)
+    sample = lambda ts: pw.evaluate_nondecreasing(f, ts)
     cuts = [b for b in f.breakpoints() if math.isfinite(b) and b > 0.0]
     val, tol, note = _oracle_value(fn, sample, f.domain.end, cuts, X)
     return OracleReport(name, exact, val, tol, note)

@@ -427,6 +427,20 @@ def evaluate_sorted(f: PPL, ts: Sequence[float]) -> list[float]:
     return out
 
 
+def evaluate_nondecreasing(f: PPL, ts: Sequence[float]) -> list[float]:
+    """``[evaluate(f, t) for t in ts]`` for nondecreasing numbers ``ts``, in
+    one walk over the pieces and with no test of their order.
+
+    The caller guarantees the order, as code that builds its points in
+    order can; points out of order, or a NaN after the first point, give
+    wrong values without an error.  A NaN or a negative first point raises
+    as in :func:`evaluate_sorted`.
+    """
+    out: list[float] = []
+    _walk(f, ts, 0, len(ts), out)
+    return out
+
+
 def _walk(f: PPL, ts: Sequence[float], first: int, last: int,
           out: list[float]) -> None:
     """Append the values at the nondecreasing points ts[first:last]."""
@@ -458,8 +472,9 @@ def _eval_term_map_at(tm: TermView, ts: Sequence[float]) -> list[float]:
     """``[eval_term_map(tm, t) for t in ts]`` for points t > 0, bit for bit.
 
     A one-term map without a log factor is the same expression
-    0.0 + c * t**alpha * 1.0 without ln t, and a constant one, whose
-    t**0.0 is 1.0 at every t, has one value.
+    0.0 + c * t**alpha * 1.0 without ln t, which is t**alpha itself, one
+    C-level map of pow, where c is 1.0; a constant one, whose t**0.0 is
+    1.0 at every t, has one value.
     """
     if len(tm) == 1:
         ((alpha, k), c), = tm.items()
@@ -467,6 +482,9 @@ def _eval_term_map_at(tm: TermView, ts: Sequence[float]) -> list[float]:
             return [0.0 + c * 1.0 * 1.0] * len(ts)
         if k == 0:
             try:
+                # t**alpha >= +0.0 for t > 0, so 0.0 + 1.0 * x * 1.0 is x
+                if c == 1.0:
+                    return list(map(pow, ts, itertools.repeat(alpha)))
                 return [0.0 + c * t ** alpha * 1.0 for t in ts]
             except OverflowError:
                 pass  # eval_term_map reads an overflowing power as inf

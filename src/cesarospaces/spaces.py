@@ -16,9 +16,8 @@ generator and the parameter function.
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -147,14 +146,14 @@ class QuasiConcaveSpec:
         return pw.evaluate(self.phi, t)
 
     def values(self, ts: Sequence[float]) -> list[float]:
-        """``[value(t) for t in ts]``; nondecreasing ``ts`` take one walk
-        over phi's pieces."""
-        vals = pw.evaluate_sorted(self.phi, ts)
-        # phi(0) = 0 by convention, as in value
-        if not all(ts):
-            for i in itertools.compress(itertools.count(),
-                                        map(operator.not_, ts)):
-                vals[i] = 0.0
+        """``[value(t) for t in ts]`` for nondecreasing numbers ``ts``, such
+        as running sums of measures, in one walk over phi's pieces with no
+        test of their order (see ``piecewise.evaluate_nondecreasing``)."""
+        vals = pw.evaluate_nondecreasing(self.phi, ts)
+        # phi(0) = 0 by convention, as in value; nondecreasing points that
+        # raise no error are >= 0, so their zeros come first
+        zeros = bisect.bisect_right(ts, 0.0)
+        vals[:zeros] = [0.0] * zeros
         return vals
 
     def density(self) -> PPL:

@@ -438,16 +438,11 @@ def orlicz_lux_reference(sample, end: float, cuts, spec) -> float:
     modular = orlicz_modular_reference(sample, end, cuts, spec)
     lam = 1.0
     rho = modular(lam)
-    for _ in range(60):
-        if rho > 1.0:
-            lam *= 2.0
-        else:
-            break
-        if lam > 1e30:
+    while rho > 1.0:
+        lam *= 2.0
+        if math.isinf(lam):
             return INF
         rho = modular(lam)
-    if rho > 1.0:
-        return INF
     lo_ok = lam
     lo = lam
     for _ in range(60):

@@ -82,6 +82,34 @@ def test_lp_norm_refuses_a_negative_integral_beyond_rounding(monkeypatch):
         nm.norm(chi(H, 0.0, 1.0), L2)
 
 
+@pytest.mark.parametrize("domain", [U, H], ids=["unit", "half-line"])
+def test_lp_norms_whose_powers_pass_the_float_range(domain):
+    # (1e200)**p passed the float range and raised OverflowError in L2, L4
+    # and Orlicz(u^2) and their averaged spaces; the norms are 1e200 times
+    # those of chi[0, 1/2)
+    big = pw.step_function(domain, [(0.0, 0.5, 1e200)])
+    spaces = [X for X in cat.default_catalog(domain)
+              if X.tag in ("Lp", "orlicz") and X.p not in (1.0, INF)]
+    assert len(spaces) == 3
+    for X in spaces + [sp.cesaro_space(X) for X in spaces]:
+        res = nm.norm(big, X)
+        assert res.method == "exact" and res.error_bound == 0.0
+        assert res.value == pytest.approx(
+            1e200 * nm.norm(chi(domain, 0.0, 0.5), X).value, rel=1e-15)
+    assert nm.norm(big, sp.lebesgue(2.0, domain)).value == pytest.approx(
+        1e200 * math.sqrt(0.5), rel=1e-15)
+
+
+def test_lp_norms_whose_integrals_pass_the_float_range():
+    # the integral of (1e154)**2 over [0, 2) is 2e308, past the float
+    # range, and the norm read inf; a norm past the float range still does
+    f = pw.step_function(H, [(0.0, 2.0, 1e154)])
+    assert nm.norm(f, L2).value == pytest.approx(math.sqrt(2.0) * 1e154,
+                                                 rel=1e-15)
+    assert nm.norm(pw.step_function(H, [(0.0, 100.0, 1e308)]), L2).value \
+        == INF
+
+
 # |ln t|**3 on [0, 1/2], from -ln t cubed (exact) and from ln(t)**2 to the
 # power 1.5 (quadrature: the sign of ln t is not read off the term map);
 # both came out as the negative integral of ln(t)**3.  The integral is

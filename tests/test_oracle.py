@@ -74,11 +74,28 @@ def test_improper_integral_detects_divergence():
 
 def test_a_sum_of_finite_shells_past_the_float_range_reads_inf():
     # each shell of 1e308 on (0, 2) is finite, their sum is not: fsum
-    # raised OverflowError, in the L^p and Orlicz oracles alike
+    # raised OverflowError, in the L^p oracle and the Orlicz modular alike
     assert orc.improper_integral(lambda t: 1e308, 2.0) == INF
     f = pw.step_function(H, [(0.0, 2.0, 1e154)])
-    for X in (sp.lebesgue(2.0, H), sp.orlicz_space(cat.orlicz_square(), H)):
-        assert orc.quadrature_norm_oracle(f, X).oracle == INF
+    assert orc.quadrature_norm_oracle(f, sp.lebesgue(2.0, H)).oracle == INF
+    square = cat.orlicz_square()
+    modular = orc._orlicz_modular(_sampler(f), INF, [2.0], square)
+    assert modular(1.0) == INF
+    # the Luxemburg bisection doubles past it, to the norm sqrt(2) * 1e154
+    report = orc.quadrature_norm_oracle(f, sp.orlicz_space(square, H))
+    assert report.passed, report.row()
+    assert report.exact == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-15)
+
+
+@pytest.mark.parametrize("c", [1e18, 1e31])
+def test_the_orlicz_oracle_doubles_past_two_to_the_sixty(c):
+    # the norm of c * chi[0, 2) in Orlicz(u^2) is sqrt(2) * c; the doubling
+    # stopped at 2^60 (about 1.15e18) and read inf
+    f = pw.step_function(H, [(0.0, 2.0, c)])
+    report = orc.quadrature_norm_oracle(
+        f, sp.orlicz_space(cat.orlicz_square(), H))
+    assert report.passed, report.row()
+    assert report.oracle == pytest.approx(math.sqrt(2.0) * c, rel=1e-6)
 
 
 def test_improper_integral_respects_cuts():
@@ -384,6 +401,22 @@ def _hex(x):
     return x.hex() if isinstance(x, float) else [_hex(v) for v in x]
 
 
+def _weighted_sorted_cells(sample, end, cuts=()):
+    """``oracle._weighted_sorted`` with its runs expanded to one magnitude
+    per cell, as the reference returns them; the runs must tile the cells
+    in order, each with at least one cell."""
+    runs, cum = orc._weighted_sorted(sample, end, cuts)
+    starts = [a for _, a, _ in runs]
+    stops = [b for _, _, b in runs]
+    assert starts == [0, *stops[:-1]] and stops[-1] == len(cum)
+    assert all(a < b for a, b in zip(starts, stops))
+    return [v for v, a, b in runs for _ in range(b - a)], cum
+
+
+def _sampler(f):
+    return lambda ts: pw.evaluate_nondecreasing(f, ts)
+
+
 def _both(fn, reference, case, with_spec):
     f, cuts, spec = case
     sample = lambda ts: pw.evaluate_sorted(f, ts)
@@ -432,7 +465,7 @@ def _small_grid(constants=SMALL_GRID):
 @example(case=SAMPLE_SORT_EXAMPLES[1])
 def test_weighted_sorted_is_the_per_cell_loop_bit_for_bit(case):
     with _small_grid():
-        values, reference = _both(orc._weighted_sorted,
+        values, reference = _both(_weighted_sorted_cells,
                                   support.weighted_sorted_reference, case,
                                   False)
     assert values == reference
@@ -464,7 +497,7 @@ def test_marcinkiewicz_sampled_is_the_per_cell_loop_bit_for_bit(case):
 
 
 @pytest.mark.parametrize("fn,reference,case,with_spec", [
-    (orc._weighted_sorted, support.weighted_sorted_reference,
+    (_weighted_sorted_cells, support.weighted_sorted_reference,
      SAMPLE_SORT_EXAMPLES[1], False),
     (orc._lorentz_sampled, support.lorentz_sampled_reference,
      SAMPLE_SORT_EXAMPLES[2], True),
@@ -482,16 +515,177 @@ def test_the_base_grid_memo_is_keyed_on_the_grid_constants():
     bare = (f, [], None)
     for grid in (contextlib.nullcontext, _small_grid, contextlib.nullcontext):
         with grid():
-            values, reference = _both(orc._weighted_sorted,
+            values, reference = _both(_weighted_sorted_cells,
                                       support.weighted_sorted_reference, bare,
                                       False)
         assert values == reference
     # a call with cuts splices into copies of the memo, never into it
     orc._weighted_sorted(lambda ts: pw.evaluate_sorted(f, ts), f.domain.end,
                          cuts)
-    values, reference = _both(orc._weighted_sorted,
+    values, reference = _both(_weighted_sorted_cells,
                               support.weighted_sorted_reference, bare, False)
     assert values == reference
+
+
+def _nondecreasing(xs):
+    return all(a <= b for a, b in zip(xs, xs[1:]))
+
+
+@given(end=st.sampled_from([1.0, 16.0, INF]),
+       cuts=st.lists(st.floats(0.0, 4096.0) | st.sampled_from(GRID_KNOTS)
+                     | st.floats(2.0 ** -45, 2.0 ** -30), max_size=4))
+@settings(max_examples=25, deadline=None)
+@example(end=INF, cuts=[])
+@example(end=1.0, cuts=[])
+@example(end=INF, cuts=[2.0 ** -40, 0.125, 1024.0, 2.0 ** 40 * 0.999])
+@example(end=1.0, cuts=[1e-12, 0.125, 1.0 - 2.0 ** -30])
+def test_the_sample_sort_points_and_sums_are_built_in_order(end, cuts):
+    # evaluate_nondecreasing and QuasiConcaveSpec.values test no order:
+    # the base grid's midpoints, with cut clusters spliced in or not, and
+    # the running sums must be nondecreasing as they are built
+    seen = []
+    _, cum = orc._weighted_sorted(
+        lambda ts: seen.append(list(ts)) or [0.0] * len(ts), end, cuts)
+    mids, = seen
+    assert _nondecreasing(mids) and _nondecreasing(cum)
+    _, bare_mids, _, _ = orc._base_grid(
+        end, orc.GRID_TOP, orc.GRID_HEAD_START, orc.GRID_HEAD_RATIO,
+        orc.GRID_BODY_CELLS, orc.GRID_TAIL_RATIO, orc.GRID_TAIL_END)
+    assert _nondecreasing(bare_mids)
+    # sorted by magnitude, a step function's cells sum in another order
+    f = pw.step_function(U if end == 1.0 else H,
+                         [(0.0, 0.3, 1.0), (0.3, 0.7, -4.0), (0.7, 1.0, 2.0)])
+    _, cum = orc._weighted_sorted(_sampler(f), end, cuts)
+    assert _nondecreasing(cum)
+
+
+@pytest.mark.parametrize("top,n", [(orc.GRID_TOP, orc.GRID_POINTS),
+                                   (1.0, orc.GRID_POINTS), (orc.GRID_TOP, 1 << 15),
+                                   (1.0, 1 << 15)])
+def test_the_uniform_nodes_are_built_in_order(top, n):
+    nodes, _ = orc._uniform_nodes(top, orc.GRID_DELTA, n)
+    assert _nondecreasing(nodes)
+
+
+@pytest.mark.parametrize("stop", [2.0 ** 30, 16.0, 1.0])
+def test_the_log_grid_is_built_in_order(stop):
+    assert _nondecreasing(orc._geometric_nodes(2.0 ** -40, 2.0 ** (1.0 / 64),
+                                               stop))
+
+
+@pytest.mark.parametrize("end,cuts", [
+    (INF, []), (1.0, []), (INF, [0.3, 0.75, 1.5, 3.0]),
+    (1.0, [1e-12, 0.5, 0.5 + 1e-4]), (INF, [2.0 ** -61, 2.0 ** 61, 7.0]),
+])
+def test_the_shell_nodes_are_built_in_order(end, cuts):
+    # panels at least 1.4e-5 times their left end wide: the nudge of 1e-9
+    # of a cell stays above one ulp
+    nodes, _ = orc._shell_nodes(end, cuts)
+    assert _nondecreasing(nodes)
+
+
+def _thin_panel(a, w):
+    """f with a piece of width w at a, and the cuts of its oracle."""
+    return pw.step_function(H, [(0.0, a, 1.0), (a, a + w, 3.0),
+                                (a + w, 2.0, 2.0)]), [a, a + w, 2.0]
+
+
+@pytest.mark.parametrize("a,w,misread", [
+    (1.3, 5e-12, False), (1.0384599718233707, 8.001223947158723e-15, True),
+], ids=["inside", "across-a-breakpoint"])
+def test_thin_panel_nodes_are_sampled_run_by_run(a, w, misread):
+    # the nudged nodes of a thin panel round out of order; in the second
+    # panel one rounds past the next breakpoint, where one walk over the
+    # nodes as they are misreads it.  The Orlicz modular samples them one
+    # nondecreasing run at a time, and reads the per-node modular
+    f, cuts = _thin_panel(a, w)
+    nodes, _ = orc._shell_nodes(INF, cuts)
+    pointwise = _hex([pw.evaluate(f, t) for t in nodes])
+    assert not _nondecreasing(nodes)
+    assert (_hex(pw.evaluate_nondecreasing(f, nodes)) != pointwise) is \
+        misread
+    assert _hex(orc._sample_in_runs(_sampler(f), nodes)) == pointwise
+    case = (_sampler(f), INF, cuts, cat.orlicz_square())
+    reference = (lambda ts: pw.evaluate_sorted(f, ts),) + case[1:]
+    for lam in (1.0, 3.0, 10.0):
+        assert orc._orlicz_modular(*case)(lam).hex() == \
+            support.orlicz_modular_reference(*reference)(lam).hex()
+
+
+def test_every_sampler_call_gets_nondecreasing_points():
+    # evaluate_nondecreasing tests no order, so every sampler must hand it
+    # points in order, the Orlicz nodes of a thin cut panel included
+    f, cuts = _thin_panel(1.3, 5e-12)
+    in_order = []
+
+    def sample(ts):
+        in_order.append(_nondecreasing(ts))
+        return pw.evaluate_sorted(f, ts)
+
+    for X in (sp.orlicz_space(cat.orlicz_square(), H),
+              sp.lorentz_space(cat.sqrt_phi(H)),
+              sp.marcinkiewicz_space(cat.sqrt_phi(H)), sp.lebesgue(INF, H),
+              sp.l1_cap_linf(H), sp.l1_plus_linf(H)):
+        orc._oracle_value(lambda t: pw.evaluate(f, t), sample, INF, cuts, X)
+    assert len(in_order) >= 7 and all(in_order)
+
+
+# f* of a function that vanishes nowhere on the grid, vanishes between two
+# steps, and vanishes everywhere, against the per-cell references
+RUN_FORM_CASES = [
+    (UNIT_STEP, [b for b in UNIT_STEP.breakpoints() if b > 0.0],
+     cat.sqrt_plus_atom_phi(U)),
+    (pw.step_function(H, [(0.0, INF, 0.5)]), [], cat.sqrt_phi(H)),
+    (pw.step_function(H, [(0.0, 1.0, 2.0), (1.5, 3.0, -1.0)]),
+     [1.0, 1.5, 3.0], cat.sqrt_plus_atom_phi(H)),
+    (pw.step_function(H, [(0.0, 1.0, 2.0), (1.5, 3.0, -1.0)]),
+     [1.0, 1.5, 3.0], cat.bounded_sqrt_phi(H)),
+    (pw.zero(H), [0.5], cat.sqrt_plus_atom_phi(H)),
+    (pw.zero(U), [], cat.atom_phi(U)),
+]
+RUN_FORM_IDS = ["unit-no-zero", "half-line-no-zero", "zero-piece-atom",
+                "zero-piece-bounded", "zero-half-line", "zero-unit"]
+
+
+@pytest.mark.parametrize("case", RUN_FORM_CASES, ids=RUN_FORM_IDS)
+@pytest.mark.parametrize("fn,reference,with_spec", [
+    (_weighted_sorted_cells, support.weighted_sorted_reference, False),
+    (orc._lorentz_sampled, support.lorentz_sampled_reference, True),
+    (orc._marcinkiewicz_sampled, support.marcinkiewicz_sampled_reference,
+     True),
+], ids=["weighted-sorted", "lorentz", "marcinkiewicz"])
+def test_the_run_form_is_the_per_cell_loop_at_its_edges(fn, reference,
+                                                        with_spec, case):
+    with _small_grid():
+        value, expected = _both(fn, reference, case, with_spec)
+    assert value == expected
+
+
+def test_the_zero_function_has_one_zero_run():
+    # Lorentz reads f*(0) = 0.0 off it (the run-form cases above)
+    with _small_grid():
+        runs, cum = orc._weighted_sorted(_sampler(pw.zero(H)), INF, [])
+    assert runs == [(0.0, 0, len(cum))]
+
+
+def test_a_repeated_nan_sample_splits_into_runs_of_one_cell():
+    # groupby takes one NaN object repeated for one value; a run split by
+    # !=, as the per-cell sort has it, gives each NaN cell a run
+    nan = math.nan
+
+    def sample(ts):
+        n = len(ts)
+        return [2.0] * 3 + [nan] * 4 + [0.0] * (n - 7)
+
+    with _small_grid():
+        runs, cum = orc._weighted_sorted(sample, 1.0)
+        value = orc._marcinkiewicz_sampled(sample, 1.0, cat.sqrt_phi(U))
+        expected = support.marcinkiewicz_sampled_reference(sample, 1.0,
+                                                           cat.sqrt_phi(U))
+    assert sorted(b - a for v, a, b in runs if v != v) == [1, 1, 1, 1]
+    assert [(v, b - a) for v, a, b in runs if v == v] == [
+        (2.0, 3), (0.0, len(cum) - 7)]
+    assert value == expected == INF
 
 
 # the constants the other samplers' grids read, set apart from the defaults

@@ -196,6 +196,24 @@ def test_evaluate_sorted_is_pointwise_evaluation_bit_for_bit(case):
         _outcome(lambda: [pw.evaluate(f, t) for t in ts])
 
 
+@given(case=functions_and_points(), as_array=st.booleans())
+@settings(max_examples=200, deadline=None)
+@example(case=(pw.power_piece(H, 0.0, 1.0, 1.0, 0.5), [0.0, 0.25, 1.0, 1.0]),
+         as_array=True)
+@example(case=(pw.step_function(H, [(0.5, INF, 2.0)]), [0.5, 2.0, INF]),
+         as_array=False)
+def test_evaluate_nondecreasing_is_evaluate_sorted_bit_for_bit(case,
+                                                               as_array):
+    # on the points it is given for: nondecreasing numbers, as a list or a
+    # float array, errors and all
+    f, ts = case
+    ts = sorted(ts)
+    if as_array:
+        ts = array("d", ts)
+    assert _outcome(lambda: pw.evaluate_nondecreasing(f, ts)) == \
+        _outcome(lambda: pw.evaluate_sorted(f, ts))
+
+
 @pytest.mark.parametrize("ts,walks", [
     ([0.0, 0.5, 0.5, 1.0, 2.5], 1),
     (array("d", [0.0, 0.5, 0.5, 1.0, 2.5]), 1),
@@ -254,6 +272,29 @@ def test_term_map_at_many_points_is_pointwise_bit_for_bit(case):
     tm, ts = case
     assert [v.hex() for v in pw._eval_term_map_at(tm, ts)] == \
         [pw.eval_term_map(tm, t).hex() for t in ts]
+
+
+@pytest.mark.parametrize("tm,ts", [
+    # c = 1.0: the map of pow alone
+    ({(0.5, 0): 1.0}, [1e-300, 0.25, 2.0, 1e300, INF]),
+    ({(-0.5, 0): 1.0}, [5e-324, 4.0, INF]),
+    # c = -1.0 is no c = 1.0
+    ({(0.5, 0): -1.0}, [0.25, 4.0]),
+    # c < 0 where the power underflows: 0.0 + c * 0.0 * 1.0 is +0.0
+    ({(400.0, 0): -2.0}, [1e-10, 0.5, 1.0]),
+    ({(-400.0, 0): -1.5}, [1e10, INF]),
+    ({(400.0, 0): 1.0}, [1e-10, 1.0]),
+    # a power past the float range: the pointwise fallback reads inf
+    ({(400.0, 0): 1.0}, [1.0, 1e10]),
+    ({(400.0, 0): -3.0}, [1e-10, 1e10]),
+], ids=["sqrt", "inverse-sqrt-at-the-ends", "minus-sqrt", "negative-underflow",
+        "negative-underflow-at-inf", "one-underflow", "one-overflow",
+        "negative-overflow"])
+def test_the_one_term_map_path_is_pointwise_bit_for_bit(tm, ts):
+    values = pw._eval_term_map_at(tm, ts)
+    assert [v.hex() for v in values] == \
+        [pw.eval_term_map(tm, t).hex() for t in ts]
+    assert "-0x0.0p+0" not in [v.hex() for v in values]
 
 
 def test_power_log_evaluation():
