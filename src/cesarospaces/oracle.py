@@ -234,23 +234,25 @@ def _continue_ends(total: float, shells: list[float], end: float) -> float:
 # points to the function's values in one call: one walk over the pieces of
 # a piecewise function, with the floats of pointwise evaluation and no
 # test of the order.  Every grid here is built in order, except the
-# Simpson nodes of a thin cut panel, which ``_sample_in_runs`` splits.
+# Simpson nodes of a thin cut panel: ``_sample_in_runs`` is the one split of
+# points that can fall out of order, and a NaN among them makes a run of
+# its own, which the walk rejects.
 
 
 def _sorted_samples(sample, end: float, n: int):
     """Uniform midpoint samples of |f| on [GRID_DELTA, min(end, GRID_TOP)],
     sorted descending.  Returns (values, cell width)."""
-    nodes, h = _uniform_nodes(min(end, GRID_TOP), GRID_DELTA, n)
+    nodes, h = _uniform_nodes(min(end, GRID_TOP), n)
     return sorted(map(abs, sample(nodes)), reverse=True), h
 
 
 @lru_cache(maxsize=8)
-def _uniform_nodes(top: float, delta: float, n: int):
-    """The midpoints of n equal cells on [delta, top], as a float array,
-    and the cell width; built once per top, delta and n, and callers never
+def _uniform_nodes(top: float, n: int):
+    """The midpoints of n equal cells on [GRID_DELTA, top], as a float
+    array, and the cell width; built once per top and n, and callers never
     write into it."""
-    h = (top - delta) / n
-    return array("d", [delta + (i + 0.5) * h for i in range(n)]), h
+    h = (top - GRID_DELTA) / n
+    return array("d", [GRID_DELTA + (i + 0.5) * h for i in range(n)]), h
 
 
 def _weighted_sorted(sample, end: float, cuts=()):
@@ -264,9 +266,7 @@ def _weighted_sorted(sample, end: float, cuts=()):
     (magnitude, start, stop) per magnitude of f*, where cells
     start..stop-1 read that magnitude (one run per NaN sample).
     """
-    knots, mids, widths, top = _base_grid(
-        end, GRID_TOP, GRID_HEAD_START, GRID_HEAD_RATIO, GRID_BODY_CELLS,
-        GRID_TAIL_RATIO, GRID_TAIL_END)
+    knots, mids, widths, top = _base_grid(end)
     cluster: set[float] = set()
     for c in cuts:
         if not 0.0 < c < top:
@@ -311,26 +311,25 @@ def _weighted_sorted(sample, end: float, cuts=()):
 
 
 @lru_cache(maxsize=8)
-def _base_grid(end: float, grid_top: float, head_start: float,
-               head_ratio: float, body_cells: int, tail_ratio: float,
-               tail_end: float):
+def _base_grid(end: float):
     """The knots of ``_weighted_sorted``'s grid before the cut clusters,
     sorted and distinct, with their cells' midpoints and widths, and the
     grid's top: (knots, mids, widths, top).  The grid depends only on the
-    domain's end and the ``GRID_*`` constants it takes as arguments, so it
-    is built once per end; callers copy it and never write into it."""
-    body_top = min(end, grid_top)
+    domain's end and the ``GRID_*`` constants, so it is built once per end;
+    callers copy it and never write into it."""
+    body_top = min(end, GRID_TOP)
     # the head, the body and the tail fill disjoint ranges in increasing
     # order, so the grid is built sorted and repeats only next to itself
-    knots = [0.0, *_geometric(head_start, head_ratio, min(body_top, 0.125))]
-    h = body_top / float(body_cells)
+    knots = [0.0, *_geometric(GRID_HEAD_START, GRID_HEAD_RATIO,
+                              min(body_top, 0.125))]
+    h = body_top / float(GRID_BODY_CELLS)
     i0 = int(0.125 / h) + 1
     knots += [min(i0 * h + j * h, body_top)
-              for j in range(body_cells - i0 + 1)]
+              for j in range(GRID_BODY_CELLS - i0 + 1)]
     top = body_top
-    if end > grid_top:
-        top = min(end, tail_end)
-        knots += _geometric(body_top, tail_ratio, top)
+    if end > GRID_TOP:
+        top = min(end, GRID_TAIL_END)
+        knots += _geometric(body_top, GRID_TAIL_RATIO, top)
         knots.append(top)
     ordered = array("d", knots[:1])
     ordered.extend(itertools.compress(knots[1:],
@@ -566,11 +565,15 @@ def _sample_in_runs(sample, ts) -> list[float]:
     """``sample`` at points that can fall out of order, one call per
     nondecreasing run: in a cut panel narrower than about 1.4e-5 times
     its left end, the nudge of 1e-9 of a cell falls below one ulp, and the
-    nudged Simpson nodes can round out of order."""
+    nudged Simpson nodes can round out of order.
+
+    A run ends where ``not (a <= b)``; NaN compares false both ways, so it
+    makes a run of its own, which ``piecewise.evaluate_nondecreasing``
+    rejects with ValueError."""
     if all(map(operator.le, ts, itertools.islice(ts, 1, None))):
         return sample(ts)
-    ends = itertools.compress(itertools.count(1), map(
-        operator.gt, ts, itertools.islice(ts, 1, None)))
+    ends = itertools.compress(itertools.count(1), map(operator.not_, map(
+        operator.le, ts, itertools.islice(ts, 1, None))))
     out: list[float] = []
     first = 0
     for last in itertools.chain(ends, (len(ts),)):

@@ -19,7 +19,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
@@ -404,57 +403,33 @@ def evaluate(f: PPL, t: float) -> float:
     return 0.0
 
 
-def evaluate_sorted(f: PPL, ts: Sequence[float]) -> list[float]:
-    """``[evaluate(f, t) for t in ts]``, in one walk over the pieces per
-    nondecreasing run of ``ts``, so sorted points take a single walk.
-
-    Each piece finds its points by bisection and evaluates them through the
-    same term map, so every value is the pointwise float, and an error is
-    the pointwise one, raised at the same point.  NaN raises ValueError.
-    """
-    out: list[float] = []
-    if all(map(operator.le, ts, itertools.islice(ts, 1, None))):
-        _walk(f, ts, 0, len(ts), out)
-        return out
-    # a run ends where the next point is smaller; NaN compares false both
-    # ways, so it makes a run of its own
-    steps = map(operator.le, ts, itertools.islice(ts, 1, None))
-    ends = itertools.compress(itertools.count(1), map(operator.not_, steps))
-    first = 0
-    for last in itertools.chain(ends, (len(ts),)):
-        _walk(f, ts, first, last, out)
-        first = last
-    return out
-
-
 def evaluate_nondecreasing(f: PPL, ts: Sequence[float]) -> list[float]:
     """``[evaluate(f, t) for t in ts]`` for nondecreasing numbers ``ts``, in
     one walk over the pieces and with no test of their order.
 
-    The caller guarantees the order, as code that builds its points in
-    order can; points out of order, or a NaN after the first point, give
-    wrong values without an error.  A NaN or a negative first point raises
-    as in :func:`evaluate_sorted`.
+    Each piece finds its points by bisection and evaluates them through the
+    same term map, so every value is the pointwise float, and an error is
+    the pointwise one, raised at the same point.  The caller guarantees the
+    order, as code that builds its points in order can; points out of
+    order, or a NaN after the first point, give wrong values without an
+    error.  A NaN first point raises ValueError, and a negative one
+    EvaluationDomainError.  Points that can fall out of order go through
+    ``oracle._sample_in_runs``, the one split into nondecreasing runs: a
+    run ends where ``not (a <= b)``, so a NaN makes a run of its own and
+    raises here.
     """
     out: list[float] = []
-    _walk(f, ts, 0, len(ts), out)
-    return out
-
-
-def _walk(f: PPL, ts: Sequence[float], first: int, last: int,
-          out: list[float]) -> None:
-    """Append the values at the nondecreasing points ts[first:last]."""
-    if first == last:
-        return
-    if math.isnan(ts[first]):
+    if not len(ts):
+        return out
+    if math.isnan(ts[0]):
         raise ValueError("evaluation points must be numbers")
-    if ts[first] < 0.0:
-        raise EvaluationDomainError(f"t = {ts[first]} outside domain")
+    if ts[0] < 0.0:
+        raise EvaluationDomainError(f"t = {ts[0]} outside domain")
     end = f.domain.end
-    i = bisect.bisect_right(ts, 0.0, first, last)
-    stop = bisect.bisect_right(ts, end, i, last)
-    if i > first:
-        out += [evaluate(f, 0.0)] * (i - first)
+    i = bisect.bisect_right(ts, 0.0)
+    stop = bisect.bisect_right(ts, end, i)
+    if i:
+        out += [evaluate(f, 0.0)] * i
     for piece in f.pieces:
         lo = bisect.bisect_left(ts, piece.lo, i, stop)
         # the piece closing at the domain's end also takes t = end
@@ -464,8 +439,9 @@ def _walk(f: PPL, ts: Sequence[float], first: int, last: int,
         out += _eval_term_map_at(piece.term_map(), ts[lo:hi])
         i = hi
     out += [0.0] * (stop - i)
-    if stop < last:
+    if stop < len(ts):
         raise EvaluationDomainError(f"t = {ts[stop]} outside domain")
+    return out
 
 
 def _eval_term_map_at(tm: TermView, ts: Sequence[float]) -> list[float]:
@@ -777,11 +753,6 @@ def _sign_split(f: PPL) -> PPL:
         return f
     g.__dict__[_ABS] = _SELF
     return g
-
-
-def positive_part(f: PPL) -> PPL:
-    """max(f, 0), exact."""
-    return scale(combine(f, absolute(f), "add"), 0.5)
 
 
 def is_nonnegative(f: PPL) -> bool:

@@ -407,9 +407,12 @@ def shell_nodes_reference(end: float, cuts):
 
 def orlicz_modular_reference(sample, end: float, cuts, spec):
     """``oracle._orlicz_modular`` with every shell summed node by node,
-    left to right."""
+    left to right.  The nodes are sampled in one call in sorted order,
+    since the nudged nodes of a thin cut panel can round out of order."""
     nodes, weights = orc._shell_nodes(end, cuts)
-    mags = [abs(v) for v in sample(nodes)]
+    ordered = sorted(nodes)
+    at = dict(zip(ordered, sample(ordered)))
+    mags = [abs(at[t]) for t in nodes]
     magnitudes = list(dict.fromkeys(mags))
     slot = {g: i for i, g in enumerate(magnitudes)}
     slots = iter([slot[g] for g in mags])
@@ -604,7 +607,8 @@ def truncation_core_membership(f: pw.PPL, CX) -> tuple[bool | None, dict]:
 def excess_over(f: pw.PPL, level: float, horizon: float) -> pw.PPL:
     """(|f| - level)_+ on [0, horizon) and |f| beyond it, exact."""
     cap = pw.step_function(f.domain, [(0.0, horizon, level)])
-    return pw.positive_part(pw.combine(pw.absolute(f), cap, "sub"))
+    g = pw.combine(pw.absolute(f), cap, "sub")
+    return pw.scale(pw.combine(g, pw.absolute(g), "add"), 0.5)
 
 
 def sum_space_reference(f: pw.PPL) -> tuple[float, float]:

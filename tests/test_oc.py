@@ -466,11 +466,24 @@ def test_vanishing_peak_that_rises_until_far_below_one():
 
 @pytest.mark.xfail(strict=True, reason=(
     "the direct route reads the plateau of the late peak as not-OC, so the "
-    "routes conflict (ROADMAP item 2: routes that cannot disagree)"))
+    "routes conflict (ROADMAP item 1: routes that cannot disagree)"))
 def test_all_routes_agree_on_the_late_peak():
     combined = oc.oc_point(_LATE_PEAK, _LATE_PEAK_SPACE, method="all")
     assert (combined.verdict, combined.rule) == (
         "OC", "averaged-marcinkiewicz/vanishing-peak")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the direct route reads the nearly flat head norms of ln(t)**6 "
+    "(42179.26 ... 42142.80) as staying away, so it says not-OC and the "
+    "routes conflict (ROADMAP item 1: routes that cannot disagree)"))
+def test_all_routes_agree_on_a_sixth_power_of_a_log_at_zero():
+    # at ln(t)**5 the direct route says inconclusive
+    f = pw.make_ppl(H, [(0.0, 0.5, {(0.0, 6): 1.0})])
+    combined = oc.oc_point(f, sp.cesaro_space(sp.lebesgue(2.0, H)),
+                           method="all")
+    assert (combined.verdict, combined.rule) == (
+        "OC", "averaged-power/all-points")
 
 
 def _tail(lo, alpha, coeff=1.0, logpow=0):

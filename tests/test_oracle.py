@@ -419,7 +419,7 @@ def _sampler(f):
 
 def _both(fn, reference, case, with_spec):
     f, cuts, spec = case
-    sample = lambda ts: pw.evaluate_sorted(f, ts)
+    sample = _sampler(f)
     args = (sample, f.domain.end, spec, cuts) if with_spec else \
         (sample, f.domain.end, cuts)
     return _hex(fn(*args)), _hex(reference(*args))
@@ -447,9 +447,16 @@ SMALL_GRID = {"GRID_HEAD_START": 2.0 ** -20, "GRID_HEAD_RATIO": 2.0 ** (1.0 / 16
               "GRID_TAIL_END": 2.0 ** 24}
 
 
+# the grid memos read these constants but are keyed on the end alone, so a
+# grid built under other constants must not outlive them
+GRID_MEMOS = (orc._base_grid, orc._uniform_nodes)
+
+
 @contextlib.contextmanager
 def _small_grid(constants=SMALL_GRID):
     saved = {name: getattr(orc, name) for name in constants}
+    for memo in GRID_MEMOS:
+        memo.cache_clear()
     for name, value in constants.items():
         setattr(orc, name, value)
     try:
@@ -457,6 +464,8 @@ def _small_grid(constants=SMALL_GRID):
     finally:
         for name, value in saved.items():
             setattr(orc, name, value)
+        for memo in GRID_MEMOS:
+            memo.cache_clear()
 
 
 @given(case=sample_sort_cases())
@@ -520,8 +529,7 @@ def test_the_base_grid_memo_is_keyed_on_the_grid_constants():
                                       False)
         assert values == reference
     # a call with cuts splices into copies of the memo, never into it
-    orc._weighted_sorted(lambda ts: pw.evaluate_sorted(f, ts), f.domain.end,
-                         cuts)
+    orc._weighted_sorted(_sampler(f), f.domain.end, cuts)
     values, reference = _both(_weighted_sorted_cells,
                               support.weighted_sorted_reference, bare, False)
     assert values == reference
@@ -548,9 +556,7 @@ def test_the_sample_sort_points_and_sums_are_built_in_order(end, cuts):
         lambda ts: seen.append(list(ts)) or [0.0] * len(ts), end, cuts)
     mids, = seen
     assert _nondecreasing(mids) and _nondecreasing(cum)
-    _, bare_mids, _, _ = orc._base_grid(
-        end, orc.GRID_TOP, orc.GRID_HEAD_START, orc.GRID_HEAD_RATIO,
-        orc.GRID_BODY_CELLS, orc.GRID_TAIL_RATIO, orc.GRID_TAIL_END)
+    _, bare_mids, _, _ = orc._base_grid(end)
     assert _nondecreasing(bare_mids)
     # sorted by magnitude, a step function's cells sum in another order
     f = pw.step_function(U if end == 1.0 else H,
@@ -563,7 +569,7 @@ def test_the_sample_sort_points_and_sums_are_built_in_order(end, cuts):
                                    (1.0, orc.GRID_POINTS), (orc.GRID_TOP, 1 << 15),
                                    (1.0, 1 << 15)])
 def test_the_uniform_nodes_are_built_in_order(top, n):
-    nodes, _ = orc._uniform_nodes(top, orc.GRID_DELTA, n)
+    nodes, _ = orc._uniform_nodes(top, n)
     assert _nondecreasing(nodes)
 
 
@@ -606,10 +612,9 @@ def test_thin_panel_nodes_are_sampled_run_by_run(a, w, misread):
         misread
     assert _hex(orc._sample_in_runs(_sampler(f), nodes)) == pointwise
     case = (_sampler(f), INF, cuts, cat.orlicz_square())
-    reference = (lambda ts: pw.evaluate_sorted(f, ts),) + case[1:]
     for lam in (1.0, 3.0, 10.0):
         assert orc._orlicz_modular(*case)(lam).hex() == \
-            support.orlicz_modular_reference(*reference)(lam).hex()
+            support.orlicz_modular_reference(*case)(lam).hex()
 
 
 def test_every_sampler_call_gets_nondecreasing_points():
@@ -620,7 +625,7 @@ def test_every_sampler_call_gets_nondecreasing_points():
 
     def sample(ts):
         in_order.append(_nondecreasing(ts))
-        return pw.evaluate_sorted(f, ts)
+        return pw.evaluate_nondecreasing(f, ts)
 
     for X in (sp.orlicz_space(cat.orlicz_square(), H),
               sp.lorentz_space(cat.sqrt_phi(H)),
@@ -715,7 +720,7 @@ def test_the_uniform_node_memo_is_keyed_on_the_grid_constants():
 def test_the_log_grid_memo_is_keyed_on_the_domain_end():
     # the largest |f| is read at the last point below 1e6 or below the end
     f = pw.power_piece(H, 0.0, 1e6, 1.0, 0.5)
-    sample = lambda ts: pw.evaluate_sorted(f, ts)
+    sample = _sampler(f)
     cuts = [0.3, 1e6]
     for end, extra in ((INF, []), (16.0, []), (1.0, []), (INF, cuts),
                        (16.0, cuts), (INF, [])):
@@ -854,10 +859,6 @@ def orlicz_cases(draw):
     cuts = [b for b in f.breakpoints() if math.isfinite(b) and b > 0.0]
     return (_sampler(f), end, cuts + extra,
             draw(st.sampled_from(ORLICZ_GENERATORS))), pool
-
-
-def _sampler(f):
-    return lambda ts: pw.evaluate_sorted(f, ts)
 
 
 def _orlicz_case(f, end, spec):

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cesarospaces import cesaro as cz
+from cesarospaces import oracle as orc
 from cesarospaces import piecewise as pw
 from cesarospaces.errors import (DomainMismatchError, EvaluationDomainError,
                                  RepresentationError, TransformUndefinedError,
@@ -171,6 +172,10 @@ def functions_and_points(draw):
     return f, sorted(pts) if draw(st.integers(0, 3)) else pts
 
 
+def _sampler(f):
+    return lambda ts: pw.evaluate_nondecreasing(f, ts)
+
+
 def _outcome(fn):
     try:
         return [v.hex() for v in fn()]
@@ -190,9 +195,9 @@ def _outcome(fn):
                array("d", [0.0, 0.25, 1.0, 1.0, 3.0])))
 @example(case=(pw.step_function(H, [(0.0, 1.0, 2.0), (1.0, 2.0, 3.0)]),
                array("d", [1.5, 0.5, 1.0, 0.0, 2.5])))
-def test_evaluate_sorted_is_pointwise_evaluation_bit_for_bit(case):
+def test_the_run_split_is_pointwise_evaluation_bit_for_bit(case):
     f, ts = case
-    assert _outcome(lambda: pw.evaluate_sorted(f, ts)) == \
+    assert _outcome(lambda: orc._sample_in_runs(_sampler(f), ts)) == \
         _outcome(lambda: [pw.evaluate(f, t) for t in ts])
 
 
@@ -202,8 +207,8 @@ def test_evaluate_sorted_is_pointwise_evaluation_bit_for_bit(case):
          as_array=True)
 @example(case=(pw.step_function(H, [(0.5, INF, 2.0)]), [0.5, 2.0, INF]),
          as_array=False)
-def test_evaluate_nondecreasing_is_evaluate_sorted_bit_for_bit(case,
-                                                               as_array):
+def test_evaluate_nondecreasing_is_pointwise_evaluation_bit_for_bit(
+        case, as_array):
     # on the points it is given for: nondecreasing numbers, as a list or a
     # float array, errors and all
     f, ts = case
@@ -211,7 +216,7 @@ def test_evaluate_nondecreasing_is_evaluate_sorted_bit_for_bit(case,
     if as_array:
         ts = array("d", ts)
     assert _outcome(lambda: pw.evaluate_nondecreasing(f, ts)) == \
-        _outcome(lambda: pw.evaluate_sorted(f, ts))
+        _outcome(lambda: [pw.evaluate(f, t) for t in ts])
 
 
 @pytest.mark.parametrize("ts,walks", [
@@ -220,27 +225,30 @@ def test_evaluate_nondecreasing_is_evaluate_sorted_bit_for_bit(case,
     # one walk per nondecreasing run
     ([1.5, 0.5, 1.0, 0.0, 2.5], 3),
 ])
-def test_evaluate_sorted_walks_once_per_nondecreasing_run(monkeypatch, ts,
-                                                          walks):
+def test_the_run_split_walks_once_per_nondecreasing_run(ts, walks):
     f = pw.step_function(H, [(0.0, 1.0, 2.0), (1.0, 2.0, 3.0)])
     count = [0]
-    walk = pw._walk
+    walk = _sampler(f)
 
-    def counted(*args):
+    def counted(ts):
         count[0] += 1
-        return walk(*args)
+        return walk(ts)
 
-    monkeypatch.setattr(pw, "_walk", counted)
-    assert pw.evaluate_sorted(f, ts) == [pw.evaluate(f, t) for t in ts]
+    assert orc._sample_in_runs(counted, ts) == [pw.evaluate(f, t) for t in ts]
     assert count[0] == walks
 
 
-def test_evaluate_sorted_rejects_nan():
+def test_the_run_split_rejects_nan():
+    # NaN compares false both ways, so it makes a run of its own, which the
+    # walk rejects; it must not join the run before it and read as a number
     f = pw.indicator(H, 0.0, 1.0)
     for ts in ([math.nan], [0.5, math.nan, 1.0], [math.nan, 0.5]):
         with pytest.raises(ValueError):
-            pw.evaluate_sorted(f, ts)
-    assert pw.evaluate_sorted(f, []) == []
+            orc._sample_in_runs(_sampler(f), ts)
+    assert orc._sample_in_runs(_sampler(f), []) == []
+    f = pw.step_function(H, [(0.0, 1.0, 1.0), (1.0, 2.0, 5.0)])
+    with pytest.raises(ValueError):
+        orc._sample_in_runs(_sampler(f), [0.5, 1.5, math.nan, 0.7, 1.2])
 
 
 def test_evaluate_rejects_nan():
@@ -499,12 +507,6 @@ def test_absolute_reads_the_germ_where_every_probe_underflows(lo, hi, tm,
     # |f| is sign*f on a piece whose three probes all underflow to 0
     a = pw.absolute(pw.make_ppl(H, [(lo, hi, tm)]))
     assert a.pieces[0].term_map() == {key: sign * c for key, c in tm.items()}
-
-
-def test_positive_part():
-    f = pw.step_function(H, [(0.0, 1.0, 2.0), (1.0, 2.0, -3.0)])
-    p = pw.positive_part(f)
-    assert p(0.5) == 2.0 and p(1.5) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -496,8 +496,7 @@ def test_rearrangement_has_the_germ_of_the_first_piece_at_zero(head, js):
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "below t = e**-700 the level crossings stop at that t, so the bisection "
     "for f*(s) never finds a level of smaller measure and returns inf "
-    "(ROADMAP item 5: root isolation that never gives up inside the float "
-    "range)"))
+    "(ROADMAP item 3: past the float range, in log space)"))
 def test_rearrangement_of_a_pure_log_head_below_the_crossing_floor():
     # no exact f*: the head falls like ln(t)**2 and the second piece is
     # flat; f*(2**-1010) = 1.3*(1010 ln 2)**2
