@@ -15,10 +15,12 @@ finer than their grid.  Battery inputs are chosen within these limits.
 Every sample grid (the sample-sort grid, the uniform and logarithmic
 nodes, and the quadrature panels of an uncut dyadic shell) is built once
 per domain end; a call only adds the nodes its own cuts need, never into
-the memo.  Grids are built in order, so their nodes take one walk over the
+the memo.  Grids are built in order, the Orlicz panels' nodes clamped
+below each panel's right end, so their nodes take one walk over the
 pieces of f with no test of the order.  The sample-sort oracles read f* as
 runs of one magnitude, (magnitude, first cell, end cell), and a run where
-f* is 0 costs no per-cell Python loop.
+f* is 0 costs no per-cell Python loop; the Orlicz modular forms one
+product per run of one magnitude within a dyadic shell.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import bisect
 import itertools
 import math
 import operator
-import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -188,17 +189,18 @@ def _fsum(parts) -> float:
         return INF
 
 
-def improper_integral(fn, end: float, cuts=(), tol: float = SIMPSON_TOL) -> float:
+def improper_integral(fn, end: float, cuts=()) -> float:
     """Integral of a nonnegative integrand over (0, end), end possibly inf.
 
     Dyadic shells with geometric corrections for the unresolved ends; an
-    end whose shell contributions fail to decay geometrically (ratio below
-    DIVERGENCE_RATIO) is reported as divergent.
+    end whose shell contributions fail to decay geometrically (ratio of
+    successive shells at or above DIVERGENCE_RATIO) is reported as
+    divergent.
     """
     top = min(end, 2.0 ** SHELL_HIGH)
     shells: list[float] = []
     lo = 2.0 ** SHELL_LOW
-    per_shell = tol * 2.0 ** -8
+    per_shell = SIMPSON_TOL * 2.0 ** -8
     while lo < top:
         hi = min(lo * 2.0, top)
         shells.append(_shell(fn, lo, hi, cuts, per_shell))
@@ -233,10 +235,8 @@ def _continue_ends(total: float, shells: list[float], end: float) -> float:
 # A sampler reads its function through ``sample``, which maps nondecreasing
 # points to the function's values in one call: one walk over the pieces of
 # a piecewise function, with the floats of pointwise evaluation and no
-# test of the order.  Every grid here is built in order, except the
-# Simpson nodes of a thin cut panel: ``_sample_in_runs`` is the one split of
-# points that can fall out of order, and a NaN among them makes a run of
-# its own, which the walk rejects.
+# test of the order.  Every grid here is built in order, so no call tests
+# it.
 
 
 def _sorted_samples(sample, end: float, n: int):
@@ -255,7 +255,7 @@ def _uniform_nodes(top: float, n: int):
     return array("d", [GRID_DELTA + (i + 0.5) * h for i in range(n)]), h
 
 
-def _weighted_sorted(sample, end: float, cuts=()):
+def _weighted_sorted(sample, end: float, cuts):
     """Multi-scale sample-sort of |f|: (runs, cumulative measure).
 
     A logarithmic grid resolves integrable singularities at zero, a uniform
@@ -391,7 +391,7 @@ def _octave(c: float) -> int:
     return math.floor(math.log2(c))
 
 
-def rearrangement_oracle(f: PPL, n: int = GRID_POINTS) -> OracleReport:
+def rearrangement_oracle(f: PPL) -> OracleReport:
     """Bracket the engine's rearrangement between measure-shifted samples.
 
     |f| is sampled on a uniform grid, sorted, and the sorted sequence is
@@ -402,13 +402,13 @@ def rearrangement_oracle(f: PPL, n: int = GRID_POINTS) -> OracleReport:
     r = rr.decreasing_rearrangement(f)
     end = f.domain.end
     vals, h = _sorted_samples(lambda ts: pw.evaluate_nondecreasing(f, ts),
-                              end, n)
+                              end, GRID_POINTS)
     shift = (len(f.breakpoints()) + 2) * h + GRID_DELTA
     worst = 0.0
     sup_seen = vals[0] if vals else 0.0
     slack = 1e-9 * (1.0 + sup_seen)
     i = 1
-    while i < n:
+    while i < GRID_POINTS:
         s = (i + 0.5) * h
         upper = r.evaluate(max(s - shift, 1e-12))
         lower = r.evaluate(s + shift)
@@ -419,7 +419,7 @@ def rearrangement_oracle(f: PPL, n: int = GRID_POINTS) -> OracleReport:
         i = i * 2 if i >= 64 else i + 1
     tol = 1e-3 * (1.0 + sup_seen)
     return OracleReport("rearrangement", 0.0, max(worst, 0.0), tol,
-                        note=f"grid {n}, cell {h:.3g}")
+                        note=f"grid {GRID_POINTS}, cell {h:.3g}")
 
 
 # ---------------------------------------------------------------------------
@@ -501,43 +501,39 @@ def _sup_sampled(sample, end: float, cuts) -> float:
 def _orlicz_modular(sample, end: float, cuts, spec):
     """The modular lam -> integral of Phi(|f|/lam) over the domain.
 
-    The integrand is sampled once on fixed composite panels over dyadic
-    shells and every call reuses those samples, evaluating the Young
-    function once per distinct sampled magnitude; the unresolved ends keep
-    the geometric-continuation semantics of improper_integral.
-
-    An uncut shell [2^k, 2^(k+1)) where |f| reads one magnitude is the
-    panel of [1, 2) scaled by 2^k, weights and left-to-right sum alike,
-    while every product and partial sum stays a normal float
-    (``_scaled_range``): such a shell costs one ``ldexp`` of the unit
-    shell's sum per call, and every other shell sums node by node.
+    The integrand is sampled once on fixed composite Simpson panels over
+    dyadic shells, and the weights of each run of nodes that read one
+    magnitude within a shell are summed once.  Every call reuses those
+    run weights: it evaluates the Young function once per distinct
+    magnitude and forms one product per run.  The unresolved ends keep the
+    geometric-continuation semantics of improper_integral.
     """
     nodes, weights = _shell_nodes(end, cuts)
-    mags = list(map(abs, _sample_in_runs(sample, nodes)))
+    mags = list(map(abs, sample(nodes)))
     del nodes
     # magnitudes in order of first appearance, so a step reads them in the
     # order the nodes do and stops at the same first infinite value
     magnitudes = list(dict.fromkeys(mags))
     slot = {g: i for i, g in enumerate(magnitudes)}
-    unit_ws = _uncut_panel_nodes(1.0, 2.0)[1]
-    low, high = _scaled_range(unit_ws)
-    top = min(end, 2.0 ** SHELL_HIGH)
-    # per shell (k, slot, weights) where it is scaled, else (None, the
-    # slot of every node, weights)
-    shells = []
-    a = 0
-    for k, ws in zip(itertools.count(SHELL_LOW), weights):
-        here = mags[a:a + len(ws)]
-        a += len(ws)
-        # a shell of one panel has no cut inside; it is a doubling unless
-        # it ends at the top
-        if here.count(here[0]) == len(here) and len(ws) == len(unit_ws) \
-                and 2.0 ** (k + 1) <= top:
-            shells.append((k, slot[here[0]], ws))
-        else:
-            shells.append((None, [slot[g] for g in here], ws))
+    # per run the slot of its magnitude and its summed weight, and per
+    # shell the span of its runs
+    slots: list[int] = []
+    run_weights: list[float] = []
+    spans: list[tuple[int, int]] = []
+    left = iter(mags)
+    for ws in weights:
+        first = len(slots)
+        # ws first: zip stops at the shell's end without taking a
+        # magnitude of the next shell
+        for g, run in itertools.groupby(zip(ws, left),
+                                        key=operator.itemgetter(1)):
+            slots.append(slot[g])
+            run_weights.append(math.fsum(w for w, _ in run))
+        spans.append((first, len(slots)))
     del mags
-    scaled = {i for k, i, _ in shells if k is not None}
+    # the continuation reads only the first two and the last two shells
+    if len(spans) > 4:
+        spans = spans[:2] + spans[-2:]
 
     def modular(lam: float) -> float:
         values: list[float] = []
@@ -546,40 +542,12 @@ def _orlicz_modular(sample, end: float, cuts, spec):
             if math.isinf(v):
                 return INF
             values.append(v)
-        unit = {i: _panel_sum(unit_ws, itertools.repeat(values[i]))
-                for i in scaled if low < values[i] < high or values[i] == 0.0}
-        sums: list[float] = []
-        for k, read, ws in shells:
-            if k is None:
-                sums.append(_panel_sum(ws, map(values.__getitem__, read)))
-            elif read in unit:
-                sums.append(math.ldexp(unit[read], k))
-            else:
-                sums.append(_panel_sum(ws, itertools.repeat(values[read])))
-        return _continue_ends(_fsum(sums), sums, end)
+        products = list(map(operator.mul, run_weights,
+                            map(values.__getitem__, slots)))
+        return _continue_ends(_fsum(products),
+                              [_fsum(products[a:b]) for a, b in spans], end)
 
     return modular
-
-
-def _sample_in_runs(sample, ts) -> list[float]:
-    """``sample`` at points that can fall out of order, one call per
-    nondecreasing run: in a cut panel narrower than about 1.4e-5 times
-    its left end, the nudge of 1e-9 of a cell falls below one ulp, and the
-    nudged Simpson nodes can round out of order.
-
-    A run ends where ``not (a <= b)``; NaN compares false both ways, so it
-    makes a run of its own, which ``piecewise.evaluate_nondecreasing``
-    rejects with ValueError."""
-    if all(map(operator.le, ts, itertools.islice(ts, 1, None))):
-        return sample(ts)
-    ends = itertools.compress(itertools.count(1), map(operator.not_, map(
-        operator.le, ts, itertools.islice(ts, 1, None))))
-    out: list[float] = []
-    first = 0
-    for last in itertools.chain(ends, (len(ts),)):
-        out += sample(ts[first:last])
-        first = last
-    return out
 
 
 def _orlicz_lux(sample, end: float, cuts, spec) -> float:
@@ -616,43 +584,19 @@ def _orlicz_lux(sample, end: float, cuts, spec) -> float:
     return hi
 
 
-def _panel_sum(ws, vs) -> float:
-    """0.0 + ws[0]*vs[0] + ws[1]*vs[1] + ..., summed left to right: the
-    builtin sum() compensates on Python 3.12+."""
-    return reduce(operator.add, map(operator.mul, ws, vs), 0.0)
-
-
-def _scaled_range(unit_ws) -> tuple[float, float]:
-    """The open range of values v for which the sum of v over the unit
-    shell's weights, times 2^k, is the sum over the uncut shell
-    [2^k, 2^(k+1)) for every k from SHELL_LOW to SHELL_HIGH - 1.
-
-    That shell's weights are the unit shell's times 2^k, and rounding
-    commutes with a power of two where no value leaves the normal range:
-    every product w*v at every scale (1 included) stays at least twice
-    the smallest normal float, and every partial sum, at most
-    len * max(w) * v * (1 + 2^-52)^len < 2 * len * max(w) * v, stays
-    finite.  Zero, outside the range, sums to 0.0 at every scale too.
-    """
-    low = 2.0 * sys.float_info.min / math.ldexp(min(unit_ws),
-                                                 min(SHELL_LOW, 0))
-    high = sys.float_info.max / math.ldexp(2.0 * len(unit_ws) * max(unit_ws),
-                                           max(SHELL_HIGH - 1, 0))
-    return low, high
-
-
 def _shell_nodes(end: float, cuts):
     """The composite Simpson nodes of ``_orlicz_lux`` over the dyadic
     shells of (2^SHELL_LOW, min(end, 2^SHELL_HIGH)), each shell split at
-    the cuts inside it into panels of 64 cells: (nodes, weights per
-    shell), as float arrays in node order."""
+    the distinct cuts inside it into panels: (nodes, weights per shell),
+    as float arrays in node order.  Each panel's nodes lie in its
+    half-open range, so the nodes are nondecreasing."""
     nodes = array("d")
     weights: list[array] = []
     lo = 2.0 ** SHELL_LOW
     top = min(end, 2.0 ** SHELL_HIGH)
     while lo < top:
         hi = min(lo * 2.0, top)
-        inner = sorted(c for c in cuts if lo < c < hi)
+        inner = sorted({c for c in cuts if lo < c < hi})
         if inner:
             xs = [lo, *inner, hi]
             ws = array("d")
@@ -669,19 +613,20 @@ def _shell_nodes(end: float, cuts):
 
 
 def _panel_nodes(x0: float, x1: float):
-    """The nodes and weights of 64 Simpson cells on [x0, x1], as float
-    arrays."""
-    nodes: list[float] = []
-    ws: list[float] = []
+    """The 129 nodes and weights of composite Simpson on 64 cells of
+    [x0, x1], as float arrays: x0 + j*h/2 with weights h/6 * [1, 4, 2, 4,
+    ..., 2, 4, 1].  Every node is clamped to the float below x1, where the
+    last node sits: rounding is monotone, so the nodes are nondecreasing,
+    and no node reads a half-open piece that starts at x1."""
     h = (x1 - x0) / 64.0
-    for i in range(64):
-        a = x0 + i * h
-        sixth = h / 6.0
-        # endpoint nodes are nudged into the cell so half-open piece
-        # boundaries read the value on the correct side
-        nodes += (a + 1e-9 * h, a + 0.5 * h, a + h - 1e-9 * h)
-        ws += (sixth, 4.0 * sixth, sixth)
-    return array("d", nodes), array("d", ws)
+    half = 0.5 * h
+    last = math.nextafter(x1, x0)
+    nodes = array("d", [min(x0 + j * half, last) for j in range(128)])
+    nodes.append(last)
+    sixth = h / 6.0
+    ws = array("d", [sixth, *(4.0 * sixth, 2.0 * sixth) * 63, 4.0 * sixth,
+                     sixth])
+    return nodes, ws
 
 
 # a shell with no cut inside is one panel, built once per shell; callers
@@ -695,7 +640,7 @@ def _cells(runs):
         itertools.repeat(v, b - a) for v, a, b in runs)
 
 
-def _lorentz_sampled(sample, end: float, spec, cuts=()) -> float:
+def _lorentz_sampled(sample, end: float, spec, cuts) -> float:
     runs, cum = _weighted_sorted(sample, end, cuts)
     atom = spec.atom_at_zero
     # the sum stops at the zero run (magnitudes are never below 0.0), and so
@@ -739,7 +684,7 @@ def _lorentz_sampled(sample, end: float, spec, cuts=()) -> float:
     return total
 
 
-def _marcinkiewicz_sampled(sample, end: float, spec, cuts=()) -> float:
+def _marcinkiewicz_sampled(sample, end: float, spec, cuts) -> float:
     runs, cum = _weighted_sorted(sample, end, cuts)
     phis = spec.values(cum)
     # a magnitude that is not finite makes the running integral, and the

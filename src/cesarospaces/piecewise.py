@@ -413,10 +413,8 @@ def evaluate_nondecreasing(f: PPL, ts: Sequence[float]) -> list[float]:
     order, as code that builds its points in order can; points out of
     order, or a NaN after the first point, give wrong values without an
     error.  A NaN first point raises ValueError, and a negative one
-    EvaluationDomainError.  Points that can fall out of order go through
-    ``oracle._sample_in_runs``, the one split into nondecreasing runs: a
-    run ends where ``not (a <= b)``, so a NaN makes a run of its own and
-    raises here.
+    EvaluationDomainError.  Every caller in this package builds its points
+    in order.
     """
     out: list[float] = []
     if not len(ts):

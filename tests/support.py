@@ -4,6 +4,7 @@ test modules."""
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import sys
 import warnings
@@ -379,66 +380,69 @@ def sup_sampled_reference(sample, end: float, cuts) -> float:
 
 def shell_nodes_reference(end: float, cuts):
     """``oracle._shell_nodes`` with every panel built on every call, as
-    lists."""
+    lists, and each panel's weights summed cell by cell: 64 Simpson cells,
+    nodes at the cell ends and midpoints, every node clamped to the float
+    below the panel's right end, where the last node sits."""
     weights: list[list[float]] = []
     nodes: list[float] = []
     lo = 2.0 ** orc.SHELL_LOW
     top = min(end, 2.0 ** orc.SHELL_HIGH)
     while lo < top:
         hi = min(lo * 2.0, top)
-        xs = [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
+        xs = [lo] + sorted(set(c for c in cuts if lo < c < hi)) + [hi]
         ws: list[float] = []
         for x0, x1 in zip(xs, xs[1:]):
             h = (x1 - x0) / 64.0
+            last = math.nextafter(x1, x0)
+            nodes += [min(x0 + j * (h / 2.0), last) for j in range(128)]
+            nodes.append(last)
+            panel = [0.0] * 129
             for i in range(64):
-                a = x0 + i * h
                 sixth = h / 6.0
-                nodes += (a + 1e-9 * h, a + 0.5 * h, a + h - 1e-9 * h)
-                ws += (sixth, 4.0 * sixth, sixth)
+                panel[2 * i] += sixth
+                panel[2 * i + 1] += 4.0 * sixth
+                panel[2 * i + 2] += sixth
+            ws += panel
         weights.append(ws)
         lo = hi
     return nodes, weights
 
 
 # ---------------------------------------------------------------------------
-# reference for the Orlicz oracle: the per-node modular that the scaled
-# shells of oracle.py replaced
+# reference for the Orlicz oracle: the modular with one product per node,
+# where the oracle forms one product per run of one magnitude
 
 
 def orlicz_modular_reference(sample, end: float, cuts, spec):
-    """``oracle._orlicz_modular`` with every shell summed node by node,
-    left to right.  The nodes are sampled in one call in sorted order,
-    since the nudged nodes of a thin cut panel can round out of order."""
+    """``oracle._orlicz_modular`` with one product per node, each shell
+    and the whole summed by ``math.fsum``.  Returns modular(lam), which
+    reads (value, the products in node order)."""
     nodes, weights = orc._shell_nodes(end, cuts)
-    ordered = sorted(nodes)
-    at = dict(zip(ordered, sample(ordered)))
-    mags = [abs(at[t]) for t in nodes]
+    mags = [abs(v) for v in sample(nodes)]
     magnitudes = list(dict.fromkeys(mags))
     slot = {g: i for i, g in enumerate(magnitudes)}
-    slots = iter([slot[g] for g in mags])
-    indexed = [list(zip(ws, slots)) for ws in weights]
+    pairs = list(zip([w for ws in weights for w in ws],
+                     [slot[g] for g in mags]))
+    ends = list(itertools.accumulate(map(len, weights), initial=0))
 
-    def modular(lam: float) -> float:
+    def modular(lam: float) -> tuple[float, list[float]]:
         values: list[float] = []
         for g in magnitudes:
             v = spec.value(g / lam)
             if math.isinf(v):
-                return INF
+                return INF, []
             values.append(v)
-        sums: list[float] = []
-        for pairs in indexed:
-            s = 0.0
-            for w, i in pairs:
-                s += w * values[i]
-            sums.append(s)
-        return orc._continue_ends(orc._fsum(sums), sums, end)
+        products = [w * values[i] for w, i in pairs]
+        sums = [orc._fsum(products[a:b]) for a, b in zip(ends, ends[1:])]
+        return orc._continue_ends(orc._fsum(products), sums, end), products
 
     return modular
 
 
 def orlicz_lux_reference(sample, end: float, cuts, spec) -> float:
-    """``oracle._orlicz_lux`` over ``orlicz_modular_reference``."""
-    modular = orlicz_modular_reference(sample, end, cuts, spec)
+    """``oracle._orlicz_lux`` over ``orlicz_modular_reference``'s value."""
+    reference = orlicz_modular_reference(sample, end, cuts, spec)
+    modular = lambda lam: reference(lam)[0]
     lam = 1.0
     rho = modular(lam)
     while rho > 1.0:

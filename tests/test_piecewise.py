@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cesarospaces import cesaro as cz
-from cesarospaces import oracle as orc
 from cesarospaces import piecewise as pw
 from cesarospaces.errors import (DomainMismatchError, EvaluationDomainError,
                                  RepresentationError, TransformUndefinedError,
@@ -139,8 +138,8 @@ def test_evaluate_outside_domain_raises():
 @st.composite
 def functions_and_points(draw):
     """A function with gaps, step and power-log pieces (a tail on the
-    half-line), and points, mostly sorted: repeats, breakpoints, t = 0, the
-    right end of [0, 1], and sometimes a point outside the domain."""
+    half-line), and sorted points: repeats, breakpoints, t = 0, the right
+    end of [0, 1], and sometimes a point outside the domain."""
     domain = draw(st.sampled_from([H, U]))
     top = 1.0 if domain.is_unit else 8.0
     cuts = sorted(set(draw(st.lists(
@@ -169,11 +168,7 @@ def functions_and_points(draw):
     pts += draw(st.lists(st.sampled_from(pts), max_size=5)) if pts else []
     outside = draw(st.sampled_from([[]] * 6 + [[-0.5], [top + 0.5]]))
     pts += outside
-    return f, sorted(pts) if draw(st.integers(0, 3)) else pts
-
-
-def _sampler(f):
-    return lambda ts: pw.evaluate_nondecreasing(f, ts)
+    return f, sorted(pts)
 
 
 def _outcome(fn):
@@ -181,24 +176,6 @@ def _outcome(fn):
         return [v.hex() for v in fn()]
     except (EvaluationDomainError, ValueError) as exc:
         return type(exc), str(exc)
-
-
-@given(case=functions_and_points())
-@settings(max_examples=200, deadline=None)
-@example(case=(pw.indicator(U, 0.0, 1.0), [0.0, 0.5, 1.0, 1.0]))
-@example(case=(pw.power_piece(H, 0.0, 1.0, 1.0, -0.5), [0.0, 0.25, 1.0]))
-@example(case=(pw.step_function(H, [(0.5, INF, 2.0)]), [0.5, 2.0, INF]))
-@example(case=(pw.step_function(H, [(0.0, 1.0, 2.0), (1.0, 2.0, 3.0)]),
-               [1.5, 0.5, 1.0, 0.0, 2.5]))
-# float arrays, as the oracles pass them, sorted and not
-@example(case=(pw.power_piece(H, 0.0, 1.0, 1.0, -0.5),
-               array("d", [0.0, 0.25, 1.0, 1.0, 3.0])))
-@example(case=(pw.step_function(H, [(0.0, 1.0, 2.0), (1.0, 2.0, 3.0)]),
-               array("d", [1.5, 0.5, 1.0, 0.0, 2.5])))
-def test_the_run_split_is_pointwise_evaluation_bit_for_bit(case):
-    f, ts = case
-    assert _outcome(lambda: orc._sample_in_runs(_sampler(f), ts)) == \
-        _outcome(lambda: [pw.evaluate(f, t) for t in ts])
 
 
 @given(case=functions_and_points(), as_array=st.booleans())
@@ -212,43 +189,19 @@ def test_evaluate_nondecreasing_is_pointwise_evaluation_bit_for_bit(
     # on the points it is given for: nondecreasing numbers, as a list or a
     # float array, errors and all
     f, ts = case
-    ts = sorted(ts)
     if as_array:
         ts = array("d", ts)
     assert _outcome(lambda: pw.evaluate_nondecreasing(f, ts)) == \
         _outcome(lambda: [pw.evaluate(f, t) for t in ts])
 
 
-@pytest.mark.parametrize("ts,walks", [
-    ([0.0, 0.5, 0.5, 1.0, 2.5], 1),
-    (array("d", [0.0, 0.5, 0.5, 1.0, 2.5]), 1),
-    # one walk per nondecreasing run
-    ([1.5, 0.5, 1.0, 0.0, 2.5], 3),
-])
-def test_the_run_split_walks_once_per_nondecreasing_run(ts, walks):
-    f = pw.step_function(H, [(0.0, 1.0, 2.0), (1.0, 2.0, 3.0)])
-    count = [0]
-    walk = _sampler(f)
-
-    def counted(ts):
-        count[0] += 1
-        return walk(ts)
-
-    assert orc._sample_in_runs(counted, ts) == [pw.evaluate(f, t) for t in ts]
-    assert count[0] == walks
-
-
-def test_the_run_split_rejects_nan():
-    # NaN compares false both ways, so it makes a run of its own, which the
-    # walk rejects; it must not join the run before it and read as a number
+def test_evaluate_nondecreasing_rejects_a_nan_first_point():
+    # a NaN first point must not read as the gap value 0.0; no points read
+    # no values
     f = pw.indicator(H, 0.0, 1.0)
-    for ts in ([math.nan], [0.5, math.nan, 1.0], [math.nan, 0.5]):
-        with pytest.raises(ValueError):
-            orc._sample_in_runs(_sampler(f), ts)
-    assert orc._sample_in_runs(_sampler(f), []) == []
-    f = pw.step_function(H, [(0.0, 1.0, 1.0), (1.0, 2.0, 5.0)])
     with pytest.raises(ValueError):
-        orc._sample_in_runs(_sampler(f), [0.5, 1.5, math.nan, 0.7, 1.2])
+        pw.evaluate_nondecreasing(f, [math.nan])
+    assert pw.evaluate_nondecreasing(f, []) == []
 
 
 def test_evaluate_rejects_nan():
