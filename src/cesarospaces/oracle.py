@@ -15,12 +15,15 @@ finer than their grid.  Battery inputs are chosen within these limits.
 Every sample grid (the sample-sort grid, the uniform and logarithmic
 nodes, and the quadrature panels of an uncut dyadic shell) is built once
 per domain end; a call only adds the nodes its own cuts need, never into
-the memo.  Grids are built in order, the Orlicz panels' nodes clamped
-below each panel's right end, so their nodes take one walk over the
-pieces of f with no test of the order.  The sample-sort oracles read f* as
-runs of one magnitude, (magnitude, first cell, end cell), and a run where
-f* is 0 costs no per-cell Python loop; the Orlicz modular forms one
-product per run of one magnitude within a dyadic shell.
+the memo.  A panel or a sampled point reads the piece of f it belongs to:
+a Simpson panel [a, b) reads its right end, and an Orlicz panel its last
+node, at the float below b, and the sampled sup reads each cut at the
+float below it and at the cut itself.  Grids are built in order, so the
+Orlicz panels' nodes take one walk over the pieces of f with no test of
+the order.  The sample-sort oracles read f* as runs of one magnitude,
+(magnitude, first cell, end cell), and a run where f* is 0 costs no
+per-cell Python loop; the Orlicz modular forms one product per run of
+one magnitude within a dyadic shell.
 """
 
 from __future__ import annotations
@@ -105,21 +108,6 @@ def pw_format(v: float) -> str:
 # adaptive Simpson over dyadic shells
 
 
-def _safe_eval(fn, x: float, lo: float, hi: float) -> float:
-    v = fn(x)
-    if math.isfinite(v):
-        return v
-    width = hi - lo
-    for shift in (1e-12, 1e-9, 1e-6):
-        xx = min(max(x, lo + shift * width), hi - shift * width)
-        if xx == x:
-            xx = x + shift * width
-        v = fn(xx)
-        if math.isfinite(v):
-            return v
-    return 0.0
-
-
 def _adaptive(fn, a, b, fa, fm, fb, whole, tol, depth):
     m = 0.5 * (a + b)
     lm = 0.5 * (a + m)
@@ -133,7 +121,7 @@ def _adaptive(fn, a, b, fa, fm, fb, whole, tol, depth):
         left = _wide_panel(m - a, fa, flm, fm)
         right = _wide_panel(b - m, fm, frm, fb)
         s = left + right
-        # an interior value that is not finite, or an integral past the
+        # a value read that is not finite, or an integral past the
         # float range; a cell below one ulp wide would give 0 * inf = NaN
         if not math.isfinite(s):
             return INF
@@ -154,21 +142,20 @@ def _wide_panel(width: float, fa: float, fm: float, fb: float) -> float:
 
 
 def simpson(fn, a: float, b: float, tol: float = 1e-10, depth: int = 24) -> float:
-    """Adaptive Simpson on a finite interval; endpoint singularities nudged.
+    """Adaptive Simpson on the panel [a, b), read inside it: the right end
+    value is f at the float below b, never a piece that starts at b.
 
-    INF where the midpoint or an interior value is not finite, never NaN.
-    A panel whose weighted sum passes the float range while its values do
-    not is summed again with the width applied first, so only an integral
-    past the float range reads INF.
+    INF where a value read is not finite, never NaN.  A panel whose
+    weighted sum passes the float range while its values do not is summed
+    again with the width applied first, so only an integral past the float
+    range reads INF.
     """
     if not b > a:
         return 0.0
-    fa = _safe_eval(fn, a, a, b)
-    fb = _safe_eval(fn, b, a, b)
+    fa = fn(a)
+    fb = fn(math.nextafter(b, a))
     m = 0.5 * (a + b)
     fm = fn(m)
-    if not math.isfinite(fm):
-        return INF
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     if not math.isfinite(whole):
         whole = _wide_panel(b - a, fa, fm, fb)
@@ -177,10 +164,10 @@ def simpson(fn, a: float, b: float, tol: float = 1e-10, depth: int = 24) -> floa
 
 def _shell(fn, lo: float, hi: float, cuts, tol: float) -> float:
     xs = [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
-    return _fsum(simpson(fn, x0, x1, tol) for x0, x1 in zip(xs, xs[1:]))
+    return _fsum([simpson(fn, x0, x1, tol) for x0, x1 in zip(xs, xs[1:])])
 
 
-def _fsum(parts) -> float:
+def _fsum(parts: list[float]) -> float:
     """``math.fsum`` of nonnegative parts, INF where finite parts sum past
     the float range (fsum raises OverflowError there)."""
     try:
@@ -195,7 +182,7 @@ def improper_integral(fn, end: float, cuts=()) -> float:
     Dyadic shells with geometric corrections for the unresolved ends; an
     end whose shell contributions fail to decay geometrically (ratio of
     successive shells at or above DIVERGENCE_RATIO) is reported as
-    divergent.
+    divergent, and so is an integrand with a value past the float range.
     """
     top = min(end, 2.0 ** SHELL_HIGH)
     shells: list[float] = []
@@ -203,7 +190,10 @@ def improper_integral(fn, end: float, cuts=()) -> float:
     per_shell = SIMPSON_TOL * 2.0 ** -8
     while lo < top:
         hi = min(lo * 2.0, top)
-        shells.append(_shell(fn, lo, hi, cuts, per_shell))
+        try:
+            shells.append(_shell(fn, lo, hi, cuts, per_shell))
+        except OverflowError:  # float ** raises past the float range
+            return INF
         lo = hi
     total = _fsum(shells)
     if not math.isfinite(total):
@@ -475,26 +465,19 @@ def _running_average(fn, end: float, cuts):
 
 def _sup_sampled(sample, end: float, cuts) -> float:
     """The largest |f| on a 2^(1/64) log grid over [2^-40, min(end, 2^30))
-    and next to each cut; INF past 1e5 or at a value that is not finite."""
+    and on both sides of each cut, at the float below it and, below the
+    end, at the cut itself; INF at a value that is not finite."""
     grid = _geometric_nodes(2.0 ** -40, 2.0 ** (1.0 / 64), min(end, 2.0 ** 30))
-    near: set[float] = set()
-    for c in cuts:
-        for eps in (1e-9, 1e-6):
-            if 0.0 < c * (1 - eps):
-                near.add(c * (1 - eps))
-            if c * (1 + eps) < end:
-                near.add(c * (1 + eps))
-    # the largest value is the same over the grid and the cut neighbours
-    # read apart, so the memo grid is sampled as it is
+    near = sorted({math.nextafter(c, 0.0) for c in cuts}
+                  | {c for c in cuts if c < end})
+    # the largest value is the same over the grid and the cut sides read
+    # apart, so the memo grid is sampled as it is
     best = 0.0
-    for v in map(abs, itertools.chain(sample(grid), sample(sorted(near)))):
+    for v in map(abs, itertools.chain(sample(grid), sample(near))):
         if math.isfinite(v):
             best = max(best, v)
         else:
             return INF
-    # values still climbing at the sampling floor mean an unbounded spike
-    if best > 1e5:
-        return INF
     return best
 
 
@@ -539,7 +522,8 @@ def _orlicz_modular(sample, end: float, cuts, spec):
         values: list[float] = []
         for g in magnitudes:
             v = spec.value(g / lam)
-            if math.isinf(v):
+            # an expanded Young function reads inf - inf = NaN there too
+            if not math.isfinite(v):
                 return INF
             values.append(v)
         products = list(map(operator.mul, run_weights,
@@ -745,10 +729,22 @@ def _oracle_value(fn, sample, end: float, cuts, X: SpaceDescriptor):
     if tag == "Lp":
         p = X.p
         if math.isinf(p):
-            return _sup_sampled(sample, end, cuts), ORACLE_TOL["Lp-sup"], \
-                "sampled sup"
+            best = _sup_sampled(sample, end, cuts)
+            if best > 1e5:
+                # values past 1e5 still climbing at the sampling floor mean
+                # an unbounded spike
+                floor, octave = map(abs, sample([2.0 ** -40, 2.0 ** -39]))
+                best = INF if floor > octave else best
+            return best, ORACLE_TOL["Lp-sup"], "sampled sup"
         raw = improper_integral(lambda t: abs(fn(t)) ** p, end, cuts)
-        val = INF if math.isinf(raw) else raw ** (1.0 / p)
+        # where |f|^p or its integral passes the float range, integrate
+        # 2^-e |f|, 2^e about the largest sample of |f|, and scale back
+        e = math.frexp(_sup_sampled(sample, end, cuts))[1] \
+            if math.isinf(raw) else 0
+        if e > 0:
+            raw = improper_integral(
+                lambda t: math.ldexp(abs(fn(t)), -e) ** p, end, cuts)
+        val = INF if math.isinf(raw) else nm._ldexp(raw ** (1.0 / p), e)
         return val, ORACLE_TOL["Lp"], "shell quadrature"
     if tag == "L1capLinf":
         v1, _, _ = _oracle_value(fn, sample, end, cuts,
@@ -759,11 +755,13 @@ def _oracle_value(fn, sample, end: float, cuts, X: SpaceDescriptor):
     if tag == "L1plusLinf":
         vals, h = _sorted_samples(sample, end, 1 << 15)
         idx = int(1.0 / h)
-        lam = vals[idx] if idx < len(vals) else 0.0
-        body = improper_integral(lambda t: max(abs(fn(t)) - lam, 0.0),
-                                 end, cuts)
-        return (INF if math.isinf(body) else body + lam), \
-            ORACLE_TOL["L1plusLinf"], "level split at sampled quantile"
+        # a split at any level bounds the norm from above and is the norm
+        # at f*(1); f* may jump inside the quantile's cell, so take the
+        # least split at the sampled levels next to it
+        lams = set(vals[idx - 1:idx + 2]) if idx < len(vals) else {0.0}
+        val = min(lam + improper_integral(
+            lambda t: max(abs(fn(t)) - lam, 0.0), end, cuts) for lam in lams)
+        return val, ORACLE_TOL["L1plusLinf"], "level split at sampled quantile"
     if tag == "orlicz":
         return _orlicz_lux(sample, end, cuts, X.orlicz), ORACLE_TOL["orlicz"], \
             "simpson modular bisection"

@@ -356,11 +356,9 @@ def sup_points_reference(end: float, cuts) -> list[float]:
         pts.add(x)
         x *= 2.0 ** (1.0 / 64)
     for c in cuts:
-        for eps in (1e-9, 1e-6):
-            if 0.0 < c * (1 - eps):
-                pts.add(c * (1 - eps))
-            if c * (1 + eps) < end:
-                pts.add(c * (1 + eps))
+        pts.add(math.nextafter(c, 0.0))
+        if c < end:
+            pts.add(c)
     return sorted(pts)
 
 
@@ -373,8 +371,6 @@ def sup_sampled_reference(sample, end: float, cuts) -> float:
             best = max(best, v)
         else:
             return INF
-    if best > 1e5:
-        return INF
     return best
 
 

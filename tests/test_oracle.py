@@ -29,18 +29,27 @@ def test_simpson_on_polynomial():
         1.0 / 3.0, abs=1e-12)
 
 
-def test_simpson_nudges_an_endpoint_singularity_inward():
-    # fn(0) is inf, so the end value is read a little inside [0, 1]; the
-    # integral of x**-1/2 is 2, and the panel rule gets it to about 0.2 %
-    fn = lambda x: INF if x == 0.0 else x ** -0.5
-    assert orc.simpson(fn, 0.0, 1.0) == pytest.approx(2.0, rel=5e-3)
+def test_simpson_reads_the_piece_its_panel_belongs_to():
+    # the half-open piece [1, 2) starts at the panel's right end; the end
+    # value read at 1.0 itself gave 1 + 99/6 for the first Simpson sum
+    f = pw.step_function(H, [(0.0, 1.0, 1.0), (1.0, 2.0, 100.0)])
+    assert orc.simpson(lambda t: pw.evaluate(f, t), 0.0, 1.0) == 1.0
+
+
+@pytest.mark.parametrize("end", [INF, math.nan])
+def test_simpson_reads_inf_at_an_end_value_that_is_not_finite(end):
+    # an end value is read like an interior one, never nudged inward and
+    # never taken as 0.0
+    fn = lambda x: end if x == 0.0 else x ** -0.5
+    assert orc.simpson(fn, 0.0, 1.0) == INF
+    fn = lambda x: end if x == math.nextafter(1.0, 0.0) else 1.0
+    assert orc.simpson(fn, 0.0, 1.0) == INF
 
 
 def test_simpson_reads_inf_where_an_interior_node_meets_the_singularity():
-    # [1, 1 + 2^-51] is two ulps wide: every nudge of the end value
-    # fn(1) = inf stays on 1.0, so the end reads 0.0, and the node halfway
-    # between 1.0 and the midpoint rounds back onto 1.0.  The panel sum was
-    # 0 * inf = NaN there
+    # [1, 1 + 2^-51] is two ulps wide: the end value is fn(1) = inf, and
+    # the node halfway between 1.0 and the midpoint rounds back onto 1.0,
+    # where a cell below one ulp wide gave the panel sum 0 * inf = NaN
     fn = lambda x: INF if x == 1.0 else 1.0
     assert orc.simpson(fn, 1.0, 1.0 + 2.0 ** -51) == INF
     # a panel sum past the float range is no number either: it recursed to
@@ -74,10 +83,13 @@ def test_improper_integral_detects_divergence():
 
 def test_a_sum_of_finite_shells_past_the_float_range_reads_inf():
     # each shell of 1e308 on (0, 2) is finite, their sum is not: fsum
-    # raised OverflowError, in the L^p oracle and the Orlicz modular alike
+    # raises OverflowError, in the L^p integral and the Orlicz modular alike
     assert orc.improper_integral(lambda t: 1e308, 2.0) == INF
     f = pw.step_function(H, [(0.0, 2.0, 1e154)])
-    assert orc.quadrature_norm_oracle(f, sp.lebesgue(2.0, H)).oracle == INF
+    # the L^p oracle integrates 2^-512 |f| instead, to the norm sqrt(2) * 1e154
+    report = orc.quadrature_norm_oracle(f, sp.lebesgue(2.0, H))
+    assert report.passed, report.row()
+    assert report.oracle == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-12)
     square = cat.orlicz_square()
     modular = orc._orlicz_modular(_sampler(f), INF, [2.0], square)
     assert modular(1.0) == INF
@@ -85,6 +97,28 @@ def test_a_sum_of_finite_shells_past_the_float_range_reads_inf():
     report = orc.quadrature_norm_oracle(f, sp.orlicz_space(square, H))
     assert report.passed, report.row()
     assert report.exact == pytest.approx(math.sqrt(2.0) * 1e154, rel=1e-15)
+
+
+def test_the_lp_oracle_scales_a_norm_past_the_float_range_of_its_power():
+    # (1e200)^2 raised OverflowError inside the integrand, and the oracle
+    # read inf; 2^-665 |f| has the norm 2^-665 * 7.07e199
+    f = pw.step_function(H, [(0.0, 0.5, 1e200)])
+    report = orc.quadrature_norm_oracle(f, sp.lebesgue(2.0, H))
+    assert report.exact == 7.0710678118654752e199
+    assert report.passed, report.row()
+    # a norm that is past the float range still reads inf
+    f = pw.step_function(H, [(0.0, 1e20, 1e300)])
+    report = orc.quadrature_norm_oracle(f, sp.lebesgue(2.0, H))
+    assert (report.exact, report.oracle) == (INF, INF)
+
+
+def test_the_orlicz_modular_reads_inf_where_the_young_function_reads_nan():
+    # (u - 1)^2 expanded reads inf - inf = NaN at u = 1e153 / lam, and a
+    # NaN modular passed the bisection's test "modular > 1" as at most 1
+    f = pw.step_function(H, [(0.0, 1.0, 1e153), (1.0, 2.0, 0.109375)])
+    modular = orc._orlicz_modular(_sampler(f), INF, [1.0, 2.0],
+                                  support.SHIFTED_SQUARE)
+    assert modular(1.09375e-155) == INF
 
 
 @pytest.mark.parametrize("c", [1e18, 1e31])
@@ -170,6 +204,56 @@ def test_norm_oracle_agrees(f, X):
     assert report.passed, report.row()
 
 
+# verify's failing request at seed 3046, rounded: Simpson on [2, 3.9997)
+# read its right end value from the piece [3.9997, 4), and the oracle read
+# 0.71752461290247216, 3.7e-7 off
+NEAR_CUT_STEP = pw.step_function(H, [(0.0, 1.479, 0.3124),
+                                     (1.479, 3.9997, 0.5544),
+                                     (3.9997, 4.0, 2.558)])
+
+
+def test_the_norm_oracle_reads_each_panel_from_its_own_piece():
+    report = orc.quadrature_norm_oracle(NEAR_CUT_STEP, sp.lebesgue(4.0, H))
+    assert report.exact == 0.7175243447914138
+    assert report.oracle == 0.71752434479142069 and report.passed
+
+
+@st.composite
+def steps_with_a_near_cut(draw, domain):
+    """Step functions on [x0, x1), [x1, x2) and [x2, x3), where one of x1
+    and x2 is a cut c, a power of two or any float, and the other lies 2^-20
+    to 1e-4 relative from it on either side; magnitudes in 2^±20, either
+    sign.  Closer cuts make the exact norm cancel (ROADMAP item 6)."""
+    top = 1.0 if domain.is_unit else 64.0
+    c = draw(st.one_of(
+        st.integers(-6, math.frexp(top)[1] - 3).map(lambda k: 2.0 ** k),
+        st.floats(top / 64.0, top / 4.0)))
+    d = draw(st.floats(2.0 ** -20, 1e-4))
+    x1, x2 = sorted((c, c * (1.0 + d if draw(st.booleans()) else 1.0 - d)))
+    x0 = draw(st.floats(0.0, 0.5 * x1))
+    x3 = draw(st.floats(2.0 * x2, top))
+    mags = st.floats(-20.0, 20.0).map(lambda u: 2.0 ** u)
+    signs = st.sampled_from((1.0, -1.0))
+    return pw.step_function(domain, [
+        (lo, hi, draw(mags) * draw(signs))
+        for lo, hi in ((x0, x1), (x1, x2), (x2, x3))])
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=st.sampled_from([H, U]).flatmap(steps_with_a_near_cut))
+@example(f=NEAR_CUT_STEP)
+# the sampled sup read every value past 1e5 as an unbounded spike
+@example(f=pw.scale(NEAR_CUT_STEP, 2.0 ** 20))
+# f*(1) jumps inside the cell of the L1+Linf oracle's sampled quantile
+@example(f=pw.step_function(H, [(0.0, 1.015625, 1.0)]))
+def test_the_norm_oracle_passes_next_to_a_cut(f):
+    d = f.domain
+    for X in (*(sp.lebesgue(p, d) for p in (1.0, 2.0, 4.0, INF)),
+              sp.l1_cap_linf(d), sp.l1_plus_linf(d)):
+        report = orc.quadrature_norm_oracle(f, X)
+        assert report.passed, (X.describe(), report.row())
+
+
 def test_norm_oracle_agrees_on_divergence():
     f = pw.step_function(H, [(0.0, INF, 1.0)])
     report = orc.quadrature_norm_oracle(f, sp.lebesgue(2.0, H))
@@ -188,6 +272,31 @@ def test_averaged_oracle_reads_inf_where_the_average_diverges(a):
         sp.cesaro_space(sp.lebesgue(2.0, H)))
     assert (report.exact, report.oracle) == (INF, INF)
     assert report.note == "average diverges near zero" and report.passed
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the sampled sup's log grid stops at 2^-40, and its 1e5 rule cannot see "
+    "the log blow-up of C|f| at 0 (ROADMAP item 2: an oracle that is right "
+    "wherever the library is right)"))
+def test_the_averaged_sup_oracle_reads_inf_for_a_log_at_zero():
+    f = pw.make_ppl(H, [(0.0, 4.0, {(0.0, 1): 1.0,
+                                    (0.0, 0): -math.log(1.3)})])
+    report = orc.quadrature_norm_oracle(
+        f, sp.cesaro_space(sp.lebesgue(INF, H)))
+    assert report.exact == INF
+    assert report.passed, report.row()
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the exact norm is inf, and the Orlicz oracle on the running average "
+    "reads 1.665e7 (ROADMAP item 2: an oracle that is right wherever the "
+    "library is right)"))
+def test_the_averaged_orlicz_oracle_reads_inf_for_a_root_singularity():
+    f = pw.make_ppl(U, [(0.0, 1.0, {(-0.5, 0): 1.0, (0.0, 0): -1.7})])
+    report = orc.quadrature_norm_oracle(
+        f, sp.cesaro_space(sp.orlicz_space(cat.orlicz_square(), U)))
+    assert report.exact == INF
+    assert report.passed, report.row()
 
 
 def test_tolerance_table_covers_all_tags():
@@ -313,11 +422,11 @@ KNOT_STEP = pw.step_function(H, [(0.125, 0.5, 2.0), (0.5, 1.0, -2.0),
 # above to values recorded with their per-cell loops (tests/support.py)
 @pytest.mark.parametrize("f,X,expected", [
     (STEP, sp.lebesgue(INF, H), 3.0),
-    (STEP, sp.l1_cap_linf(H), 4.9999999936256145),
-    (UNIT_STEP, sp.l1_plus_linf(U), 2.2637735750436305),
+    (STEP, sp.l1_cap_linf(H), 5.0),
+    (UNIT_STEP, sp.l1_plus_linf(U), 2.2637735749112444),
     # running averages, sampled point by point
-    (STEP, sp.cesaro_space(sp.lebesgue(INF, H)), 2.3333333326666703),
-    (UNIT_STEP, sp.cesaro_space(sp.l1_plus_linf(U)), 1.6285960706763947),
+    (STEP, sp.cesaro_space(sp.lebesgue(INF, H)), 2.3333333333333335),
+    (UNIT_STEP, sp.cesaro_space(sp.l1_plus_linf(U)), 1.6285960697101094),
     (UNIT_STEP, sp.lorentz_space(cat.sqrt_phi(U)), 2.4821907516607533),
     (UNIT_STEP, sp.marcinkiewicz_space(cat.sqrt_phi(U)), 2.3596664841536215),
     (KNOT_STEP, sp.lorentz_space(cat.sqrt_phi(H)), 17.402144927736188),
