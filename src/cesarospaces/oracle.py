@@ -164,12 +164,12 @@ def simpson(fn, a: float, b: float, tol: float = 1e-10, depth: int = 24) -> floa
 
 def _shell(fn, lo: float, hi: float, cuts, tol: float) -> float:
     xs = [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
-    return _fsum([simpson(fn, x0, x1, tol) for x0, x1 in zip(xs, xs[1:])])
+    return _fsum(simpson(fn, x0, x1, tol) for x0, x1 in zip(xs, xs[1:]))
 
 
-def _fsum(parts: list[float]) -> float:
-    """``math.fsum`` of nonnegative parts, INF where finite parts sum past
-    the float range (fsum raises OverflowError there)."""
+def _fsum(parts) -> float:
+    """``math.fsum`` of nonnegative parts, INF where they or their sum pass
+    the float range (fsum, or a part's own float **, raises OverflowError)."""
     try:
         return math.fsum(parts)
     except OverflowError:
@@ -190,10 +190,7 @@ def improper_integral(fn, end: float, cuts=()) -> float:
     per_shell = SIMPSON_TOL * 2.0 ** -8
     while lo < top:
         hi = min(lo * 2.0, top)
-        try:
-            shells.append(_shell(fn, lo, hi, cuts, per_shell))
-        except OverflowError:  # float ** raises past the float range
-            return INF
+        shells.append(_shell(fn, lo, hi, cuts, per_shell))
         lo = hi
     total = _fsum(shells)
     if not math.isfinite(total):
@@ -731,17 +728,20 @@ def _oracle_value(fn, sample, end: float, cuts, X: SpaceDescriptor):
         if math.isinf(p):
             best = _sup_sampled(sample, end, cuts)
             if best > 1e5:
-                # values past 1e5 still climbing at the sampling floor mean
-                # an unbounded spike
+                # values past 1e5 still climbing, by 0.1 % an octave, at
+                # either end of the grid mean unbounded growth there
                 floor, octave = map(abs, sample([2.0 ** -40, 2.0 ** -39]))
-                best = INF if floor > octave else best
+                below, top = map(abs, sample([2.0 ** 29, 2.0 ** 30])) \
+                    if math.isinf(end) else (0.0, 0.0)
+                if floor > 1.001 * octave or top > 1.001 * below:
+                    best = INF
             return best, ORACLE_TOL["Lp-sup"], "sampled sup"
         raw = improper_integral(lambda t: abs(fn(t)) ** p, end, cuts)
-        # where |f|^p or its integral passes the float range, integrate
+        # where |f|^p or its integral may pass the float range, integrate
         # 2^-e |f|, 2^e about the largest sample of |f|, and scale back
         e = math.frexp(_sup_sampled(sample, end, cuts))[1] \
             if math.isinf(raw) else 0
-        if e > 0:
+        if p * e + SHELL_HIGH >= 1024:
             raw = improper_integral(
                 lambda t: math.ldexp(abs(fn(t)), -e) ** p, end, cuts)
         val = INF if math.isinf(raw) else nm._ldexp(raw ** (1.0 / p), e)

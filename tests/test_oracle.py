@@ -254,6 +254,26 @@ def test_the_norm_oracle_passes_next_to_a_cut(f):
         assert report.passed, (X.describe(), report.row())
 
 
+# t on [1, inf) grows toward the top of the sup's log grid; 2^20 (2 - sqrt t)
+# falls from 2^-40 to 2^-39 by about 2^-21 relative, which is no spike
+T_PAST_ONE = pw.power_piece(H, 1.0, INF, 1.0, 1.0)
+FALLING_AT_ZERO = pw.make_ppl(H, [(0.0, 1.0, {(0.0, 0): 2.0 ** 21,
+                                              (0.5, 0): -2.0 ** 20})])
+
+
+@pytest.mark.parametrize("f,exact", [(T_PAST_ONE, INF),
+                                     (FALLING_AT_ZERO, 2.0 ** 21)],
+                         ids=["t-past-one", "falling-at-zero"])
+@pytest.mark.parametrize("X", [sp.lebesgue(INF, H),
+                               sp.cesaro_space(sp.lebesgue(INF, H))],
+                         ids=["Linf", "avg-Linf"])
+def test_the_sup_oracle_reads_inf_only_for_growth_at_an_end_of_its_grid(
+        f, exact, X):
+    report = orc.quadrature_norm_oracle(f, X)
+    assert report.exact == exact
+    assert report.passed, report.row()
+
+
 def test_norm_oracle_agrees_on_divergence():
     f = pw.step_function(H, [(0.0, INF, 1.0)])
     report = orc.quadrature_norm_oracle(f, sp.lebesgue(2.0, H))
